@@ -18,8 +18,8 @@ orientation sign.
 
 Quadrature on the triangle is a collapsed tensor-product Gauss rule
 (exact for the requested total degree), and curved element geometry uses
-a degree-q Lagrange basis on the uniform lattice, derived from a
-monomial Vandermonde solve.
+a degree-q Lagrange basis on the uniform lattice in Silvester's product
+form.
 """
 
 from __future__ import annotations
@@ -181,37 +181,36 @@ def lattice_nodes(q: int) -> np.ndarray:
     return np.array(nodes)
 
 
-@lru_cache(maxsize=None)
-def _lagrange_weights(q: int) -> np.ndarray:
-    """Coefficient matrix turning monomial values into Lagrange values."""
-    nodes = lattice_nodes(q)
-    n = nodes.shape[0]
-    exps = [(i, j) for j in range(q + 1) for i in range(q + 1 - j)]
-    a = np.empty((n, n))
-    for col, (i, j) in enumerate(exps):
-        a[:, col] = nodes[:, 0] ** i * nodes[:, 1] ** j
-    return np.linalg.inv(a.T)
+def _silvester_table(q: int, t: np.ndarray):
+    """R_0..R_q and derivatives at t, shapes (q+1, len(t)), where
+    R_m(t) = prod_{l<m} (q t - l) / (l + 1)."""
+    vals = np.ones((q + 1, t.shape[0]))
+    ders = np.zeros((q + 1, t.shape[0]))
+    for m in range(q):
+        factor = (q * t - m) / (m + 1)
+        vals[m + 1] = vals[m] * factor
+        ders[m + 1] = ders[m] * factor + vals[m] * (q / (m + 1))
+    return vals, ders
 
 
 def lagrange_geometry_basis(q: int, points: np.ndarray):
     """Degree-q nodal (Lagrange) basis on the uniform lattice.
 
+    The function of the node (i/q, j/q) is Silvester's product
+    R_k(l0) R_i(l1) R_j(l2) with k = q - i - j, which needs no matrix
+    inversion; gradients follow from the product rule.
+
     Returns (L, dL) with shapes (n_nodes, n) and (n_nodes, n, 2);
     L[m, k] is the m-th nodal function at points[k].
     """
     pts = np.asarray(points, dtype=float)
-    w = _lagrange_weights(q)
-    exps = [(i, j) for j in range(q + 1) for i in range(q + 1 - j)]
-    n = pts.shape[0]
-    mono = np.empty((len(exps), n))
-    dmono = np.zeros((len(exps), n, 2))
     x, y = pts[:, 0], pts[:, 1]
-    for col, (i, j) in enumerate(exps):
-        mono[col] = x**i * y**j
-        if i > 0:
-            dmono[col, :, 0] = i * x ** (i - 1) * y**j
-        if j > 0:
-            dmono[col, :, 1] = j * x**i * y ** (j - 1)
-    L = np.einsum("mc,cn->mn", w, mono)
-    dL = np.einsum("mc,cnd->mnd", w, dmono)
+    a, da = _silvester_table(q, 1.0 - x - y)
+    b, db = _silvester_table(q, x)
+    c, dc = _silvester_table(q, y)
+    i, j = np.rint(lattice_nodes(q) * q).astype(np.int64).T
+    k = q - i - j
+    L = a[k] * b[i] * c[j]
+    dL = np.stack([a[k] * db[i] * c[j] - da[k] * b[i] * c[j],
+                   a[k] * b[i] * dc[j] - da[k] * b[i] * c[j]], axis=-1)
     return L, dL

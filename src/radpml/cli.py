@@ -11,9 +11,11 @@ Commands
 ``damping``    measured far-field decay rates along rays vs the
                guaranteed bound
 
-Exit codes: 0 success; 2 condition or hypothesis violation; 3 incomplete
-root search; 4 unmatched comparison; 64 configuration error (also used
-for command-line usage errors).
+Exit codes: 0 success; 1 pipeline failure (``solve`` names the failing
+stage on stderr: mesh, assembly, factorization, eigensolve or
+spurious-filter); 2 condition or hypothesis violation; 3 incomplete root
+search; 4 unmatched comparison; 64 configuration error (also used for
+command-line usage errors).
 
 Configuration files are flat INI text with decimal numbers only.  The
 scaling strength is a single complex literal such as ``1+0.5i`` (``8i``
@@ -32,6 +34,7 @@ import gc
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -63,6 +66,8 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
+# ``assemble`` is not called here but stays importable from this module,
+# where perfbench/tracer.py wraps it.
 from .fem import CondensedShiftSolver, FunctionSpace, assemble
 from .media import Medium, RangeBox
 from .mesh import DiskObstacle, EllipseObstacle, Geometry, generate, refine
@@ -544,23 +549,39 @@ def cmd_reference(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _stage(name):
+    """Tag a pipeline error raised in the block with the stage it came
+    from; the innermost tag wins."""
+    try:
+        yield
+    except _PIPELINE_ERRORS as exc:
+        if not hasattr(exc, "stage"):
+            exc.stage = name
+        raise
+
+
 def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0,
                 slim: bool = False):
-    geometry = config.geometry if layer_scale == 1.0 \
-        else config.stretched_geometry(layer_scale)
-    mesh = generate(geometry, config.hmax, config.q)
-    for _ in range(config.refinements):
-        mesh = refine(mesh)
-    space = FunctionSpace(mesh, config.p)
-    profile = config.build_profile()
-    # The condensed factorization runs before assembly so its peak
-    # footprint does not stack on top of the stored pencil.
-    inner = CondensedShiftSolver(space, profile, config.medium,
-                                 config.shift ** 2)
-    pencil = assemble(space, profile, config.medium)
-    spectrum = shift_invert_arnoldi(
-        pencil, config.shift ** 2, config.k, krylov_dim=config.krylov_dim,
-        d0=limits(profile, config.medium).d0, seed=seed, inner=inner)
+    with _stage("mesh"):
+        geometry = config.geometry if layer_scale == 1.0 \
+            else config.stretched_geometry(layer_scale)
+        mesh = generate(geometry, config.hmax, config.q)
+        for _ in range(config.refinements):
+            mesh = refine(mesh)
+    with _stage("assembly"):
+        space = FunctionSpace(mesh, config.p)
+        profile = config.build_profile()
+        # one element pass assembles the pencil and condenses the bubbles
+        inner = CondensedShiftSolver(space, profile, config.medium,
+                                     config.shift ** 2)
+        pencil = inner.pencil
+    with _stage("factorization"):
+        inner.factor()
+    with _stage("eigensolve"):
+        spectrum = shift_invert_arnoldi(
+            pencil, config.shift ** 2, config.k, krylov_dim=config.krylov_dim,
+            d0=limits(profile, config.medium).d0, seed=seed, inner=inner)
     if slim:
         # Eigenvalues only; the comparison run's vectors, mesh, and
         # pencil are dead weight once the movement test has partners.
@@ -572,11 +593,13 @@ def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0,
 
 def cmd_solve(args) -> int:
     config = parse_config(args.config)
+    if config.reference_csv and not Path(config.reference_csv).is_file():
+        raise ConfigError(
+            f"[output] reference = {config.reference_csv!r}: no such file "
+            f"(a relative path is taken from the working directory)")
     seed = config.seed if args.seed is None else args.seed
     out = _out_dir(config, args)
-    stage = "mesh"
     try:
-        stage = "solve"
         # The stretched comparison runs first: it is the larger of the
         # two problems, and solving it before the base pencil exists
         # keeps the peak footprint to one factorization at a time.
@@ -587,11 +610,11 @@ def cmd_solve(args) -> int:
         print(f"solve: {mesh.num_triangles} triangles (q={config.q}), "
               f"{pencil.size} dofs, {len(spectrum)} eigenvalues near "
               f"shift {config.shift:g}")
-        stage = "spurious-filter"
-        spectrum = spurious_filter(
-            lambda s: stretched, spectrum, config.stretch)
+        with _stage("spurious-filter"):
+            spectrum = spurious_filter(
+                lambda s: stretched, spectrum, config.stretch)
     except _PIPELINE_ERRORS as exc:
-        print(f"solve: error at stage {stage}: {exc}", file=sys.stderr)
+        print(f"solve: error at stage {exc.stage}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     n_spurious = int(np.count_nonzero(spectrum.spurious))
     n_ambiguous = int(np.count_nonzero(spectrum.ambiguous))

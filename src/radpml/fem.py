@@ -13,15 +13,17 @@ tangential stretch dt).  Below the onset radius both factors are one and
 the coefficient reduces to (sigma, 1) exactly — interior elements are
 assembled bitwise identically with or without a profile.
 
-K and M are assembled in a single element sweep with shared sparsity;
-element matrices are mirror-averaged and the full local blocks are
-scattered, which makes both matrices exactly symmetric (the duplicate
-summation order is mirror-invariant).
+A solve makes one sweep over the elements.  Each chunk's blocks are one
+GEMM of the coefficient, pulled back to the reference triangle, against
+shape-function products tabulated once per pass; the upper triangle is
+mirrored, and blocks are summed in element order into a CSR pattern that
+K and M share, so both are exactly symmetric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -216,6 +218,12 @@ class AssembledPencil:
     def size(self) -> int:
         return self.stiffness.shape[0]
 
+    @cached_property
+    def frobenius_norms(self) -> tuple[float, float]:
+        """(||K||_F, ||M||_F), the scale of every Rayleigh residual."""
+        return (float(np.linalg.norm(self.stiffness.data)),
+                float(np.linalg.norm(self.mass.data)))
+
 
 def element_matrices(space: FunctionSpace, profile: ScalingProfile | None,
                      medium: Medium, triangle_ids, quad_degree: int | None = None):
@@ -226,55 +234,122 @@ def element_matrices(space: FunctionSpace, profile: ScalingProfile | None,
     """
     ids = np.asarray(triangle_ids, dtype=np.int64)
     return _element_blocks(space, profile, medium, ids,
-                           quad_degree or (2 * space.p + 2))
+                           _reference_tables(space, quad_degree))
 
 
-def _element_blocks(space, profile, medium, ids, degree):
-    mesh = space.mesh
+def _reference_tables(space, quad_degree):
+    """Quadrature weights, geometry basis and, per local pair i <= j, the
+    shape-function products that a pulled-back coefficient C multiplies:
+    sym(dN_i dN_j^T) for the components (C00, C01 + C10, C11), and N_i N_j."""
+    pts, wq = triangle_quadrature(quad_degree or (2 * space.p + 2))
+    L, dL = lagrange_geometry_basis(space.mesh.q, pts)
+    N, dN = reference_basis(space.p, pts)
+    pairs = np.triu_indices(N.shape[0])
+    x, y = dN[pairs[0]], dN[pairs[1]]
+    stiffness = np.stack([x[..., 0] * y[..., 0],
+                          0.5 * (x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]),
+                          x[..., 1] * y[..., 1]], axis=-1)
+    stiffness = stiffness.reshape(len(pairs[0]), -1).T
+    mass = (N[pairs[0]] * N[pairs[1]]).T
+    return wq, L, dL, stiffness, mass, pairs
+
+
+def _symmetric_blocks(coef, table, pairs, pair_signs):
+    """Blocks whose upper triangle is coef @ table (times the orientation
+    signs), computed as one real GEMM over the real and imaginary parts;
+    the lower triangle mirrors it, so every block is exactly symmetric."""
+    nt = coef.shape[0]
+    flat = coef.reshape(nt, -1)
+    prod = np.concatenate([flat.real, flat.imag]) @ table
+    upper = (prod[:nt] + 1j * prod[nt:]) * pair_signs
+    local = pairs[1][-1] + 1
+    blocks = np.empty((nt, local, local), dtype=complex)
+    blocks[:, pairs[0], pairs[1]] = upper
+    blocks[:, pairs[1], pairs[0]] = upper
+    return blocks
+
+
+def _element_blocks(space, profile, medium, ids, tables):
+    wq, L, dL, stiffness, mass, pairs = tables
+    nodes = space.mesh.mapping_nodes[ids].transpose(0, 2, 1)  # (t, 2, m)
+    phys = (nodes @ L).transpose(0, 2, 1)                    # (t, n, 2)
+    jac = nodes @ dL.reshape(dL.shape[0], -1)                # (t, 2, 2n)
+    j00, j01 = jac[:, 0, 0::2], jac[:, 0, 1::2]
+    j10, j11 = jac[:, 1, 0::2], jac[:, 1, 1::2]
+    det = j00 * j11 - j01 * j10
+    if np.any(det <= 0.0):
+        bad = int(ids[np.argmax(np.any(det <= 0.0, axis=1))])
+        raise AssemblyError(f"nonpositive mapping Jacobian in element {bad}")
+    tensor, weight = _tensor_batch(phys, profile, medium)
+    # w det J^-1 T J^-T, the coefficient pulled back to the reference
+    # triangle; the rows of det J^-1 are (j11, -j01) and (-j10, j00)
+    def form(a0, a1, b0, b1):
+        return (a0 * (tensor[..., 0, 0] * b0 + tensor[..., 0, 1] * b1)
+                + a1 * (tensor[..., 1, 0] * b0 + tensor[..., 1, 1] * b1))
+
+    coef = np.stack([form(j11, -j01, j11, -j01),
+                     form(j11, -j01, -j10, j00) + form(-j10, j00, j11, -j01),
+                     form(-j10, j00, -j10, j00)], axis=-1)
+    coef *= (wq / det)[..., None]
+    # Reversing an edge multiplies its degree-k mode by (-1)^k (integrated
+    # Legendre parity), so one reference basis serves every orientation.
     p = space.p
-    pts, wq = triangle_quadrature(degree)
-    nq = pts.shape[0]
-    local = dof_count(p)
-    nidx = len(ids)
-    k_blocks = np.empty((nidx, local, local), dtype=complex)
-    m_blocks = np.empty((nidx, local, local), dtype=complex)
+    signs = np.ones((len(ids), dof_count(p)))
+    signs[:, 3:3 * p] = np.where(space.orientations[ids, :, None] < 0,
+                                 (-1.0) ** np.arange(2, p + 1),
+                                 1.0).reshape(len(ids), -1)
+    pair_signs = signs[:, pairs[0]] * signs[:, pairs[1]]
+    return (_symmetric_blocks(coef, stiffness, pairs, pair_signs),
+            _symmetric_blocks(wq * det * weight, mass, pairs, pair_signs))
 
-    L, dL = lagrange_geometry_basis(mesh.q, pts)
-    orient = space.orientations[ids]
-    combos = {}
-    for row in range(nidx):
-        combos.setdefault(tuple(orient[row]), []).append(row)
 
-    for combo, rows in combos.items():
-        rows = np.array(rows)
-        sel = ids[rows]
-        N, dN = reference_basis(p, pts, combo)
-        nodes = mesh.mapping_nodes[sel]
-        jac = np.einsum("tmd,mne->tnde", nodes, dL)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        if np.any(det <= 0.0):
-            bad = int(sel[np.argmax(np.any(det <= 0.0, axis=1))])
-            raise AssemblyError(
-                f"nonpositive mapping Jacobian in element {bad}")
-        inv = np.empty_like(jac)
-        inv[..., 0, 0] = jac[..., 1, 1]
-        inv[..., 1, 1] = jac[..., 0, 0]
-        inv[..., 0, 1] = -jac[..., 0, 1]
-        inv[..., 1, 0] = -jac[..., 1, 0]
-        inv /= det[..., None, None]
-        phys = np.einsum("tmd,mn->tnd", nodes, L)
-        tensor, weight = _tensor_batch(phys, profile, medium)
-        # physical gradients: grad[t,i,n,d] = sum_e dN[i,n,e] inv[t,n,e,d]
-        grad = np.einsum("ine,tned->tind", dN, inv)
-        wdet = wq[None, :] * det
-        flux = np.einsum("tnde,tjne->tjnd", tensor, grad)
-        k_loc = np.einsum("tind,tjnd,tn->tij", grad, flux, wdet)
-        m_loc = np.einsum("in,jn,tn->tij", N, N, wdet * weight)
-        k_loc = 0.5 * (k_loc + np.swapaxes(k_loc, 1, 2))
-        m_loc = 0.5 * (m_loc + np.swapaxes(m_loc, 1, 2))
-        k_blocks[rows] = k_loc
-        m_blocks[rows] = m_loc
-    return k_blocks, m_blocks
+class _Pattern:
+    """Fixed CSR pattern of element blocks over ``dofs`` (nt, local), -1
+    marking a constrained dof; entry (dofs[t, i], dofs[t, j]) sits at
+    data[slot[t, i, j]].  Blocks are summed in element order, so symmetric
+    blocks give an exactly symmetric matrix."""
+
+    def __init__(self, dofs, n):
+        valid = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
+        keys = dofs[:, :, None] * n + dofs[:, None, :]
+        unique, inverse = np.unique(keys[valid], return_inverse=True)
+        del keys
+        self.slot = np.full(valid.shape, -1, dtype=np.int32)
+        self.slot[valid] = inverse
+        self.n = n
+        self.indptr = np.searchsorted(unique, np.arange(n + 1) * n)
+        self.indices = (unique % n).astype(np.int32)
+        self.nnz = unique.size
+
+    def add(self, data, ids, blocks):
+        slot = self.slot[ids]
+        keep = slot >= 0
+        np.add.at(data, slot[keep], blocks[keep])
+
+    def matrix(self, data):
+        return scipy.sparse.csr_matrix((data, self.indices, self.indptr),
+                                       shape=(self.n, self.n))
+
+
+def _element_pass(space, profile, medium, quad_degree, chunk, condense=None):
+    """The one sweep over the elements: each chunk's K and M blocks are
+    scattered into the pencil, then handed to ``condense`` if given."""
+    if medium.dim != 2:
+        raise ValidationError("the assembled form is two-dimensional")
+    tables = _reference_tables(space, quad_degree)
+    pattern = _Pattern(space.element_dofs, space.num_dofs)
+    k_data, m_data = np.zeros((2, pattern.nnz), dtype=complex)
+    nt = space.mesh.num_triangles
+    for start in range(0, nt, chunk):
+        ids = np.arange(start, min(start + chunk, nt))
+        k_blocks, m_blocks = _element_blocks(space, profile, medium, ids,
+                                             tables)
+        pattern.add(k_data, ids, k_blocks)
+        pattern.add(m_data, ids, m_blocks)
+        if condense is not None:
+            condense(ids, k_blocks, m_blocks)
+    return AssembledPencil(stiffness=pattern.matrix(k_data),
+                           mass=pattern.matrix(m_data))
 
 
 def assemble(space: FunctionSpace, profile: ScalingProfile | None,
@@ -286,57 +361,7 @@ def assemble(space: FunctionSpace, profile: ScalingProfile | None,
     eliminated.  K and M come out exactly symmetric and share a sparsity
     pattern.
     """
-    if medium.dim != 2:
-        raise ValidationError("the assembled form is two-dimensional")
-    degree = quad_degree or (2 * space.p + 2)
-    mesh = space.mesh
-    nt = mesh.num_triangles
-    local = dof_count(space.p)
-    n = space.num_dofs
-
-    # Entries are accumulated into CSR in bounded super-chunks so the
-    # peak footprint stays near the final matrices instead of holding
-    # every duplicated element entry at once.
-    k_mat = None
-    m_mat = None
-    rows_out, cols_out, kv_out, mv_out = [], [], [], []
-
-    def flush():
-        nonlocal k_mat, m_mat
-        if not rows_out:
-            return
-        rows = np.concatenate(rows_out)
-        cols = np.concatenate(cols_out)
-        k_part = scipy.sparse.coo_matrix(
-            (np.concatenate(kv_out), (rows, cols)), shape=(n, n)).tocsr()
-        m_part = scipy.sparse.coo_matrix(
-            (np.concatenate(mv_out), (rows, cols)), shape=(n, n)).tocsr()
-        for buf in (rows_out, cols_out, kv_out, mv_out):
-            buf.clear()
-        k_mat = k_part if k_mat is None else k_mat + k_part
-        m_mat = m_part if m_mat is None else m_mat + m_part
-
-    pending = 0
-    for start in range(0, nt, chunk):
-        ids = np.arange(start, min(start + chunk, nt))
-        k_blocks, m_blocks = _element_blocks(space, profile, medium, ids, degree)
-        dofs = space.element_dofs[ids]
-        rr = np.repeat(dofs[:, :, None], local, axis=2)
-        cc = np.repeat(dofs[:, None, :], local, axis=1)
-        keep = (rr >= 0) & (cc >= 0)
-        rows_out.append(rr[keep].astype(np.int32))
-        cols_out.append(cc[keep].astype(np.int32))
-        kv_out.append(k_blocks[keep])
-        mv_out.append(m_blocks[keep])
-        pending += len(ids)
-        if pending >= 8192:
-            flush()
-            pending = 0
-    flush()
-    if k_mat is None:
-        k_mat = scipy.sparse.csr_matrix((n, n), dtype=complex)
-        m_mat = scipy.sparse.csr_matrix((n, n), dtype=complex)
-    return AssembledPencil(stiffness=k_mat, mass=m_mat)
+    return _element_pass(space, profile, medium, quad_degree, chunk)
 
 
 def rayleigh_residual(pencil: AssembledPencil, omega: complex,
@@ -348,9 +373,8 @@ def rayleigh_residual(pencil: AssembledPencil, omega: complex,
         raise ValidationError("eigenvector must be nonzero")
     omega_sq = complex(omega) ** 2
     resid = np.linalg.norm(pencil.stiffness @ u - omega_sq * (pencil.mass @ u))
-    scale = (np.linalg.norm(pencil.stiffness.data)
-             + abs(omega_sq) * np.linalg.norm(pencil.mass.data))
-    return float(resid / (nrm * scale))
+    k_norm, m_norm = pencil.frobenius_norms
+    return float(resid / (nrm * (k_norm + abs(omega_sq) * m_norm)))
 
 
 class CondensedShiftSolver:
@@ -363,6 +387,10 @@ class CondensedShiftSolver:
     smaller at high order and factors with far less fill.  The elimination
     is algebraically exact; solutions match the unreduced factorization up
     to roundoff.
+
+    Construction is the one element pass of a solve: it assembles the
+    pencil (``pencil``) and condenses in the same sweep.  ``solve`` needs
+    ``factor`` to have run.
     """
 
     method = "condensed"
@@ -370,71 +398,50 @@ class CondensedShiftSolver:
     def __init__(self, space: FunctionSpace, profile: ScalingProfile | None,
                  medium: Medium, shift_sq: complex,
                  quad_degree: int | None = None, chunk: int = 512):
-        from .eig import sparse_lu
-
-        if medium.dim != 2:
-            raise ValidationError("the assembled form is two-dimensional")
-        degree = quad_degree or (2 * space.p + 2)
-        shift_sq = complex(shift_sq)
-        mesh = space.mesh
-        nt = mesh.num_triangles
         p = space.p
         ns_local = 3 * p                      # vertex + edge modes
         nb_local = (p - 1) * (p - 2) // 2     # interior bubbles
-        n = space.num_dofs
+        nt = space.mesh.num_triangles
 
-        self.n = n
-        self.bubble_dofs = space.element_dofs[:, ns_local:]
-        is_bubble = np.zeros(n, dtype=bool)
-        is_bubble[self.bubble_dofs.ravel()] = True
-        skeleton = np.where(~is_bubble)[0]
-        cond_of_free = np.full(n, -1, dtype=np.int64)
-        cond_of_free[skeleton] = np.arange(skeleton.size)
-        self.skeleton_dofs = skeleton
-        self.skeleton_size = int(skeleton.size)
+        self.n = space.num_dofs
+        self.shift_sq = complex(shift_sq)
+        # bubbles are numbered last, element by element (FunctionSpace),
+        # so the skeleton keeps its free-dof numbers
+        self.skeleton_size = self.n - nt * nb_local
+        self.skel = space.element_dofs[:, :ns_local]
+        self.gain = np.empty((nt, ns_local, nb_local), dtype=complex)
+        self.bb_inv = np.empty((nt, nb_local, nb_local), dtype=complex)
+        self._schur_pattern = _Pattern(self.skel, self.skeleton_size)
+        self._schur_data = np.zeros(self._schur_pattern.nnz, dtype=complex)
+        self.lu = None
+        self.pencil = _element_pass(space, profile, medium, quad_degree,
+                                    chunk, self._condense)
 
-        skel = space.element_dofs[:, :ns_local]
-        self.skel_cond = np.where(skel >= 0, cond_of_free[skel], -1)
+    def _condense(self, ids, k_blocks, m_blocks):
+        ns_local = self.gain.shape[1]
+        a = k_blocks - self.shift_sq * m_blocks
+        a_ss = a[:, :ns_local, :ns_local]
+        a_sb = a[:, :ns_local, ns_local:]
+        a_bb = a[:, ns_local:, ns_local:]
+        try:
+            bb_inv = np.linalg.inv(a_bb)
+        except np.linalg.LinAlgError as exc:
+            raise ShiftRejectedError(
+                f"shift_sq {self.shift_sq} hits an element-interior "
+                f"eigenvalue: {exc}") from exc
+        gain = a_sb @ bb_inv
+        self.gain[ids] = gain
+        self.bb_inv[ids] = bb_inv
+        self._schur_pattern.add(self._schur_data, ids,
+                                a_ss - gain @ np.swapaxes(a_sb, 1, 2))
 
-        rows_out, cols_out, vals_out = [], [], []
-        gain_out, bb_inv_out = [], []
-        for start in range(0, nt, chunk):
-            ids = np.arange(start, min(start + chunk, nt))
-            k_blocks, m_blocks = _element_blocks(space, profile, medium,
-                                                 ids, degree)
-            a = k_blocks - shift_sq * m_blocks
-            a_ss = a[:, :ns_local, :ns_local]
-            a_sb = a[:, :ns_local, ns_local:]
-            a_bb = a[:, ns_local:, ns_local:]
-            try:
-                bb_inv = np.linalg.inv(a_bb)
-            except np.linalg.LinAlgError as exc:
-                raise ShiftRejectedError(
-                    f"shift_sq {shift_sq} hits an element-interior "
-                    f"eigenvalue: {exc}") from exc
-            gain = a_sb @ bb_inv
-            s_blk = a_ss - gain @ np.swapaxes(a_sb, 1, 2)
-            gain_out.append(gain)
-            bb_inv_out.append(bb_inv)
+    def factor(self) -> "CondensedShiftSolver":
+        """Factor the condensed Schur complement; returns self."""
+        from .eig import sparse_lu
 
-            sc = self.skel_cond[ids]
-            rr = np.repeat(sc[:, :, None], ns_local, axis=2)
-            cc = np.repeat(sc[:, None, :], ns_local, axis=1)
-            keep = (rr >= 0) & (cc >= 0)
-            rows_out.append(rr[keep].astype(np.int32))
-            cols_out.append(cc[keep].astype(np.int32))
-            vals_out.append(s_blk[keep])
-
-        self.gain = np.concatenate(gain_out) if gain_out else \
-            np.zeros((0, ns_local, nb_local), dtype=complex)
-        self.bb_inv = np.concatenate(bb_inv_out) if bb_inv_out else \
-            np.zeros((0, nb_local, nb_local), dtype=complex)
-        schur = scipy.sparse.coo_matrix(
-            (np.concatenate(vals_out), (np.concatenate(rows_out),
-                                        np.concatenate(cols_out))),
-            shape=(self.skeleton_size, self.skeleton_size)).tocsc()
-        del rows_out, cols_out, vals_out
-        self.lu = sparse_lu(schur)
+        self.lu = sparse_lu(self._schur_pattern.matrix(self._schur_data))
+        self._schur_pattern = self._schur_data = None
+        return self
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply (K - shift_sq*M)^{-1} to a free-dof vector."""
@@ -442,25 +449,19 @@ class CondensedShiftSolver:
         if b.shape != (self.n,):
             raise ValidationError(
                 f"right-hand side must have shape ({self.n},)")
-        w_b = b[self.bubble_dofs]                              # (nt, nb)
+        ns = self.skeleton_size
+        w_b = b[ns:].reshape(self.bb_inv.shape[:2])            # (nt, nb)
         corr = np.einsum("eij,ej->ei", self.gain, w_b)         # (nt, ns)
-        flat = self.skel_cond.ravel()
-        valid = flat >= 0
-        idx = flat[valid]
-        cv = corr.ravel()[valid]
-        rhs = b[self.skeleton_dofs].astype(complex)
-        rhs -= (np.bincount(idx, weights=cv.real,
-                            minlength=self.skeleton_size)
-                + 1j * np.bincount(idx, weights=cv.imag,
-                                   minlength=self.skeleton_size))
+        valid = self.skel >= 0
+        idx = self.skel[valid]
+        cv = corr[valid]
+        rhs = b[:ns] - (np.bincount(idx, weights=cv.real, minlength=ns)
+                        + 1j * np.bincount(idx, weights=cv.imag, minlength=ns))
         x_s = self.lu.solve(rhs)
-        xs_elem = np.where(self.skel_cond >= 0, x_s[self.skel_cond], 0.0)
+        xs_elem = np.where(valid, x_s[self.skel], 0.0)
         x_b = (np.einsum("eij,ej->ei", self.bb_inv, w_b)
                - np.einsum("ejk,ej->ek", self.gain, xs_elem))
-        out = np.empty(self.n, dtype=complex)
-        out[self.skeleton_dofs] = x_s
-        out[self.bubble_dofs] = x_b
-        return out
+        return np.concatenate([x_s, x_b.ravel()])
 
 
 def write_matrix_coo(mat, path):

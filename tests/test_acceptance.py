@@ -267,25 +267,31 @@ def test_4_reference_roots(disk_references):
 _PIPELINE_CACHE = {}
 
 
-def _run_pipeline(config_name):
+@pytest.fixture(scope="session")
+def pipeline_out(tmp_path_factory):
+    """Artifact root of the pipeline runs, so they leave ``out/`` alone."""
+    return tmp_path_factory.mktemp("pipeline")
+
+
+def _run_pipeline(config_name, out_root):
     """Run ``solve`` on a shipped config in a subprocess; return (doc, s).
 
-    The parsed artifact is cached per session so criterion 7 can inspect
-    the same runs criteria 5 and 6 produced instead of repeating them.
+    The artifacts go under ``out_root``.  The parsed artifact is cached
+    per session so criterion 7 can inspect the same runs criteria 5 and 6
+    produced instead of repeating them.
     """
     if config_name in _PIPELINE_CACHE:
         return _PIPELINE_CACHE[config_name]
+    out_dir = out_root / config_name.removesuffix(".cfg")
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "radpml.cli", "solve",
-         str(REPO / "configs" / config_name)],
+         str(REPO / "configs" / config_name), "--out", str(out_dir)],
         capture_output=True, text=True, cwd=REPO, timeout=3600)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, \
         f"solve exited {proc.returncode}\n{proc.stdout}\n{proc.stderr}"
-    out_dir = {"disk.cfg": "disk", "ellipse.cfg": "ellipse"}[config_name]
-    with open(REPO / "out" / out_dir / "spectrum.json", "r",
-              encoding="ascii") as fh:
+    with open(out_dir / "spectrum.json", "r", encoding="ascii") as fh:
         _PIPELINE_CACHE[config_name] = (json.load(fh), elapsed)
     return _PIPELINE_CACHE[config_name]
 
@@ -312,9 +318,9 @@ def _assert_first_five(doc, references, label):
     return worst
 
 
-def test_5_disk_reproduction(disk_references):
+def test_5_disk_reproduction(disk_references, pipeline_out):
     with criterion(5, "isotropic disk reproduction") as info:
-        doc, elapsed = _run_pipeline("disk.cfg")
+        doc, elapsed = _run_pipeline("disk.cfg", pipeline_out)
         worst = _assert_first_five(doc, disk_references, "disk")
         note = "" if elapsed < 300.0 else " (above 5min target)"
         info["detail"] = (
@@ -322,9 +328,9 @@ def test_5_disk_reproduction(disk_references):
             f"{doc['dofs']} dofs, {elapsed:.0f}s{note}")
 
 
-def test_6_ellipse_equivalence(disk_references):
+def test_6_ellipse_equivalence(disk_references, pipeline_out):
     with criterion(6, "anisotropic ellipse equivalence") as info:
-        doc, elapsed = _run_pipeline("ellipse.cfg")
+        doc, elapsed = _run_pipeline("ellipse.cfg", pipeline_out)
         worst = _assert_first_five(doc, disk_references, "ellipse")
         note = "" if elapsed < 300.0 else " (above 5min target)"
         info["detail"] = (
@@ -358,10 +364,10 @@ def _movement_property(doc, label):
     return flags
 
 
-def test_7_spurious_behaviour():
+def test_7_spurious_behaviour(pipeline_out):
     with criterion(7, "spurious-mode behaviour") as info:
-        disk_doc, _ = _run_pipeline("disk.cfg")
-        ellipse_doc, _ = _run_pipeline("ellipse.cfg")
+        disk_doc, _ = _run_pipeline("disk.cfg", pipeline_out)
+        ellipse_doc, _ = _run_pipeline("ellipse.cfg", pipeline_out)
         n_iso = _movement_property(disk_doc, "isotropic")
         n_aniso = _movement_property(ellipse_doc, "anisotropic")
         assert n_aniso >= n_iso, \

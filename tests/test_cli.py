@@ -19,7 +19,8 @@ from radpml.cli import (
     render_spectrum_svg,
 )
 from radpml.eig import Spectrum
-from radpml.errors import ConfigError, GenerationError
+from radpml.errors import ConfigError, GenerationError, SingularMatrixError
+from radpml.fem import CondensedShiftSolver
 
 
 DEFAULTS = {
@@ -263,8 +264,43 @@ class TestSolveCommand:
         monkeypatch.setattr(cli_module, "generate", broken)
         assert main(["solve", str(path)]) == EXIT_FAILURE
         err = capsys.readouterr().err
-        assert "error at stage solve" in err
+        assert "error at stage mesh" in err
         assert "synthetic mesh failure" in err
+
+    @pytest.mark.parametrize("owner, name, stage", [
+        ("cli", "FunctionSpace", "assembly"),
+        ("solver", "factor", "factorization"),
+        ("cli", "shift_invert_arnoldi", "eigensolve"),
+        ("cli", "spurious_filter", "spurious-filter"),
+    ])
+    def test_later_stages_named(self, tmp_path, capsys, monkeypatch,
+                                owner, name, stage):
+        import radpml.cli as cli_module
+
+        def broken(*args, **kwargs):
+            raise SingularMatrixError(f"synthetic {stage} failure")
+
+        target = cli_module if owner == "cli" else CondensedShiftSolver
+        monkeypatch.setattr(target, name, broken)
+        path = write_config(tmp_path)
+        assert main(["solve", str(path)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert f"error at stage {stage}: synthetic {stage} failure" in err
+
+    def test_missing_reference_table_is_config_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import radpml.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("solve started despite a bad config")
+
+        monkeypatch.setattr(cli_module, "generate", never)
+        path = write_config(tmp_path,
+                            output={"reference": "no/such/reference.csv"})
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: [output] reference" in err
+        assert "no/such/reference.csv" in err
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, discretization={"p": "7"})

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from radpml.errors import AssemblyError, DomainError, ValidationError
 from radpml.fem import (
@@ -21,6 +22,7 @@ from radpml.fem import (
     DIRICHLET,
     NEUMANN,
     AssembledPencil,
+    CondensedShiftSolver,
     FunctionSpace,
     assemble,
     element_matrices,
@@ -322,6 +324,86 @@ class TestAssemble:
             assemble(space, None, Medium.isotropic(3))
 
 
+class TestElementPass:
+    """The one element pass of a solve: the pencil it assembles, the
+    condensed solver it builds, and how often it evaluates elements."""
+
+    def setup_method(self):
+        mesh = generate(ELLIPSE, hmax=0.8, q=3)
+        self.space = FunctionSpace(mesh, 4)
+        self.profile = AffineProfile(r1=1.5, gamma=GAMMA)
+        self.shift_sq = (1.5 - 1.0j) ** 2
+
+    def test_pencil_is_dense_sum_of_element_matrices(self):
+        space = self.space
+        n = space.num_dofs
+        k_dense = np.zeros((n, n), dtype=complex)
+        m_dense = np.zeros((n, n), dtype=complex)
+        ids = np.arange(space.mesh.num_triangles)
+        k_loc, m_loc = element_matrices(space, self.profile, ANISO, ids)
+        for dofs, k_blk, m_blk in zip(space.element_dofs, k_loc, m_loc):
+            keep = dofs >= 0
+            sub = np.ix_(dofs[keep], dofs[keep])
+            k_dense[sub] += k_blk[np.ix_(keep, keep)]
+            m_dense[sub] += m_blk[np.ix_(keep, keep)]
+        solver = CondensedShiftSolver(space, self.profile, ANISO,
+                                      self.shift_sq)
+        for pencil in (solver.pencil, assemble(space, self.profile, ANISO)):
+            for mat, dense in ((pencil.stiffness, k_dense),
+                               (pencil.mass, m_dense)):
+                err = np.max(np.abs(mat.toarray() - dense))
+                assert err <= 1e-14 * np.max(np.abs(dense))
+                assert np.array_equal(mat.toarray(), mat.T.toarray())
+
+    def test_condensed_solve_matches_sparse_direct(self):
+        solver = CondensedShiftSolver(self.space, self.profile, ANISO,
+                                      self.shift_sq).factor()
+        pencil = solver.pencil
+        rng = np.random.default_rng(11)
+        b = rng.normal(size=pencil.size) + 1j * rng.normal(size=pencil.size)
+        shifted = (pencil.stiffness - self.shift_sq * pencil.mass).tocsc()
+        expected = scipy.sparse.linalg.spsolve(shifted, b)
+        x = solver.solve(b)
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_elements_evaluated_once_per_solve(self, monkeypatch, tmp_path):
+        import radpml.fem as fem_module
+        from radpml.cli import _solve_once, parse_config
+
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("""
+[geometry]
+obstacle = disk
+radius = 1.0
+r1 = 1.5
+layer_width = 2.0
+[medium]
+sigma_xx = 1.0
+sigma_yy = 1.0
+[scaling]
+profile = affine
+gamma = 8i
+[discretization]
+hmax = 0.6
+p = 3
+q = 2
+[solver]
+shift_re = 1.5
+shift_im = -1.0
+k = 4
+""", encoding="utf-8")
+        seen = []
+        blocks = fem_module._element_blocks
+
+        def counting(space, profile, medium, ids, tables):
+            seen.extend(ids.tolist())
+            return blocks(space, profile, medium, ids, tables)
+
+        monkeypatch.setattr(fem_module, "_element_blocks", counting)
+        _, mesh, _ = _solve_once(parse_config(config_path), seed=0)
+        assert sorted(seen) == list(range(mesh.num_triangles))
+
+
 class TestRayleighResidual:
     def test_exact_eigenpair_of_diagonal_pencil(self):
         pencil = AssembledPencil(
@@ -337,6 +419,21 @@ class TestRayleighResidual:
             stiffness=scipy.sparse.csr_matrix(mat),
             mass=scipy.sparse.csr_matrix(np.eye(4).astype(complex)))
         assert rayleigh_residual(pencil, 1.3 - 0.2j, rng.normal(size=4)) > 0.0
+
+    def test_cached_scale_matches_formula(self):
+        mesh = generate(DISK, hmax=1.2, q=2)
+        pencil = assemble(FunctionSpace(mesh, 3),
+                          AffineProfile(r1=1.5, gamma=GAMMA), ISO)
+        rng = np.random.default_rng(5)
+        for omega in (1.5 - 1.0j, 0.4 - 0.1j, 3.0 - 2.5j):
+            u = rng.normal(size=pencil.size) + 1j * rng.normal(size=pencil.size)
+            omega_sq = omega ** 2
+            expected = np.linalg.norm(
+                pencil.stiffness @ u - omega_sq * (pencil.mass @ u)) / (
+                np.linalg.norm(u)
+                * (np.linalg.norm(pencil.stiffness.data)
+                   + abs(omega_sq) * np.linalg.norm(pencil.mass.data)))
+            assert rayleigh_residual(pencil, omega, u) == expected
 
     def test_zero_vector_rejected(self):
         pencil = AssembledPencil(
