@@ -20,10 +20,11 @@ artifacts either lose their partner or travel far.  Matches with two
 candidates inside the search radius are flagged ambiguous instead of
 spurious.
 
-Factorizations go through SuperLU with threshold partial pivoting and a
-minimum-degree column ordering in symmetric mode; small systems
-(n < 3000) fall back to a dense LU, which also reports the exact pivot
-index when the matrix is singular.
+Factorizations go through SuperLU with its minimum-degree ordering on
+A^T + A, in symmetric mode with diagonal pivoting.  A solve probe checks
+the factor, and one whose residual exceeds 1e-9 is redone with threshold
+partial pivoting.  Small systems (n < 3000) use a dense LU instead, which
+also reports the exact pivot index when the matrix is singular.
 """
 
 from __future__ import annotations
@@ -69,10 +70,11 @@ LAMBDA_MARGIN = 1e-10
 
 
 class _DenseLU:
-    method = "dense"
+    method = path = "dense"
 
     def __init__(self, mat):
         self.n = mat.shape[0]
+        self.fill = self.n * self.n
         with warnings.catch_warnings():
             # the exact-zero pivot is re-reported as SingularMatrixError
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -87,119 +89,17 @@ class _DenseLU:
         return scipy.linalg.lu_solve(self._lu, b, check_finite=False)
 
 
-def _gather_neighbors(indptr, indices, frontier):
-    """Concatenated adjacency lists of ``frontier`` (vectorized csr gather)."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    shifts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    flat = np.repeat(starts - shifts, counts) + np.arange(total)
-    return indices[flat]
-
-
-def _bfs_levels(indptr, indices, start, member, level):
-    """Level-sets of a BFS inside the ``member`` mask; returns them as a
-    list of node arrays and marks ``level`` (scratch, reset afterwards)."""
-    levels = [np.array([start], dtype=np.int64)]
-    level[start] = 0
-    depth = 0
-    while True:
-        nbrs = _gather_neighbors(indptr, indices, levels[-1])
-        nbrs = nbrs[member[nbrs] & (level[nbrs] < 0)]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
-        depth += 1
-        level[frontier] = depth
-        levels.append(frontier)
-    return levels
-
-
-def _nested_dissection_perm(mat, leaf_size: int = 200) -> np.ndarray:
-    """Fill-reducing symmetric order from recursive BFS bisection.
-
-    Each region is swept breadth-first from a pseudo-peripheral node; the
-    median level-set is taken as a separator and ordered after the two
-    halves it splits (classical dissection order).  On the ring-structured
-    meshes assembled here the level sets are radial lines, which are the
-    natural small separators of an annulus, and the factor fill stays far
-    below what the library's built-in column orderings produce.
-    """
-    n = mat.shape[0]
-    sym = mat + mat.T
-    sym.sort_indices()
-    indptr, indices = sym.indptr, sym.indices
-    member = np.zeros(n, dtype=bool)
-    level = np.full(n, -1, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    write_pos = n  # separators fill from the right, leaves from the left
-
-    stack = [np.arange(n, dtype=np.int64)]
-    left = 0
-    while stack:
-        nodes = stack.pop()
-        if nodes.size <= leaf_size:
-            order[left:left + nodes.size] = np.sort(nodes)
-            left += nodes.size
-            continue
-        member[nodes] = True
-        levels = _bfs_levels(indptr, indices, int(nodes[0]), member, level)
-        reached = np.concatenate(levels)
-        if reached.size < nodes.size:
-            # disconnected region: peel one component, requeue the rest
-            member[nodes] = False
-            level[reached] = -1
-            comp_mask = np.zeros(n, dtype=bool)
-            comp_mask[reached] = True
-            stack.append(nodes[~comp_mask[nodes]])
-            stack.append(reached)
-            continue
-        if len(levels) >= 3:
-            # restart from the far end for a pseudo-peripheral sweep
-            level[reached] = -1
-            levels = _bfs_levels(indptr, indices, int(levels[-1][0]),
-                                 member, level)
-        member[nodes] = False
-        level[reached] = -1
-        if len(levels) < 3:
-            order[left:left + nodes.size] = np.sort(nodes)
-            left += nodes.size
-            continue
-        sizes = np.array([lev.size for lev in levels])
-        half = np.searchsorted(np.cumsum(sizes), nodes.size / 2.0)
-        half = min(max(int(half), 1), len(levels) - 2)
-        # keep only the level nodes actually coupled to the far side; the
-        # rest (element-interior modes in particular) fall into the near
-        # half and never cause cross fill
-        cand = levels[half]
-        far = np.zeros(n, dtype=bool)
-        far[np.concatenate(levels[half + 1:])] = True
-        counts = indptr[cand + 1] - indptr[cand]
-        owner = np.repeat(np.arange(cand.size), counts)
-        hits = far[_gather_neighbors(indptr, indices, cand)]
-        in_sep = np.zeros(cand.size, dtype=bool)
-        np.logical_or.at(in_sep, owner, hits)
-        far[np.concatenate(levels[half + 1:])] = False
-        separator = np.sort(cand[in_sep])
-        write_pos -= separator.size
-        order[write_pos:write_pos + separator.size] = separator
-        near = levels[:half] + [cand[~in_sep]]
-        stack.append(np.sort(np.concatenate(near)))
-        stack.append(np.sort(np.concatenate(levels[half + 1:])))
-    return order
-
-
 class _SuperLU:
-    """splu behind a nested-dissection pre-permutation.
+    """SuperLU with its own fill-reducing ordering and diagonal pivots.
 
-    The matrix is symmetrically permuted up front and factored in natural
-    order with pure diagonal pivoting, which preserves the dissection
-    fill pattern (threshold row pivoting scrambles it and inflates the
-    factor thirtyfold on the assembled pencils).  A solve probe guards
-    the missing pivoting: if its relative residual exceeds 1e-9 the
-    matrix is refactored on the library's robust threshold-pivoting path.
+    The pencils are complex symmetric, so the columns are ordered by
+    minimum degree on the pattern of A^T + A and factored in symmetric
+    mode with pure diagonal pivoting: rows follow the column order, and
+    the fill is that of the ordering.  A solve probe guards the missing
+    pivoting: if its relative residual (``probe_residual``; inf when the
+    diagonal factorization fails outright) exceeds 1e-9, the matrix is
+    refactored with threshold partial pivoting and ``fallback`` is True.
+    ``fill`` counts the entries SuperLU stores for L and U.
     """
 
     method = "sparse"
@@ -210,39 +110,32 @@ class _SuperLU:
         if empty_cols.size:
             raise SingularMatrixError(
                 f"zero pivot at index {int(empty_cols[0])} (empty column)")
-        self._perm = _nested_dissection_perm(mat)
-        inverse = np.empty(self.n, dtype=np.int32)
-        inverse[self._perm] = np.arange(self.n, dtype=np.int32)
-        coo = mat.tocoo(copy=False)
-        permuted = scipy.sparse.csc_matrix(
-            (coo.data, (inverse[coo.row], inverse[coo.col])),
-            shape=mat.shape)
-        coo = None
+        self.probe_residual = math.inf
         try:
             self._lu = scipy.sparse.linalg.splu(
-                permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
         except RuntimeError:
             self._lu = None
-        permuted = None
         if self._lu is not None:
             probe = mat @ (np.cos(np.arange(self.n)) + 0.0j)
-            err = np.linalg.norm(mat @ self.solve(probe) - probe)
-            if not err <= 1e-9 * max(np.linalg.norm(probe), 1e-300):
-                self._lu = None
-        if self._lu is None:
-            self._perm = np.arange(self.n)
+            err = np.linalg.norm(mat @ self._lu.solve(probe) - probe)
+            self.probe_residual = float(
+                err / max(np.linalg.norm(probe), 1e-300))
+        self.fallback = not self.probe_residual <= 1e-9
+        if self.fallback:
+            self._lu = None
             try:
                 self._lu = scipy.sparse.linalg.splu(
                     mat, permc_spec="MMD_ATA", diag_pivot_thresh=0.1)
             except RuntimeError as exc:
                 raise SingularMatrixError(
                     f"factorization failed: {exc}") from exc
+        self.path = "sparse-fallback" if self.fallback else "sparse"
+        self.fill = int(self._lu.nnz)
 
     def solve(self, b):
-        out = np.empty_like(np.asarray(b, dtype=complex))
-        out[self._perm] = self._lu.solve(np.asarray(b, dtype=complex)[self._perm])
-        return out
+        return self._lu.solve(np.asarray(b, dtype=complex))
 
 
 def sparse_lu(mat, method: str = "auto"):
@@ -341,7 +234,8 @@ def _arnoldi(apply_op, n, m, rng):
     for j in range(m):
         w = apply_op(v[j])
         for _ in range(2):
-            coeffs = v[:j + 1].conj() @ w
+            # conj(v @ conj(w)) equals conj(v) @ w without copying the basis
+            coeffs = (v[:j + 1] @ w.conj()).conj()
             w = w - v[:j + 1].T @ coeffs
             h[:j + 1, j] += coeffs
         norm_w = np.linalg.norm(w)
@@ -369,10 +263,10 @@ def shift_invert_arnoldi(pencil: AssembledPencil, shift_sq: complex, k: int,
     seed : start-vector seed; identical inputs and seed reproduce the
         spectrum bitwise.
     inner : optional prebuilt solver for K - shift_sq*M exposing
-        ``solve(b)`` and ``method`` (for example a condensed solver);
-        by default the shifted pencil is factored here.  Residuals are
-        always measured against the full pencil, so a wrong inner solver
-        cannot smuggle in bad pairs.
+        ``solve(b)``, ``method`` and the factor it applies as ``lu``
+        (for example a condensed solver); by default the shifted pencil
+        is factored here.  Residuals are always measured against the
+        full pencil, so a wrong inner solver cannot smuggle in bad pairs.
 
     Raises
     ------
@@ -454,10 +348,13 @@ def shift_invert_arnoldi(pencil: AssembledPencil, shift_sq: complex, k: int,
     residuals = residuals[sort]
     in_lambda = np.abs((1j * omegas * complex(d0)).real) > LAMBDA_MARGIN
 
+    factor = getattr(lu, "lu", lu)  # a condensed solver factors its skeleton
     provenance = {
         "shift_sq": shift_sq, "shift": shift, "k": k, "krylov_dim": m,
         "basis_size": mb, "seed": seed, "restarts": restarts,
         "dropped": dropped, "d0": complex(d0), "solver": lu.method,
+        "factor_path": factor.path, "factor_fill": factor.fill,
+        "skeleton_size": factor.n,
     }
     flags = np.zeros(len(omegas), dtype=bool)
     return Spectrum(omegas=omegas, vectors=vectors, residuals=residuals,

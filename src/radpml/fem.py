@@ -450,17 +450,16 @@ class CondensedShiftSolver:
             raise ValidationError(
                 f"right-hand side must have shape ({self.n},)")
         ns = self.skeleton_size
-        w_b = b[ns:].reshape(self.bb_inv.shape[:2])            # (nt, nb)
-        corr = np.einsum("eij,ej->ei", self.gain, w_b)         # (nt, ns)
+        w_b = b[ns:].reshape(self.bb_inv.shape[:2])[:, :, None]  # (nt, nb, 1)
+        corr = (self.gain @ w_b)[:, :, 0]                        # (nt, ns)
         valid = self.skel >= 0
         idx = self.skel[valid]
         cv = corr[valid]
         rhs = b[:ns] - (np.bincount(idx, weights=cv.real, minlength=ns)
                         + 1j * np.bincount(idx, weights=cv.imag, minlength=ns))
         x_s = self.lu.solve(rhs)
-        xs_elem = np.where(valid, x_s[self.skel], 0.0)
-        x_b = (np.einsum("eij,ej->ei", self.bb_inv, w_b)
-               - np.einsum("ejk,ej->ek", self.gain, xs_elem))
+        xs_elem = np.where(valid, x_s[self.skel], 0.0)[:, None, :]
+        x_b = (self.bb_inv @ w_b)[:, :, 0] - (xs_elem @ self.gain)[:, 0, :]
         return np.concatenate([x_s, x_b.ravel()])
 
 

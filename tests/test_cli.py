@@ -237,7 +237,14 @@ class TestSolveCommand:
         assert document["config_sha256"] == \
             hashlib.sha256(path.read_bytes()).hexdigest()
         assert document["dofs"] > 0 and document["triangles"] > 0
-        assert document["provenance"]["solver"] == "condensed"
+        provenance = document["provenance"]
+        assert provenance["solver"] == "condensed"
+        # p = 3 leaves one bubble per triangle off the skeleton, which is
+        # past the dense cutoff and factors without the pivoting fallback
+        assert provenance["skeleton_size"] == \
+            document["dofs"] - document["triangles"]
+        assert provenance["factor_path"] == "sparse"
+        assert provenance["factor_fill"] >= provenance["skeleton_size"]
         for record in document["eigenvalues"]:
             assert set(record) == {"re_omega", "im_omega", "residual",
                                    "in_lambda_d0", "spurious", "ambiguous"}

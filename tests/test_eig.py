@@ -21,6 +21,7 @@ from radpml.errors import (
 )
 from radpml.eig import (
     Spectrum,
+    _arnoldi,
     read_spectrum_csv,
     shift_invert_arnoldi,
     sparse_lu,
@@ -28,7 +29,8 @@ from radpml.eig import (
     write_spectrum_csv,
     write_spectrum_json,
 )
-from radpml.fem import AssembledPencil, FunctionSpace, assemble
+from radpml.fem import (AssembledPencil, CondensedShiftSolver, FunctionSpace,
+                        assemble)
 from radpml.media import Medium
 from radpml.mesh import DiskObstacle, Geometry, generate
 from radpml.scaling import AffineProfile, limits
@@ -136,6 +138,33 @@ class TestSparseLU:
         with pytest.raises(SingularMatrixError, match="index 1"):
             sparse_lu(a, method="sparse")
 
+    def test_probe_falls_back_to_threshold_pivoting(self):
+        """Diagonal pivots on 2x2 blocks with 1e-17 diagonals leave a
+        relative residual of about 5; the probe must send the matrix to
+        threshold pivoting, which solves it to roundoff."""
+        n = 400
+        block = scipy.sparse.csc_matrix(np.array([[1e-17, 1.0],
+                                                  [1.0, 1e-17]]))
+        a = (scipy.sparse.block_diag([block] * (n // 2))
+             + scipy.sparse.diags(np.full(n - 1, 1e-3), 1)).astype(complex)
+        b = np.random.default_rng(2).standard_normal(n) + 0j
+        lu = sparse_lu(a, "sparse")
+        assert lu.fallback is True
+        assert lu.probe_residual > 1e-9
+        assert lu.path == "sparse-fallback"
+        assert np.linalg.norm(a @ lu.solve(b) - b) / np.linalg.norm(b) < 1e-12
+
+    def test_condensed_pencil_keeps_diagonal_pivots(self, monkeypatch):
+        import radpml.eig as eig_mod
+        monkeypatch.setattr(eig_mod, "DENSE_CUTOFF", 0)
+        mesh = generate(Geometry(DiskObstacle(1.0), 1.5, 2.0), hmax=1.0, q=2)
+        solver = CondensedShiftSolver(FunctionSpace(mesh, 4), PROFILE, ISO,
+                                      (2.5 - 0.8j) ** 2).factor()
+        assert solver.lu.fallback is False
+        assert solver.lu.probe_residual <= 1e-9
+        assert solver.lu.path == "sparse"
+        assert solver.lu.fill >= solver.lu.n
+
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
             sparse_lu(np.zeros((2, 3)))
@@ -205,6 +234,16 @@ class TestShiftInvertArnoldi:
         assert np.array_equal(in_core.omegas, on_disk.omegas)
         assert np.array_equal(in_core.vectors, on_disk.vectors)
         assert np.array_equal(in_core.residuals, on_disk.residuals)
+
+    def test_basis_is_orthonormal(self, coarse_pencil):
+        lu = sparse_lu(coarse_pencil.stiffness
+                       - (2.5 - 0.8j) ** 2 * coarse_pencil.mass)
+        v, _, mb = _arnoldi(lambda x: lu.solve(coarse_pencil.mass @ x),
+                            coarse_pencil.size, 40, np.random.default_rng(3))
+        basis = np.asarray(v[:mb])
+        gram = basis @ basis.conj().T
+        assert mb == 40
+        assert np.max(np.abs(gram - np.eye(mb))) < 1e-12
 
     def test_in_lambda_d0_flag_semantics(self):
         """An eigenvalue on the ray where i*omega*d0 is purely imaginary
