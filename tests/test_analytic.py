@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
 
+from radpml import analytic
 from radpml.analytic import (
     MAX_ORDER,
     SUPPORTED_RADIUS,
@@ -25,6 +27,7 @@ from radpml.analytic import (
     spherical_h0,
     write_reference_csv,
 )
+from radpml.cli import parse_config
 from radpml.errors import (
     AccuracyWarning,
     DomainError,
@@ -51,6 +54,8 @@ GOLDEN_ROOTS = {
 }
 
 REFERENCE_BOX = RangeBox(0.1, 8.0, -3.0, 0.0)
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def sample_disk(rng, count, r_min=0.05, r_max=SUPPORTED_RADIUS):
@@ -398,6 +403,56 @@ class TestDiskReferences:
             find_disk_neumann_references(2, RangeBox(0.1, 20.0, -2.0, 0.0))
         with pytest.raises(DomainError):
             find_disk_neumann_references(MAX_ORDER + 1, REFERENCE_BOX)
+
+    def test_reproduces_committed_reference_csv(self, refs):
+        # the fixture searches the [reference] box of the production disk
+        # config, whose roots are committed next to its spectrum
+        config = parse_config(REPO_ROOT / "configs" / "disk.cfg")
+        assert (config.ref_box, config.ref_max_order) == (REFERENCE_BOX, 6)
+        committed = read_reference_csv(REPO_ROOT / "out" / "disk" / "reference.csv")
+        assert [(r.order, r.index) for r in refs] == \
+            [(c.order, c.index) for c in committed]
+        for ref, com in zip(refs, committed):
+            assert abs(ref.root - com.root) <= 1e-12 * abs(com.root)
+            assert ref.residual < 1e-10
+
+    def test_each_distinct_argument_evaluated_once(self, monkeypatch):
+        # every Newton sweep evaluates only its distinct iterates, and
+        # every contour level of the count is a single evaluation
+        stack, evaluations, levels = ["search"], [], []
+        evaluate = analytic._hankel_with_two_derivs
+
+        def spy(n, z):
+            evaluations.append((stack[-1], z))
+            return evaluate(n, z)
+
+        def enter(name, calls):
+            inner = getattr(analytic, name)
+
+            def wrapped(*args):
+                calls.append(args)
+                stack.append(name)
+                try:
+                    return inner(*args)
+                finally:
+                    stack.pop()
+            monkeypatch.setattr(analytic, name, wrapped)
+
+        monkeypatch.setattr(analytic, "_hankel_with_two_derivs", spy)
+        enter("_newton_cluster", [])
+        enter("_argument_principle_count", [])
+        enter("_logderiv_count", levels)
+
+        find_disk_neumann_references(6, REFERENCE_BOX)
+        newton = [z for ctx, z in evaluations if ctx == "_newton_cluster"]
+        contour = [z for ctx, z in evaluations if ctx == "_logderiv_count"]
+        assert newton and levels
+        assert len(newton) + len(contour) == len(evaluations)
+        for z in newton:
+            assert np.unique(z).size == z.size
+        assert len(contour) == len(levels)
+        for z, (_, _, panels) in zip(contour, levels):
+            assert z.size == 4 * panels * 16
 
     def test_csv_round_trip(self, refs, tmp_path):
         path = tmp_path / "refs.csv"
