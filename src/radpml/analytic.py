@@ -19,10 +19,10 @@ computation:
 * the exterior Neumann references for the unit disk: roots of
   ``(H_n^{(1)})'`` located by an argument-principle count plus Newton
   iteration.  Each contour level and each Newton sweep is one series
-  evaluation, and a sweep evaluates only its distinct iterates.  The
-  series is elementwise and its stopping test depends only on the set
-  of arguments, so dropping repeats leaves every root and residual
-  bit-for-bit unchanged.
+  evaluation of orders n - 1 and n together, and a sweep evaluates only
+  its distinct iterates.  The series is elementwise and runs a term
+  count fixed by the largest |z| of its arguments, so dropping repeats
+  leaves every root and residual bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -109,32 +109,86 @@ def _check_cylinder_args(n, z):
     return arr
 
 
-def _bessel_j_y(n: int, z: np.ndarray):
-    """J_n and Y_n by the ascending series (complex argument, vectorized).
+def _series_terms(n: int, radius: float) -> int:
+    """Terms after the first that the order-n series runs at |z| <= radius.
+
+    The series stops once a term is below 1e-18 of the largest term so
+    far, weighted by the Y companion's harmonic sum.  A term's magnitude
+    (|z|/2)^{n+2m} / (m! (m+n)!) depends on |z| alone, and its ratio to
+    every earlier term grows with |z|, so the argument of largest modulus
+    is the last to pass.  This runs that test by the same recurrence, in
+    real arithmetic, at ``radius``.
+    """
+    half = 0.5 * radius
+    q = half * half
+    term = half**n / math.factorial(n)
+    h_m = 0.0
+    h_nm = sum(1.0 / k for k in range(1, n + 1))
+    scale = term
+    for m in range(1, _SERIES_MAX_TERMS):
+        term = term * q / (m * (m + n))
+        h_m += 1.0 / m
+        h_nm += 1.0 / (m + n)
+        scale = max(scale, term)
+        if term * (h_m + h_nm + 1.0) <= 1e-18 * max(scale, 1e-300):
+            return m
+    return _SERIES_MAX_TERMS - 1
+
+
+def _bessel_j_y(orders, z: np.ndarray):
+    """J_n and Y_n of each order in ``orders`` by the ascending series.
 
     The harmonic-number weighted companion series for Y_n shares the term
-    recurrence of the J_n series, so both are accumulated in one sweep.
+    recurrence of the J_n series, so both are accumulated in one sweep,
+    and one loop over the term index serves every order.  The orders
+    share z/2, (z/2)^2 and log(z/2); each runs its own term count
+    (``_series_terms``), fixed by the largest |z| of the array.
+
+    Returns a list of (J_n, Y_n) pairs, one per order.
     """
     half = 0.5 * z
     q = half * half
-    term = half**n / math.factorial(n)
-    j_sum = term.copy()
+    radius = float(np.max(np.abs(z))) if z.size else 0.0
+    counts = [_series_terms(n, radius) for n in orders]
+    terms, j_sums, y_sums, h_nms = [], [], [], []
+    for n in orders:
+        term = half**n / math.factorial(n)
+        h_nm = sum(1.0 / k for k in range(1, n + 1))
+        terms.append(term)
+        j_sums.append(term.copy())
+        y_sums.append(h_nm * term)
+        h_nms.append(h_nm)
     h_m = 0.0
-    h_nm = sum(1.0 / k for k in range(1, n + 1))
-    y_sum = (h_m + h_nm) * term
-    scale = np.abs(term)
-    for m in range(1, _SERIES_MAX_TERMS):
-        term = -term * q / (m * (m + n))
+    for m in range(1, max(counts) + 1):
         h_m += 1.0 / m
-        h_nm += 1.0 / (m + n)
-        j_sum += term
-        y_sum += (h_m + h_nm) * term
-        mag = np.abs(term)
-        scale = np.maximum(scale, mag)
-        if np.all(mag * (h_m + h_nm + 1.0) <= 1e-18 * np.maximum(scale, 1e-300)):
-            break
-    # finite part: sum_{k<n} (n-k-1)!/k! (z/2)^{2k-n}
-    finite = np.zeros_like(z)
+        for i, n in enumerate(orders):
+            if m > counts[i]:
+                continue
+            h_nms[i] += 1.0 / (m + n)
+            # in place for arrays, rebound for the numpy scalars of a 0-d
+            # argument.  numpy divides a complex by a real c as the
+            # product with 1/c, so this is -term * q / (m (m + n)) bitwise.
+            terms[i] *= q
+            terms[i] *= -1.0 / (m * (m + n))
+            j_sums[i] += terms[i]
+            y_sums[i] += (h_m + h_nms[i]) * terms[i]
+    del terms  # spent: free them before the finite parts
+    log_part = (2.0 / np.pi) * (np.log(half) + _EULER_GAMMA)
+    out = []
+    for n, j_sum, y_sum in zip(orders, j_sums, y_sums):
+        # Y_n = (2/pi)(log(z/2) + gamma) J_n - finite/pi - y_sum/pi; since
+        # a - b is a + (-b) exactly, Y_n can take over y_sum's storage
+        finite = _finite_part(n, half, q)
+        finite /= np.pi
+        y_sum /= -np.pi
+        y_sum += log_part * j_sum - finite
+        out.append((j_sum, y_sum))
+    return out
+
+
+def _finite_part(n: int, half, q):
+    """sum_{k<n} (n-k-1)!/k! (z/2)^{2k-n}, the finite sum in Y_n."""
+    finite = np.zeros_like(half)
     if n > 0:
         coeff = float(math.factorial(n - 1))
         pw = half ** (-n)
@@ -143,22 +197,25 @@ def _bessel_j_y(n: int, z: np.ndarray):
             if k < n - 1:
                 coeff /= float((n - k - 1) * (k + 1))
                 pw *= q
-    y = ((2.0 / np.pi) * (np.log(half) + _EULER_GAMMA) * j_sum
-         - finite / np.pi - y_sum / np.pi)
-    return j_sum, y
+    return finite
+
+
+def _hankel1_orders(orders, z: np.ndarray):
+    """H^{(1)} = J + iY of each order in ``orders``, from one series loop."""
+    return [j + 1j * y for j, y in _bessel_j_y(orders, z)]
 
 
 def bessel_j(n: int, z):
     """Bessel function of the first kind, ascending series."""
     arr = _check_cylinder_args(n, z)
-    j, _ = _bessel_j_y(n, arr)
+    (j, _), = _bessel_j_y((n,), arr)
     return j if np.ndim(z) else complex(j)
 
 
 def bessel_y(n: int, z):
     """Bessel function of the second kind, log-plus-series form."""
     arr = _check_cylinder_args(n, z)
-    _, y = _bessel_j_y(n, arr)
+    (_, y), = _bessel_j_y((n,), arr)
     return y if np.ndim(z) else complex(y)
 
 
@@ -178,28 +235,32 @@ def hankel1(n: int, z):
         For z = 0, |z| beyond the supported radius, or unsupported order.
     """
     arr = _check_cylinder_args(n, z)
-    j, y = _bessel_j_y(n, arr)
-    out = j + 1j * y
+    out, = _hankel1_orders((n,), arr)
     return out if np.ndim(z) else complex(out)
+
+
+def _hankel_deriv(n: int, z: np.ndarray):
+    """H_n and H_n' from one series loop over orders n - 1 and n.
+
+    Uses H'_n = H_{n-1} - (n/z) H_n, and H'_0 = -H_1.
+    """
+    if n == 0:
+        h_n, h_1 = _hankel1_orders((0, 1), z)
+        return h_n, -h_1
+    h_prev, h_n = _hankel1_orders((n - 1, n), z)
+    return h_n, h_prev - (n / z) * h_n
 
 
 def hankel1_deriv(n: int, z):
     """First derivative of H_n^{(1)}; uses H'_n = H_{n-1} - (n/z) H_n."""
     arr = _check_cylinder_args(n, z)
-    if n == 0:
-        out = -hankel1(1, arr)
-    else:
-        out = hankel1(n - 1, arr) - (n / arr) * hankel1(n, arr)
+    _, out = _hankel_deriv(n, arr)
     return out if np.ndim(z) else complex(out)
 
 
 def _hankel_with_two_derivs(n: int, z: np.ndarray):
     """H_n, H_n' and H_n'' in one sweep (the ODE supplies the second)."""
-    h_n = hankel1(n, z)
-    if n == 0:
-        d1 = -hankel1(1, z)
-    else:
-        d1 = hankel1(n - 1, z) - (n / z) * h_n
+    h_n, d1 = _hankel_deriv(n, z)
     d2 = ((n * n - z * z) * h_n - z * d1) / (z * z)
     return h_n, d1, d2
 
@@ -416,9 +477,9 @@ def _logderiv_count(n: int, box: RangeBox, panels: int) -> complex:
     The 16-point Gauss panels of all four sides are one evaluation over
     64 * ``panels`` nodes, and the panel sums are added in order round
     the contour, as one evaluation per panel would add them.  The series
-    runs until its slowest node has converged, so other nodes may gain
-    terms below their rounding level; that moves the value in its last
-    bits, far inside the 1e-3 to which the integer count is read.
+    runs the term count of the node of largest |z|, so other nodes may
+    gain terms below their rounding level; that moves the value in its
+    last bits, far inside the 1e-3 to which the integer count is read.
     """
     corners = np.array([
         box.re_lo + 1j * box.im_lo, box.re_hi + 1j * box.im_lo,
@@ -460,9 +521,9 @@ def _newton_cluster(n: int, box: RangeBox) -> np.ndarray:
     distinct iterates (``np.unique``) and broadcasts the steps back.  Many
     seeds share an iterate: those reset to the box centre land on the
     same few values and run to the sweep cap together.  The series is
-    elementwise and stops on a test over the set of its arguments, so the
-    steps, and hence the roots, are bit-for-bit those of stepping every
-    seed.
+    elementwise and runs a term count fixed by the largest |z| of its
+    arguments, which repeats do not change, so the steps, and hence the
+    roots, are bit-for-bit those of stepping every seed.
     """
     nx = max(8, int(np.ceil((box.re_hi - box.re_lo) / 0.12)))
     ny = max(6, int(np.ceil((box.im_hi - box.im_lo) / 0.12)))

@@ -94,8 +94,18 @@ def _tensor_batch(points: np.ndarray, profile: ScalingProfile | None,
                  * rhat[..., :, None] * rhat[..., None, :]
                  + d[active][..., None, None]
                  * that[..., :, None] * that[..., None, :])
-        sand = np.einsum("...ij,jk,...kl->...il", a_mat, sigma, a_mat)
-        tensor[active] = sand / weight[active][..., None, None]
+        # A sigma A as explicit 2x2 products (A is symmetric), B = A sigma
+        a00, a01, a11 = a_mat[:, 0, 0], a_mat[:, 0, 1], a_mat[:, 1, 1]
+        (s00, s01), (s10, s11) = sigma
+        b00, b01 = a00 * s00 + a01 * s10, a00 * s01 + a01 * s11
+        b10, b11 = a01 * s00 + a11 * s10, a01 * s01 + a11 * s11
+        sand = np.empty_like(a_mat)
+        sand[:, 0, 0] = b00 * a00 + b01 * a01
+        sand[:, 0, 1] = b00 * a01 + b01 * a11
+        sand[:, 1, 0] = b10 * a00 + b11 * a01
+        sand[:, 1, 1] = b10 * a01 + b11 * a11
+        sand /= weight[active][:, None, None]
+        tensor[active] = sand
     return tensor, weight
 
 
@@ -131,6 +141,25 @@ def scaled_tensor_3d(x, profile: ScalingProfile | None, medium: Medium):
 # function space
 # ---------------------------------------------------------------------------
 
+def _global_edges(tri: np.ndarray, ends: np.ndarray, nv: int):
+    """Global edge numbers of each triangle's local edges and of the
+    vertex pairs ``ends``, and the number of edges.
+
+    Edges are numbered in order of first appearance, triangle by triangle
+    and local edge by local edge, and keyed by their sorted end vertices.
+    """
+    def keys_of(pairs):
+        pairs = np.sort(pairs, axis=-1).astype(np.int64)
+        return pairs[..., 0] * nv + pairs[..., 1]
+
+    keys, first, inverse = np.unique(keys_of(tri[:, np.array(LOCAL_EDGES)]),
+                                     return_index=True, return_inverse=True)
+    number = np.empty(keys.size, dtype=np.int64)
+    number[np.argsort(first)] = np.arange(keys.size)
+    return (number[inverse].reshape(tri.shape[0], 3),
+            number[np.searchsorted(keys, keys_of(ends))], keys.size)
+
+
 @dataclass(frozen=True)
 class FunctionSpace:
     """Hierarchic H^1 space of order p on a curved mesh.
@@ -157,29 +186,16 @@ class FunctionSpace:
         nv = mesh.num_vertices
         p = self.p
 
-        edge_index: dict[tuple[int, int], int] = {}
-        tri_edge = np.empty((nt, 3), dtype=np.int64)
-        for t in range(nt):
-            for e, (a, b) in enumerate(LOCAL_EDGES):
-                va, vb = int(tri[t, a]), int(tri[t, b])
-                key = (va, vb) if va < vb else (vb, va)
-                idx = edge_index.setdefault(key, len(edge_index))
-                tri_edge[t, e] = idx
-        ne = len(edge_index)
+        dirichlet_tags = [tag for tag, kind in self.bc.items() if kind == DIRICHLET]
+        ends = mesh.boundary_edges[np.isin(mesh.boundary_tags, dirichlet_tags)]
+        tri_edge, edges, ne = _global_edges(tri, ends, nv)
         n_edge_modes = p - 1
         n_bubbles = (p - 1) * (p - 2) // 2
         total = nv + ne * n_edge_modes + nt * n_bubbles
 
         constrained = np.zeros(total, dtype=bool)
-        for (va, vb), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            if self.bc.get(int(tag), NEUMANN) != DIRICHLET:
-                continue
-            constrained[int(va)] = True
-            constrained[int(vb)] = True
-            key = (int(va), int(vb)) if va < vb else (int(vb), int(va))
-            e = edge_index[key]
-            start = nv + e * n_edge_modes
-            constrained[start:start + n_edge_modes] = True
+        constrained[ends.ravel()] = True
+        constrained[nv + edges[:, None] * n_edge_modes + np.arange(n_edge_modes)] = True
 
         free = np.full(total, -1, dtype=np.int64)
         free[~constrained] = np.arange(int((~constrained).sum()))
@@ -444,12 +460,18 @@ class CondensedShiftSolver:
         return self
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Apply (K - shift_sq*M)^{-1} to a free-dof vector."""
+        """Apply (K - shift_sq*M)^{-1} to a free-dof vector.
+
+        Without bubbles (p <= 2) the skeleton is every dof and the factor
+        solves the system as it stands.
+        """
         b = np.asarray(b, dtype=complex)
         if b.shape != (self.n,):
             raise ValidationError(
                 f"right-hand side must have shape ({self.n},)")
         ns = self.skeleton_size
+        if ns == self.n:
+            return self.lu.solve(b)
         w_b = b[ns:].reshape(self.bb_inv.shape[:2])[:, :, None]  # (nt, nb, 1)
         corr = (self.gain @ w_b)[:, :, 0]                        # (nt, ns)
         valid = self.skel >= 0

@@ -165,6 +165,113 @@ class TestHankel:
             hankel1(0.5, 1.0)
 
 
+def _oracle_j_y(n, z):
+    """The ascending series as it stood with a per-point stopping test.
+
+    Returns J_n, Y_n and the index of the last term run, which is where
+    the test first held for every argument.
+    """
+    half = 0.5 * z
+    q = half * half
+    term = half**n / math.factorial(n)
+    j_sum = term.copy()
+    h_m = 0.0
+    h_nm = sum(1.0 / k for k in range(1, n + 1))
+    y_sum = (h_m + h_nm) * term
+    scale = np.abs(term)
+    for m in range(1, analytic._SERIES_MAX_TERMS):
+        term = -term * q / (m * (m + n))
+        h_m += 1.0 / m
+        h_nm += 1.0 / (m + n)
+        j_sum += term
+        y_sum += (h_m + h_nm) * term
+        mag = np.abs(term)
+        scale = np.maximum(scale, mag)
+        if np.all(mag * (h_m + h_nm + 1.0) <= 1e-18 * np.maximum(scale, 1e-300)):
+            break
+    finite = np.zeros_like(z)
+    if n > 0:
+        coeff = float(math.factorial(n - 1))
+        pw = half ** (-n)
+        for k in range(n):
+            finite += coeff * pw
+            if k < n - 1:
+                coeff /= float((n - k - 1) * (k + 1))
+                pw *= q
+    y = ((2.0 / np.pi) * (np.log(half) + analytic._EULER_GAMMA) * j_sum
+         - finite / np.pi - y_sum / np.pi)
+    return j_sum, y, m
+
+
+def _oracle(name, n, z):
+    """bessel_j, bessel_y, hankel1 or hankel1_deriv composed from the oracle."""
+    arr = np.asarray(z, dtype=complex)
+    if name == "hankel1_deriv":
+        if n == 0:
+            out = -_oracle("hankel1", 1, arr)
+        else:
+            out = (_oracle("hankel1", n - 1, arr)
+                   - (n / arr) * _oracle("hankel1", n, arr))
+    else:
+        j, y, _ = _oracle_j_y(n, arr)
+        out = {"bessel_j": j, "bessel_y": y, "hankel1": j + 1j * y}[name]
+    return out if np.ndim(z) else complex(out)
+
+
+def mixed_radius_arrays(rng, count):
+    """Arrays whose moduli span 1e-6 to their largest |z|, which steps up
+    to just inside SUPPORTED_RADIUS."""
+    arrays = []
+    for k in range(count):
+        r_max = SUPPORTED_RADIUS * (1.0 - 1e-12) * (k + 1) / count
+        radii = np.concatenate([
+            [1e-6, 1e-3, r_max],
+            np.maximum(r_max * rng.uniform(0.0, 1.0, 60) ** 3, 1e-9)])
+        arrays.append(radii * np.exp(1j * rng.uniform(-np.pi, np.pi, radii.size)))
+    return arrays
+
+
+class TestSeries:
+    """The series runs a term count fixed by the largest |z|; it must give
+    the bits of the per-point stopping test it replaced."""
+
+    FUNCTIONS = ("bessel_j", "bessel_y", "hankel1", "hankel1_deriv")
+
+    def test_term_count_is_per_point_stop_index(self):
+        rng = np.random.default_rng(21)
+        arrays = mixed_radius_arrays(rng, 30)
+        arrays.append(np.array([SUPPORTED_RADIUS, 1e-3j]))
+        for n in range(MAX_ORDER + 1):
+            for z in arrays:
+                radius = float(np.max(np.abs(z)))
+                assert analytic._series_terms(n, radius) == _oracle_j_y(n, z)[2]
+
+    def test_arrays_bitwise_equal_to_per_point_test(self):
+        rng = np.random.default_rng(22)
+        arrays = mixed_radius_arrays(rng, 6)
+        arrays.append(np.array([SUPPORTED_RADIUS, -1e-6j]))
+        for n in range(MAX_ORDER + 1):
+            for z in arrays:
+                for name in self.FUNCTIONS:
+                    got = getattr(analytic, name)(n, z)
+                    assert got.tobytes() == _oracle(name, n, z).tobytes(), (name, n)
+
+    def test_scalars_bitwise_equal_to_per_point_test(self):
+        rng = np.random.default_rng(23)
+        points = [complex(z) for z in sample_disk(rng, 4, r_min=1e-4)]
+        points += [SUPPORTED_RADIUS, 1e-6j, 2.5 - 1.0j]
+        for n in range(MAX_ORDER + 1):
+            for z in points:
+                for name in self.FUNCTIONS:
+                    got = getattr(analytic, name)(n, z)
+                    assert isinstance(got, complex)
+                    assert got == _oracle(name, n, z), (name, n, z)
+
+    def test_two_derivs_of_empty_array(self):
+        h, d1, d2 = analytic._hankel_with_two_derivs(3, np.array([], dtype=complex))
+        assert h.shape == d1.shape == d2.shape == (0,)
+
+
 class TestComplexDistance:
     MED = Medium.isotropic(2)
     ANISO = Medium.diagonal([0.25, 1.0])

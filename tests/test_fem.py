@@ -16,6 +16,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from radpml.basis import LOCAL_EDGES
 from radpml.errors import AssemblyError, DomainError, ValidationError
 from radpml.fem import (
     DEFAULT_BC,
@@ -29,6 +30,7 @@ from radpml.fem import (
     rayleigh_residual,
     read_matrix_coo,
     scaled_tensor,
+    _tensor_batch,
     scaled_tensor_3d,
     write_matrix_coo,
 )
@@ -108,6 +110,28 @@ class TestScaledTensor:
                 tensor, _ = scaled_tensor(x, profile, medium)
                 assert abs(np.linalg.det(tensor) - det_sigma) < 1e-12 * abs(det_sigma)
 
+    def test_batch_matches_einsum_sandwich(self):
+        """The explicit 2x2 products agree with A sigma A / (dt d) formed
+        by a three-operand einsum to 1e-15 relative, across the layer."""
+        profile = SmoothedPolynomialProfile(r1=1.5, gamma=GAMMA, exponent=2.0)
+        full = Medium(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-3.5, 3.5, size=(800, 2))
+        radii = np.hypot(pts[:, 0], pts[:, 1])
+        pts, radii = pts[radii > 1.6], radii[radii > 1.6]
+        dt, d = profile.d_tilde(radii), profile.d(radii)
+        rhat = pts / radii[:, None]
+        that = np.stack([-rhat[:, 1], rhat[:, 0]], axis=1)
+        a_mat = (dt[:, None, None] * rhat[:, :, None] * rhat[:, None, :]
+                 + d[:, None, None] * that[:, :, None] * that[:, None, :])
+        for medium in (ISO, ANISO, full):
+            tensor, weight = _tensor_batch(pts, profile, medium)
+            expected = (np.einsum("...ij,jk,...kl->...il", a_mat, medium.sigma, a_mat)
+                        / (dt * d)[:, None, None])
+            assert np.array_equal(weight, dt * d)
+            err = np.abs(tensor - expected).max(axis=(1, 2))
+            assert np.all(err <= 1e-15 * np.abs(expected).max(axis=(1, 2)))
+
     def test_tensor_symmetric(self):
         profile = AffineProfile(r1=1.5, gamma=GAMMA)
         tensor, _ = scaled_tensor(np.array([-1.7, 2.4]), profile, ANISO)
@@ -168,6 +192,41 @@ class TestScaledTensor:
         assert abs((w_hi - w_lo) - GAMMA * 2.0) < 1e-9  # alpha(r1+) = amax * m
 
 
+def _dict_loop_numbering(mesh, p, bc):
+    """(num_dofs, element_dofs, orientations, free_of_global) of a space,
+    with the global edges numbered by a dict loop over the triangles."""
+    tri = mesh.triangles
+    nt, nv = mesh.num_triangles, mesh.num_vertices
+    edge_index = {}
+    tri_edge = np.empty((nt, 3), dtype=np.int64)
+    for t in range(nt):
+        for e, (a, b) in enumerate(LOCAL_EDGES):
+            va, vb = int(tri[t, a]), int(tri[t, b])
+            key = (va, vb) if va < vb else (vb, va)
+            tri_edge[t, e] = edge_index.setdefault(key, len(edge_index))
+    ne = len(edge_index)
+    n_edge, n_bub = p - 1, (p - 1) * (p - 2) // 2
+    total = nv + ne * n_edge + nt * n_bub
+    constrained = np.zeros(total, dtype=bool)
+    for (va, vb), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        if bc.get(int(tag), NEUMANN) != DIRICHLET:
+            continue
+        constrained[[va, vb]] = True
+        start = nv + edge_index[(min(va, vb), max(va, vb))] * n_edge
+        constrained[start:start + n_edge] = True
+    free = np.full(total, -1, dtype=np.int64)
+    free[~constrained] = np.arange(int((~constrained).sum()))
+    element_dofs = np.concatenate(
+        [tri]
+        + [nv + tri_edge[:, e, None] * n_edge + np.arange(n_edge) for e in range(3)]
+        + [nv + ne * n_edge + np.arange(nt)[:, None] * n_bub + np.arange(n_bub)],
+        axis=1)
+    orientations = np.stack(
+        [np.where(tri[:, a] < tri[:, b], 1, -1) for a, b in LOCAL_EDGES],
+        axis=1).astype(np.int8)
+    return (int((~constrained).sum()), free[element_dofs], orientations, free)
+
+
 class TestFunctionSpace:
     def test_order_validation(self):
         mesh = generate(DISK, hmax=10.0, q=1)
@@ -192,6 +251,21 @@ class TestFunctionSpace:
             space = FunctionSpace(mesh, p)
             assert space.bc == DEFAULT_BC
             assert space.num_dofs == total - 8 - 8 * (p - 1)
+
+    def test_numbering_matches_dict_loop(self):
+        """Edges are numbered in order of first appearance, so every
+        array of the space is that of a dict loop over the triangles."""
+        mesh = generate(ELLIPSE, hmax=0.2, q=2)
+        dirichlet_both = {BOUNDARY_OBSTACLE: DIRICHLET, BOUNDARY_OUTER: DIRICHLET}
+        for p in (1, 2, 4):
+            for bc in (DEFAULT_BC, ALL_NEUMANN, dirichlet_both):
+                space = FunctionSpace(mesh, p, bc=bc)
+                num_dofs, element_dofs, orientations, free = \
+                    _dict_loop_numbering(mesh, p, bc)
+                assert space.num_dofs == num_dofs
+                assert np.array_equal(space.element_dofs, element_dofs)
+                assert np.array_equal(space.orientations, orientations)
+                assert np.array_equal(space.free_of_global, free)
 
     def test_element_dofs_mark_constrained(self):
         mesh = generate(DISK, hmax=10.0, q=1)
@@ -365,6 +439,20 @@ class TestElementPass:
         expected = scipy.sparse.linalg.spsolve(shifted, b)
         x = solver.solve(b)
         assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_solve_without_bubbles_is_the_factor_solve(self, p):
+        space = FunctionSpace(self.space.mesh, p)
+        solver = CondensedShiftSolver(space, self.profile, ANISO,
+                                      self.shift_sq).factor()
+        assert solver.skeleton_size == space.num_dofs
+        rng = np.random.default_rng(12)
+        b = rng.normal(size=space.num_dofs) + 1j * rng.normal(size=space.num_dofs)
+        x = solver.solve(b)
+        assert np.array_equal(x, solver.lu.solve(b))
+        pencil = solver.pencil
+        shifted = pencil.stiffness - self.shift_sq * pencil.mass
+        assert np.linalg.norm(shifted @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_elements_evaluated_once_per_solve(self, monkeypatch, tmp_path):
         import radpml.fem as fem_module
