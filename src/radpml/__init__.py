@@ -4,8 +4,8 @@ The package computes scattering resonances of the scalar wave equation
 -div(sigma grad u) = omega^2 u outside a 2D obstacle by radial complex
 scaling (perfectly matched layer), high-order finite elements on curved
 structured meshes, and a shift-invert Arnoldi eigensolver, together with
-the semi-analytic machinery (complex distances, damped fundamental
-solutions, Hankel-root references) needed to validate the runs.
+the semi-analytic machinery (complex distances, the damping rate of the
+scaled kernel, Hankel-root references) needed to validate the runs.
 """
 
 from .errors import (
@@ -40,31 +40,22 @@ from .analytic import (
     d_sigma,
     damping_rate,
     find_disk_neumann_references,
-    green,
     hankel1,
     hankel1_deriv,
-    outgoing_extension,
     read_reference_csv,
-    scaled_green,
-    spherical_h0,
     write_reference_csv,
 )
 from .scaling import (
     AdmissibilityReport,
     AffineProfile,
-    HatState,
     RampProfile,
     ScalingLimits,
     ScalingProfile,
-    ScalingState,
     SmoothedPolynomialProfile,
     admissible,
-    eval_scaling,
     gamma_of_omega,
-    hat_state,
     limits,
     min_stabilizing_c,
-    t_symbol,
 )
 from .mesh import (
     BOUNDARY_OBSTACLE,
@@ -76,10 +67,8 @@ from .mesh import (
     Geometry,
     Mesh,
     generate,
-    load_mesh,
     max_edge_length,
     refine,
-    save_mesh,
     triangle_areas,
 )
 from .fem import (
@@ -92,10 +81,7 @@ from .fem import (
     assemble,
     element_matrices,
     rayleigh_residual,
-    read_matrix_coo,
     scaled_tensor,
-    scaled_tensor_3d,
-    write_matrix_coo,
 )
 from .eig import (
     Spectrum,

@@ -1,4 +1,4 @@
-"""Special functions, complex distances, damped kernels and reference roots.
+"""Cylinder functions, complex distances, kernel damping and reference roots.
 
 Everything here backs the semi-analytic side of the resonance
 computation:
@@ -14,8 +14,8 @@ computation:
   representation is well conditioned;
 * the complex distance ``d_sigma`` induced by radial scaling, on the
   square-root branch with non-negative imaginary part;
-* scaled/unscaled fundamental-solution kernels and the measured vs
-  guaranteed damping rate of the scaled kernel;
+* the measured vs guaranteed damping rate of the scaled plane kernel
+  e^{i omega d_sigma};
 * the exterior Neumann references for the unit disk: roots of
   ``(H_n^{(1)})'`` located by an argument-principle count plus Newton
   iteration.  Each contour level and each Newton sweep is one series
@@ -28,13 +28,11 @@ computation:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    AccuracyWarning,
     DomainError,
     IncompleteSearchError,
     PreconditionError,
@@ -45,15 +43,13 @@ from .scaling import ScalingProfile, limits
 __all__ = [
     "SUPPORTED_RADIUS",
     "MAX_ORDER",
-    "spherical_h0",
+    "bessel_j",
+    "bessel_y",
     "hankel1",
     "hankel1_deriv",
     "ComplexDistance",
     "d_sigma",
-    "green",
-    "scaled_green",
     "damping_rate",
-    "outgoing_extension",
     "ResonanceReference",
     "find_disk_neumann_references",
     "write_reference_csv",
@@ -76,23 +72,8 @@ _SERIES_MAX_TERMS = 400
 
 
 # ---------------------------------------------------------------------------
-# cylinder and spherical functions
+# cylinder functions
 # ---------------------------------------------------------------------------
-
-def spherical_h0(z):
-    """Outgoing spherical wave function e^{iz} / (iz).
-
-    Raises
-    ------
-    DomainError
-        At the singular point z = 0.
-    """
-    arr = np.asarray(z, dtype=complex)
-    if np.any(arr == 0.0):
-        raise DomainError("spherical_h0 is singular at z = 0")
-    out = np.exp(1j * arr) / (1j * arr)
-    return out if np.ndim(z) else complex(out)
-
 
 def _check_cylinder_args(n, z):
     if not isinstance(n, (int, np.integer)) or n < 0:
@@ -102,7 +83,7 @@ def _check_cylinder_args(n, z):
     arr = np.asarray(z, dtype=complex)
     if np.any(arr == 0.0):
         raise DomainError("cylinder functions are singular at z = 0")
-    if np.max(np.abs(arr)) > SUPPORTED_RADIUS:
+    if arr.size and np.max(np.abs(arr)) > SUPPORTED_RADIUS:
         raise DomainError(
             f"|z| exceeds the supported radius {SUPPORTED_RADIUS:g}; "
             "no asymptotic fallback is provided")
@@ -266,7 +247,7 @@ def _hankel_with_two_derivs(n: int, z: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# complex distance and kernels
+# complex distance and kernel damping
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -278,10 +259,6 @@ class ComplexDistance:
     def __post_init__(self):
         if self.value.imag < 0.0:
             raise ValueError("complex distance constructed off its branch")
-
-    @property
-    def on_branch(self) -> bool:
-        return self.value.imag >= 0.0
 
 
 def _check_separation(profile: ScalingProfile, medium: Medium, r0: float):
@@ -320,30 +297,6 @@ def d_sigma(x, y, profile: ScalingProfile, medium: Medium) -> ComplexDistance:
     if root.imag < 0.0:
         root = -root
     return ComplexDistance(complex(root))
-
-
-def green(x, y, omega, medium: Medium):
-    """Unscaled kernel det(sigma)^{-1/2} h0(omega |sigma^{-1/2}(x-y)|)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = x - y
-    dist = np.sqrt(diff @ medium.inv @ diff)
-    if dist == 0.0:
-        raise DomainError("kernel is singular at coincident points")
-    return medium.det**-0.5 * spherical_h0(omega * dist)
-
-
-def scaled_green(x, y, omega, profile: ScalingProfile, medium: Medium):
-    """Scaled kernel det(sigma)^{-1/2} h0(omega d_sigma(x, y)).
-
-    Coincides with ``green`` whenever |x| <= r1 (the scaling is the
-    identity there); for |x| beyond the onset the kernel decays
-    exponentially along rays.
-    """
-    dist = d_sigma(x, y, profile, medium).value
-    if dist == 0.0:
-        raise DomainError("kernel is singular at coincident points")
-    return medium.det**-0.5 * spherical_h0(omega * dist)
 
 
 def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction,
@@ -388,73 +341,6 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction,
     measured = float(np.polyfit(rs, log_decay, 1)[0])
     bound = -re_iwd0 * abs(lim.d_inf) / medium.sigma_max
     return measured, bound
-
-
-def outgoing_extension(trace, normal_trace, x, omega, profile: ScalingProfile,
-                       medium: Medium, r0: float, order=(32, 64)):
-    """Scaled layer-potential continuation of Cauchy data on an r0-sphere.
-
-    Evaluates (i omega / 4 pi) * integral over |y| = r0 of
-    ``u(y) grad_y Gs(x,y) . nu(y) - Gs(x,y) du(y)`` with ``Gs`` the scaled
-    kernel, by tensor-product Gauss (polar) x trapezoid (azimuthal)
-    quadrature, and self-checks against the doubled order.
-
-    Parameters
-    ----------
-    trace, normal_trace : callable
-        Dirichlet and outward-normal Neumann data, mapping a 3-vector on
-        the sphere to a complex value.
-    x : 3-vector with |x| > r1.
-
-    Warns
-    -----
-    AccuracyWarning
-        If doubling the quadrature order moves the value by more than 1e-6.
-    """
-    if medium.dim != 3:
-        raise DomainError("the layer-potential continuation is implemented in 3D only")
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) <= profile.r1:
-        raise PreconditionError("evaluation point must lie beyond the scaling onset")
-    _check_separation(profile, medium, r0)
-    omega = complex(omega)
-    inv = medium.inv
-    det_fac = medium.det**-0.5
-    dt_x = profile.d_tilde(float(np.linalg.norm(x)))
-    scaled_x = dt_x * x
-
-    def integrate(n_polar, n_azim):
-        mu, w_mu = np.polynomial.legendre.leggauss(n_polar)
-        phi = 2.0 * np.pi * (np.arange(n_azim) + 0.5) / n_azim
-        sin_th = np.sqrt(1.0 - mu**2)
-        total = 0.0 + 0.0j
-        for wm, m, st in zip(w_mu, mu, sin_th):
-            ys = np.stack([
-                r0 * st * np.cos(phi), r0 * st * np.sin(phi),
-                np.full_like(phi, r0 * m)], axis=1)
-            diff = scaled_x[None, :] - ys
-            quad = np.einsum("ki,ij,kj->k", diff, inv, diff)
-            dist = np.sqrt(quad.astype(complex))
-            dist = np.where(dist.imag < 0.0, -dist, dist)
-            kern = det_fac * spherical_h0(omega * dist)
-            # d/dz of e^{iz}/(iz) evaluated at omega*dist
-            h0p = np.exp(1j * omega * dist) * (omega * dist + 1j) / (omega * dist) ** 2
-            grad_d = -(inv @ diff.T).T / dist[:, None]
-            nu = ys / r0
-            dds = np.einsum("ki,ki->k", grad_d, nu)
-            u_vals = np.array([trace(yy) for yy in ys], dtype=complex)
-            du_vals = np.array([normal_trace(yy) for yy in ys], dtype=complex)
-            integ = u_vals * det_fac * h0p * omega * dds - kern * du_vals
-            total += wm * np.sum(integ)
-        return total * r0**2 * (2.0 * np.pi / n_azim) * (1j * omega / (4.0 * np.pi))
-
-    coarse = integrate(*order)
-    fine = integrate(2 * order[0], 2 * order[1])
-    if abs(coarse - fine) > 1e-6 * max(1.0, abs(fine)):
-        warnings.warn(
-            f"sphere quadrature has not converged (delta = {abs(coarse - fine):.2e})",
-            AccuracyWarning, stacklevel=2)
-    return complex(fine)
 
 
 # ---------------------------------------------------------------------------

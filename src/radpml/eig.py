@@ -250,7 +250,7 @@ def _arnoldi(apply_op, n, m, rng):
 def shift_invert_arnoldi(pencil: AssembledPencil, shift_sq: complex, k: int,
                          krylov_dim: int | None = None,
                          d0: complex = 1.0 + 0.0j, seed: int = 0,
-                         method: str = "auto", inner=None) -> Spectrum:
+                         inner=None) -> Spectrum:
     """Up to k eigenpairs of K u = omega^2 M u nearest the shift.
 
     Parameters
@@ -285,7 +285,7 @@ def shift_invert_arnoldi(pencil: AssembledPencil, shift_sq: complex, k: int,
 
     if inner is None:
         try:
-            lu = sparse_lu(pencil.stiffness - shift_sq * pencil.mass, method)
+            lu = sparse_lu(pencil.stiffness - shift_sq * pencil.mass)
         except SingularMatrixError as exc:
             raise ShiftRejectedError(
                 f"shifted pencil is singular ({exc}); move the shift") from exc

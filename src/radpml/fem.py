@@ -42,14 +42,16 @@ from .mesh import BOUNDARY_OBSTACLE, BOUNDARY_OUTER, Mesh, REGION_INTERIOR
 from .scaling import ScalingProfile
 
 __all__ = [
+    "DIRICHLET",
+    "NEUMANN",
+    "DEFAULT_BC",
     "FunctionSpace",
     "AssembledPencil",
+    "CondensedShiftSolver",
     "scaled_tensor",
-    "scaled_tensor_3d",
+    "element_matrices",
     "assemble",
     "rayleigh_residual",
-    "write_matrix_coo",
-    "read_matrix_coo",
 ]
 
 DIRICHLET = "dirichlet"
@@ -116,25 +118,6 @@ def scaled_tensor(x, profile: ScalingProfile | None, medium: Medium):
     tensor, weight = _tensor_batch(np.asarray(x, dtype=float)[None, :],
                                    profile, medium)
     return tensor[0], complex(weight[0])
-
-
-def scaled_tensor_3d(x, profile: ScalingProfile | None, medium: Medium):
-    """3D variant (formula-level check): A = dt^2 rr^T + dt d (I - rr^T),
-    prefactor (dt^2 d)^{-1}, weight dt^2 d."""
-    if medium.dim != 3:
-        raise ValidationError("scaled_tensor_3d expects a 3D medium")
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise DomainError("the polar coefficient frame is singular at the origin")
-    dt, d = _factors_at(np.array([r]), profile)
-    dt, d = complex(dt[0]), complex(d[0])
-    weight = dt * dt * d
-    if dt == 1.0 and d == 1.0:
-        return medium.sigma.astype(complex), 1.0 + 0.0j
-    rr = np.outer(x / r, x / r)
-    a_mat = dt * dt * rr + dt * d * (np.eye(3) - rr)
-    return a_mat @ medium.sigma @ a_mat / weight, weight
 
 
 # ---------------------------------------------------------------------------
@@ -483,25 +466,3 @@ class CondensedShiftSolver:
         xs_elem = np.where(valid, x_s[self.skel], 0.0)[:, None, :]
         x_b = (self.bb_inv @ w_b)[:, :, 0] - (xs_elem @ self.gain)[:, 0, :]
         return np.concatenate([x_s, x_b.ravel()])
-
-
-def write_matrix_coo(mat, path):
-    """Coordinate text dump (row, col, re, im) at 17 significant digits."""
-    coo = scipy.sparse.coo_matrix(mat)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v.real:.17g} {v.imag:.17g}\n")
-
-
-def read_matrix_coo(path):
-    with open(path, "r", encoding="ascii") as fh:
-        nr, nc, nnz = (int(v) for v in fh.readline().split())
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=complex)
-        for k in range(nnz):
-            i, j, re, im = fh.readline().split()
-            rows[k], cols[k] = int(i), int(j)
-            vals[k] = complex(float(re), float(im))
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nr, nc)).tocsr()

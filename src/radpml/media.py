@@ -54,42 +54,11 @@ def _check_symmetric(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _cubic_char_roots(mat: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric 3x3 by the trigonometric closed form
-    for the characteristic cubic, polished with two Newton steps."""
-    p1 = mat[0, 1] ** 2 + mat[0, 2] ** 2 + mat[1, 2] ** 2
-    diag = np.diagonal(mat)
-    if p1 == 0.0:
-        return np.sort(diag)
-    q = np.trace(mat) / 3.0
-    p2 = np.sum((diag - q) ** 2) + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-    b = (mat - q * np.eye(3)) / p
-    r = np.linalg.det(b) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = np.arccos(r) / 3.0
-    lams = q + 2.0 * p * np.cos(phi + np.array([0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0]))
-    lams = np.sort(lams)
-
-    # Newton polish on the exact characteristic polynomial; restores the
-    # last couple of digits the arccos path can lose.
-    c2 = -np.trace(mat)
-    c1 = 0.5 * (np.trace(mat) ** 2 - np.trace(mat @ mat))
-    c0 = -np.linalg.det(mat)
-    for _ in range(2):
-        val = ((lams + c2) * lams + c1) * lams + c0
-        dval = (3.0 * lams + 2.0 * c2) * lams + c1
-        step = np.where(dval != 0.0, val / np.where(dval != 0.0, dval, 1.0), 0.0)
-        lams = lams - step
-    return np.sort(lams)
-
-
 def spd_extremes(mat: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric 2x2 or 3x3 matrix.
 
-    Uses the closed-form characteristic polynomial (quadratic formula in
-    2D, trigonometric solution plus Newton polish in 3D) rather than an
-    iterative library routine.
+    One LAPACK symmetric eigenvalue call (``numpy.linalg.eigvalsh``) on
+    the symmetrised matrix serves both dimensions.
 
     Parameters
     ----------
@@ -105,13 +74,7 @@ def spd_extremes(mat: np.ndarray) -> tuple[float, float]:
     ValidationError
         If the matrix is not square, not 2x2/3x3, or not symmetric.
     """
-    mat = _check_symmetric(mat)
-    if mat.shape[0] == 2:
-        half_tr = 0.5 * (mat[0, 0] + mat[1, 1])
-        # discriminant written as a sum of squares: exact non-negativity
-        disc = np.hypot(0.5 * (mat[0, 0] - mat[1, 1]), mat[0, 1])
-        return float(half_tr - disc), float(half_tr + disc)
-    lams = _cubic_char_roots(mat)
+    lams = np.linalg.eigvalsh(_check_symmetric(mat))
     return float(lams[0]), float(lams[-1])
 
 
@@ -157,12 +120,6 @@ class Medium:
     @property
     def inv(self) -> np.ndarray:
         return np.linalg.inv(self.sigma)
-
-    @property
-    def inv_sqrt(self) -> np.ndarray:
-        """Inverse square root sigma^{-1/2} (symmetric)."""
-        lams, vecs = np.linalg.eigh(self.sigma)
-        return (vecs / np.sqrt(lams)) @ vecs.T
 
     @classmethod
     def isotropic(cls, dim: int = 2, value: float = 1.0) -> "Medium":

@@ -45,8 +45,6 @@ __all__ = [
     "mapping",
     "triangle_areas",
     "max_edge_length",
-    "save_mesh",
-    "load_mesh",
 ]
 
 REGION_INTERIOR = 0
@@ -382,70 +380,3 @@ def refine(mesh: Mesh) -> Mesh:
         interface_edges=i_edges, mapping_nodes=nodes)
     _check_jacobians(out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# plain-text export / import
-# ---------------------------------------------------------------------------
-
-_FORMAT_TAG = "radpml-mesh 1"
-
-
-def save_mesh(mesh: Mesh, path):
-    g = mesh.geometry
-    if isinstance(g.obstacle, DiskObstacle):
-        geo_line = f"disk {g.obstacle.radius:.17g} {g.r1:.17g} {g.layer_width:.17g}"
-    else:
-        geo_line = (f"ellipse {g.obstacle.a1:.17g} {g.obstacle.a2:.17g} "
-                    f"{g.r1:.17g} {g.layer_width:.17g}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_FORMAT_TAG + "\n")
-        fh.write(geo_line + "\n")
-        fh.write(f"{mesh.num_vertices} {mesh.num_triangles} "
-                 f"{len(mesh.boundary_edges)} {len(mesh.interface_edges)} "
-                 f"{mesh.q}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for (i, j, k), reg in zip(mesh.triangles, mesh.regions):
-            fh.write(f"{i} {j} {k} {reg}\n")
-        for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            fh.write(f"{i} {j} {tag}\n")
-        for i, j in mesh.interface_edges:
-            fh.write(f"{i} {j}\n")
-        for block in mesh.mapping_nodes:
-            fh.write(" ".join(f"{v:.17g}" for v in block.ravel()) + "\n")
-
-
-def load_mesh(path) -> Mesh:
-    with open(path, "r", encoding="ascii") as fh:
-        if fh.readline().strip() != _FORMAT_TAG:
-            raise ValidationError("not a mesh file (missing format tag)")
-        geo = fh.readline().split()
-        if geo[0] == "disk":
-            obstacle = DiskObstacle(float(geo[1]))
-            r1, width = float(geo[2]), float(geo[3])
-        elif geo[0] == "ellipse":
-            obstacle = EllipseObstacle(float(geo[1]), float(geo[2]))
-            r1, width = float(geo[3]), float(geo[4])
-        else:
-            raise ValidationError(f"unknown obstacle kind {geo[0]!r}")
-        nv, nt, nb, ni, q = (int(v) for v in fh.readline().split())
-        vertices = np.array([
-            [float(v) for v in fh.readline().split()] for _ in range(nv)])
-        tri_rows = [[int(v) for v in fh.readline().split()] for _ in range(nt)]
-        triangles = np.array([r[:3] for r in tri_rows], dtype=np.int64)
-        regions = np.array([r[3] for r in tri_rows], dtype=np.uint8)
-        b_rows = [[int(v) for v in fh.readline().split()] for _ in range(nb)]
-        boundary_edges = np.array([r[:2] for r in b_rows], dtype=np.int64)
-        boundary_tags = np.array([r[2] for r in b_rows], dtype=np.uint8)
-        interface = np.array([
-            [int(v) for v in fh.readline().split()] for _ in range(ni)],
-            dtype=np.int64)
-        n_lat = lattice_nodes(q).shape[0]
-        nodes = np.array([
-            [float(v) for v in fh.readline().split()] for _ in range(nt)])
-        nodes = nodes.reshape(nt, n_lat, 2)
-    return Mesh(geometry=Geometry(obstacle, r1, width), q=q,
-                vertices=vertices, triangles=triangles, regions=regions,
-                boundary_edges=boundary_edges, boundary_tags=boundary_tags,
-                interface_edges=interface, mapping_nodes=nodes)

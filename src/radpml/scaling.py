@@ -35,23 +35,16 @@ __all__ = [
     "AffineProfile",
     "RampProfile",
     "SmoothedPolynomialProfile",
-    "ScalingState",
     "ScalingLimits",
-    "HatState",
     "AdmissibilityReport",
-    "eval_scaling",
     "limits",
-    "hat_state",
     "admissible",
-    "t_symbol",
     "gamma_of_omega",
     "min_stabilizing_c",
 ]
 
 #: number of sample points for supremum searches over (r1, 1e3*r1]
 _SUP_SAMPLES = 2048
-#: relative radius for one-sided limits at r1
-_R1_EPS = 1.0e-9
 
 
 def _as_radius_array(r):
@@ -100,11 +93,6 @@ class ScalingProfile:
     def alpha_tilde_limit(self) -> float:
         """Limit of alpha_tilde at infinity (bounded by Assumption 1)."""
         raise NotImplementedError
-
-    def alpha_onset_limit(self) -> float:
-        """One-sided limit of alpha at r1+ (alpha may jump across r1)."""
-        r = self.r1 * (1.0 + _R1_EPS)
-        return float(np.real(self.alpha(r)))
 
     def tau_star_closed(self):
         """Closed-form sup |arg(d_tilde/d)| if the kind admits one."""
@@ -175,9 +163,6 @@ class AffineProfile(ScalingProfile):
     def alpha_tilde_limit(self):
         return 1.0
 
-    def alpha_onset_limit(self):
-        return 1.0
-
     def tau_star_closed(self):
         return float(np.angle(1.0 + self.gamma))
 
@@ -218,9 +203,6 @@ class RampProfile(ScalingProfile):
     def alpha_tilde_limit(self):
         return self.amax
 
-    def alpha_onset_limit(self):
-        return 0.0
-
     def _extra_sample_points(self):
         return self.r1 + self.width * np.linspace(1.0e-6, 1.0, 512)
 
@@ -256,9 +238,6 @@ class SmoothedPolynomialProfile(ScalingProfile):
     def alpha_tilde_limit(self):
         return self.amax
 
-    def alpha_onset_limit(self):
-        return self.amax * self.exponent
-
 
 PROFILE_KINDS = {
     "affine": AffineProfile,
@@ -268,32 +247,8 @@ PROFILE_KINDS = {
 
 
 # ---------------------------------------------------------------------------
-# pointwise / asymptotic state records
+# asymptotic data
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalingState:
-    """All pointwise scaling quantities at one radius (or radius array)."""
-
-    r: object
-    alpha_tilde: object
-    alpha: object
-    d_tilde: object
-    d: object
-    r_tilde: object
-
-
-def eval_scaling(profile: ScalingProfile, r) -> ScalingState:
-    """Evaluate every pointwise scaling quantity at radius ``r`` (>= 0)."""
-    return ScalingState(
-        r=r,
-        alpha_tilde=profile.alpha_tilde(r),
-        alpha=profile.alpha(r),
-        d_tilde=profile.d_tilde(r),
-        d=profile.d(r),
-        r_tilde=profile.r_tilde(r),
-    )
-
 
 @dataclass(frozen=True)
 class ScalingLimits:
@@ -392,11 +347,6 @@ def _sup_abs_tau(profile: ScalingProfile) -> float:
     return float(max(vals[i], refined))
 
 
-def _psi_of_tau_mag(medium: Medium, tau_star: float, tau_mag) -> float:
-    a = medium.sigma_min - (1.0 - np.cos(tau_star)) * medium.sigma_max
-    return np.arctan2(medium.sigma_max * np.sin(tau_mag), a)
-
-
 def limits(profile: ScalingProfile, medium: Medium) -> ScalingLimits:
     """Asymptotic scaling data: d0, d_inf, tau_star and psi_star.
 
@@ -427,7 +377,7 @@ def limits(profile: ScalingProfile, medium: Medium) -> ScalingLimits:
     d0 = d_inf / abs(d_inf)
     tau_star = _sup_abs_tau(profile)
     a = medium.sigma_min - (1.0 - np.cos(tau_star)) * medium.sigma_max
-    psi_star = float(_psi_of_tau_mag(medium, tau_star, tau_star))
+    psi_star = float(np.arctan2(medium.sigma_max * np.sin(tau_star), a))
     return ScalingLimits(
         d0=complex(d0),
         d_inf=complex(d_inf),
@@ -435,72 +385,6 @@ def limits(profile: ScalingProfile, medium: Medium) -> ScalingLimits:
         psi_star=psi_star,
         psi_flagged=bool(a <= 0.0),
     )
-
-
-# ---------------------------------------------------------------------------
-# clamped ("hat") quantities and the boundary symbol
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HatState:
-    """Scaling quantities with alpha clamped below r1 to its r1+ limit.
-
-    For r <= r1 every field is the constant continuation of its one-sided
-    limit, which removes the jump of alpha across the interface.
-    """
-
-    alpha_hat: object
-    d_hat: object
-    tau_hat: object
-    psi_hat: object
-
-
-def hat_state(profile: ScalingProfile, medium: Medium, r) -> HatState:
-    """Clamped quantities at radius r (scalar or array).
-
-    d_hat = 1 + gamma*alpha_hat, so the hat and plain quantities coincide
-    for every r > r1 and psi_hat(r) = psi(r) there.
-    """
-    arr = _as_radius_array(r)
-    scalar = np.ndim(r) == 0
-    a = np.asarray(profile.alpha(arr))
-    a_hat = np.where(arr > profile.r1, a, profile.alpha_onset_limit())
-    d_hat = 1.0 + profile.gamma * a_hat
-    d_til = np.asarray(profile.d_tilde(arr))
-    tau_hat = np.angle(d_til / d_hat)
-    lim = limits(profile, medium)
-    psi_hat = _psi_of_tau_mag(medium, lim.tau_star, np.abs(tau_hat))
-    if scalar:
-        return HatState(float(a_hat), complex(d_hat), float(tau_hat), float(psi_hat))
-    return HatState(a_hat, d_hat, tau_hat, psi_hat)
-
-
-def t_symbol(profile: ScalingProfile, medium: Medium, omega: complex, r) -> complex:
-    """Unimodular symbol (|d_tilde|/conj(d_tilde)) * exp(+-i psi_hat).
-
-    The sign of the phase follows the half-plane of -omega^2 d0^2 with
-    the argument taken in [-pi, pi): the '+' branch applies when
-    arg(-omega^2 d0^2) in [-pi, 0], the '-' branch otherwise.
-
-    Raises
-    ------
-    DomainError
-        If Re(i*omega*d0) vanishes (omega outside the admissible set).
-    """
-    omega = complex(omega)
-    lim = limits(profile, medium)
-    if abs((1j * omega * lim.d0).real) <= 1e-13 * max(abs(omega), 1e-300):
-        raise DomainError(
-            f"omega = {omega!r} lies on the boundary ray Re(i*omega*d0) = 0")
-    branch_arg = np.angle(-(omega**2) * lim.d0**2)
-    if branch_arg == np.pi:  # angle() returns (-pi, pi]; convention here is [-pi, pi)
-        branch_arg = -np.pi
-    hs = hat_state(profile, medium, r)
-    d_til = np.asarray(profile.d_tilde(r))
-    base = np.abs(d_til) / np.conj(d_til)
-    sign = 1.0 if branch_arg <= 0.0 else -1.0
-    out = base * np.exp(1j * sign * np.asarray(hs.psi_hat))
-    return out if np.ndim(r) else complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +473,7 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
             f"unit-stretch slope {s_mid:.2e} -> {s_far:.2e}")
 
     a = medium.sigma_min - (1.0 - cos_tau_star) * medium.sigma_max
-    psi_star = float(_psi_of_tau_mag(medium, tau_star, tau_star))
+    psi_star = float(np.arctan2(medium.sigma_max * np.sin(tau_star), a))
     if a <= 0.0:
         msgs.append("psi_star is the argument of a number with non-positive real part")
 

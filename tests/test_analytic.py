@@ -1,7 +1,6 @@
-"""Tests for special functions, complex distances, kernels and references."""
+"""Tests for cylinder functions, complex distances, kernel damping and references."""
 
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,18 +17,13 @@ from radpml.analytic import (
     d_sigma,
     damping_rate,
     find_disk_neumann_references,
-    green,
     hankel1,
     hankel1_deriv,
-    outgoing_extension,
     read_reference_csv,
-    scaled_green,
-    spherical_h0,
     write_reference_csv,
 )
 from radpml.cli import parse_config
 from radpml.errors import (
-    AccuracyWarning,
     DomainError,
     IncompleteSearchError,
     PreconditionError,
@@ -62,25 +56,6 @@ def sample_disk(rng, count, r_min=0.05, r_max=SUPPORTED_RADIUS):
     radii = rng.uniform(r_min, r_max, count)
     angles = rng.uniform(-np.pi, np.pi, count)
     return radii * np.exp(1j * angles)
-
-
-class TestSphericalH0:
-    def test_half_pi(self):
-        # e^{i pi/2} / (i pi/2) = 2/pi
-        assert spherical_h0(np.pi / 2) == pytest.approx(2.0 / np.pi, rel=1e-14)
-
-    def test_imaginary_unit(self):
-        assert spherical_h0(1j) == pytest.approx(-math.exp(-1.0), rel=1e-14)
-
-    def test_singular_origin(self):
-        with pytest.raises(DomainError):
-            spherical_h0(0.0)
-
-    def test_array_matches_scalars(self):
-        z = np.array([0.3 + 0.1j, -2.0 + 0.5j, 4.0])
-        vals = spherical_h0(z)
-        for zk, vk in zip(z, vals):
-            assert vk == spherical_h0(complex(zk))
 
 
 class TestHankel:
@@ -268,8 +243,12 @@ class TestSeries:
                     assert got == _oracle(name, n, z), (name, n, z)
 
     def test_two_derivs_of_empty_array(self):
-        h, d1, d2 = analytic._hankel_with_two_derivs(3, np.array([], dtype=complex))
+        empty = np.array([], dtype=complex)
+        h, d1, d2 = analytic._hankel_with_two_derivs(3, empty)
         assert h.shape == d1.shape == d2.shape == (0,)
+        for name in self.FUNCTIONS:
+            out = getattr(analytic, name)(3, empty)
+            assert isinstance(out, np.ndarray) and out.shape == (0,), name
 
 
 class TestComplexDistance:
@@ -334,39 +313,6 @@ class TestComplexDistance:
             ComplexDistance(1.0 - 0.5j)
 
 
-class TestKernels:
-    MED2 = Medium.isotropic(2)
-    PROF = AffineProfile(r1=2.0, gamma=0.4 + 1.1j)
-
-    def test_scaled_matches_plain_inside_onset(self):
-        rng = np.random.default_rng(3)
-        y = np.array([0.2, -0.1])
-        omega = 1.7 - 0.3j
-        for _ in range(50):
-            x = rng.normal(size=2)
-            x *= rng.uniform(0.0, 1.0) * self.PROF.r1 / np.linalg.norm(x)
-            if np.linalg.norm(x - y) < 1e-3:
-                continue
-            a = green(x, y, omega, self.MED2)
-            b = scaled_green(x, y, omega, self.PROF, self.MED2)
-            assert b == pytest.approx(a, rel=1e-14)
-
-    def test_scaled_kernel_decays_beyond_onset(self):
-        y = np.array([0.1, 0.2])
-        omega = 1.0
-        rs = np.linspace(4.0, 14.0, 12)
-        mags = [abs(scaled_green(np.array([r, 0.0]), y, omega, self.PROF, self.MED2))
-                for r in rs]
-        assert all(b < 0.7 * a for a, b in zip(mags, mags[1:]))
-
-    def test_coincident_singularity(self):
-        x = np.array([0.3, 0.3])
-        with pytest.raises(DomainError):
-            green(x, x, 1.0, self.MED2)
-        with pytest.raises(DomainError):
-            scaled_green(x, x, 1.0, self.PROF, self.MED2)
-
-
 class TestDampingRate:
     def test_isotropic_bound_is_eight(self):
         """gamma = 8i, omega = 1: bound -Re(i omega d0)|d_inf|/sigma_max = 8."""
@@ -389,64 +335,6 @@ class TestDampingRate:
         prof = AffineProfile(r1=1.5, gamma=8j)
         with pytest.raises(PreconditionError):
             damping_rate(-1.0, prof, med, np.array([1.0, 0.0]))
-
-
-class TestOutgoingExtension:
-    MED = Medium.isotropic(3)
-    PROF = AffineProfile(r1=2.0, gamma=0.6 + 0.8j)
-    OMEGA = 1.3
-    R0 = 1.0
-    SOURCE = np.array([0.15, -0.1, 0.2])
-
-    def _trace(self, y):
-        return green(y, self.SOURCE, self.OMEGA, self.MED)
-
-    def _normal_trace(self, y):
-        d = y - self.SOURCE
-        dist = np.linalg.norm(d)
-        h0p = (np.exp(1j * self.OMEGA * dist)
-               * (self.OMEGA * dist + 1j) / (self.OMEGA * dist) ** 2)
-        return h0p * self.OMEGA * (d @ (y / self.R0)) / dist
-
-    def test_zero_data_gives_zero(self):
-        val = outgoing_extension(lambda y: 0.0, lambda y: 0.0,
-                                 np.array([3.0, 0.0, 0.0]), self.OMEGA,
-                                 self.PROF, self.MED, self.R0)
-        assert val == 0.0
-
-    def test_reproduces_scaled_point_source(self):
-        """Cauchy data of a point source extends to the scaled kernel."""
-        for x in (np.array([3.0, 0.5, -0.4]), np.array([0.0, 4.0, 1.0])):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", AccuracyWarning)
-                ext = outgoing_extension(self._trace, self._normal_trace, x,
-                                         self.OMEGA, self.PROF, self.MED, self.R0)
-            ref = scaled_green(x, self.SOURCE, self.OMEGA, self.PROF, self.MED)
-            assert ext == pytest.approx(ref, rel=1e-9)
-
-    def test_decay_matches_damping_bound(self):
-        _, bound = damping_rate(self.OMEGA, self.PROF, self.MED,
-                                np.array([1.0, 0.0, 0.0]), r0=self.R0 * 0.5)
-        rs = np.linspace(6.0, 9.0, 5)
-        mags = [abs(outgoing_extension(self._trace, self._normal_trace,
-                                       np.array([r, 0.0, 0.0]), self.OMEGA,
-                                       self.PROF, self.MED, self.R0))
-                for r in rs]
-        slope = np.polyfit(rs, -np.log(mags), 1)[0]
-        assert slope >= 0.95 * bound
-
-    def test_two_dimensional_medium_rejected(self):
-        with pytest.raises(DomainError):
-            outgoing_extension(self._trace, self._normal_trace,
-                               np.array([3.0, 0.0]), self.OMEGA,
-                               AffineProfile(r1=2.0, gamma=1j),
-                               Medium.isotropic(2), self.R0)
-
-    def test_point_inside_onset_rejected(self):
-        with pytest.raises(PreconditionError):
-            outgoing_extension(self._trace, self._normal_trace,
-                               np.array([1.0, 0.0, 0.0]), self.OMEGA,
-                               self.PROF, self.MED, self.R0)
 
 
 def _newton_polish(n, z, steps=60):

@@ -1,12 +1,16 @@
 """Command-line front end: configuration parsing, the five commands,
 artifact determinism, and exit codes."""
 
+import ast
 import hashlib
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import radpml
 from radpml.cli import (
     EXIT_CONDITION,
     EXIT_CONFIG,
@@ -421,3 +425,26 @@ class TestEntryPoint:
     def test_config_error_maps_to_exit_code(self, tmp_path):
         path = write_config(tmp_path, scaling={"gamma": "nonsense"})
         assert main(["check", str(path)]) == EXIT_CONFIG
+
+
+class TestPublicNames:
+    def test_exports_resolve(self):
+        """Every name in a module's ``__all__`` exists, and every name the
+        package re-exports is the submodule's object and listed in its
+        ``__all__``, so a deletion that leaves an export behind fails
+        here rather than at ``import *``."""
+        for info in pkgutil.iter_modules(radpml.__path__):
+            module = importlib.import_module(f"radpml.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"radpml.{info.name}.{name}"
+        with open(radpml.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imports = [node for node in tree.body
+                   if isinstance(node, ast.ImportFrom) and node.level == 1]
+        assert imports
+        for node in imports:
+            module = importlib.import_module(f"radpml.{node.module}")
+            public = getattr(module, "__all__", None)
+            for alias in node.names:
+                assert getattr(radpml, alias.name) is getattr(module, alias.name)
+                assert public is None or alias.name in public, alias.name

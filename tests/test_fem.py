@@ -28,11 +28,8 @@ from radpml.fem import (
     assemble,
     element_matrices,
     rayleigh_residual,
-    read_matrix_coo,
     scaled_tensor,
     _tensor_batch,
-    scaled_tensor_3d,
-    write_matrix_coo,
 )
 from radpml.media import Medium
 from radpml.mesh import (
@@ -137,28 +134,10 @@ class TestScaledTensor:
         tensor, _ = scaled_tensor(np.array([-1.7, 2.4]), profile, ANISO)
         assert np.max(np.abs(tensor - tensor.T)) < 1e-15 * np.max(np.abs(tensor))
 
-    def test_3d_isotropic_pattern(self):
-        """Formula-level 3D check: diag(dt^2/d, d, d) in the polar frame
-        with mass weight dt^2 d."""
-        profile = AffineProfile(r1=1.5, gamma=GAMMA)
-        x = np.array([0.0, 0.0, 2.5])
-        dt = complex(profile.d_tilde(2.5))
-        d = complex(profile.d(2.5))
-        tensor, weight = scaled_tensor_3d(x, profile, Medium.isotropic(3))
-        expected = np.diag([d, d, dt * dt / d])
-        assert np.max(np.abs(tensor - expected)) < 1e-13 * abs(dt)
-        assert abs(weight - dt * dt * d) < 1e-13 * abs(dt) ** 2
-        inside, w_inside = scaled_tensor_3d(np.array([0.1, 0.2, 0.3]),
-                                            profile, Medium.isotropic(3))
-        assert np.array_equal(inside, np.eye(3).astype(complex))
-        assert w_inside == 1.0 + 0.0j
-
     def test_dimension_validation(self):
         profile = AffineProfile(r1=1.5, gamma=GAMMA)
         with pytest.raises(ValidationError):
             scaled_tensor(np.array([1.0, 0.0]), profile, Medium.isotropic(3))
-        with pytest.raises(ValidationError):
-            scaled_tensor_3d(np.array([1.0, 0.0, 0.0]), profile, ISO)
         with pytest.raises(DomainError):
             scaled_tensor(np.array([0.0, 0.0]), profile, ISO)
 
@@ -529,14 +508,3 @@ class TestRayleighResidual:
             mass=scipy.sparse.csr_matrix(np.eye(2).astype(complex)))
         with pytest.raises(ValidationError):
             rayleigh_residual(pencil, 1.0, np.zeros(2))
-
-
-class TestMatrixSerialization:
-    def test_coo_round_trip_exact(self, tmp_path):
-        mesh = generate(DISK, hmax=1.2, q=2)
-        space = FunctionSpace(mesh, 2)
-        pencil = assemble(space, AffineProfile(r1=1.5, gamma=GAMMA), ANISO)
-        path = tmp_path / "k.coo"
-        write_matrix_coo(pencil.stiffness, path)
-        back = read_matrix_coo(path)
-        assert np.array_equal(back.toarray(), pencil.stiffness.toarray())

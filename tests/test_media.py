@@ -91,13 +91,6 @@ class TestMedium:
         assert med.sigma_max == 1.0
         assert med.det == pytest.approx(0.25, rel=1e-14)
 
-    def test_inverse_square_root(self):
-        rng = np.random.default_rng(3)
-        med = Medium(random_spd(rng, 3))
-        isq = med.inv_sqrt
-        assert np.allclose(isq @ isq, med.inv, rtol=1e-12, atol=1e-13)
-        assert np.allclose(isq, isq.T, rtol=1e-13, atol=1e-14)
-
     def test_rejects_indefinite(self):
         with pytest.raises(DefinitenessError):
             Medium(np.diag([1.0, -1.0]))

@@ -1,4 +1,4 @@
-"""Mesh generation, refinement, and serialization tests.
+"""Mesh generation and refinement tests.
 
 Structural expectations (triangle counts, tag partitions, conformity)
 follow from the documented construction.  Curved-geometry accuracy
@@ -23,11 +23,9 @@ from radpml.mesh import (
     Geometry,
     Mesh,
     generate,
-    load_mesh,
     mapping,
     max_edge_length,
     refine,
-    save_mesh,
     triangle_areas,
 )
 
@@ -265,23 +263,3 @@ class TestRefine:
     def test_inverted_element_reported_with_index(self):
         with pytest.raises(GenerationError, match="element 0"):
             refine(clockwise_triangle_mesh())
-
-
-class TestSerialization:
-    def test_round_trip_is_exact(self, tmp_path):
-        for geometry, name in ((DISK, "disk.msh"), (ELLIPSE, "ellipse.msh")):
-            mesh = generate(geometry, hmax=0.7, q=3)
-            path = tmp_path / name
-            save_mesh(mesh, path)
-            back = load_mesh(path)
-            assert back.q == mesh.q
-            assert back.geometry == mesh.geometry
-            for field in ("vertices", "triangles", "regions", "boundary_edges",
-                          "boundary_tags", "interface_edges", "mapping_nodes"):
-                assert np.array_equal(getattr(back, field), getattr(mesh, field)), field
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.msh"
-        path.write_text("not a mesh\n")
-        with pytest.raises(ValidationError):
-            load_mesh(path)

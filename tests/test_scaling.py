@@ -1,4 +1,4 @@
-"""Tests for scaling profiles, asymptotics, admissibility and the symbol."""
+"""Tests for scaling profiles, asymptotics and admissibility."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,9 @@ from radpml import (
     SmoothedPolynomialProfile,
     ValidationError,
     admissible,
-    eval_scaling,
     gamma_of_omega,
-    hat_state,
     limits,
     min_stabilizing_c,
-    t_symbol,
 )
 
 ISO = Medium.isotropic(2)
@@ -35,36 +32,34 @@ class TestEval:
     @pytest.mark.parametrize("profile", profiles(), ids=lambda p: p.kind)
     def test_identity_below_onset(self, profile):
         for r in (0.0, profile.r1 / 2, profile.r1):
-            st = eval_scaling(profile, r)
-            assert st.alpha_tilde == 0.0
-            assert st.alpha == 0.0
-            assert st.d_tilde == 1.0 + 0.0j
-            assert st.d == 1.0 + 0.0j
-            assert st.r_tilde == r
+            assert profile.alpha_tilde(r) == 0.0
+            assert profile.alpha(r) == 0.0
+            assert profile.d_tilde(r) == 1.0 + 0.0j
+            assert profile.d(r) == 1.0 + 0.0j
+            assert profile.r_tilde(r) == r
 
     def test_affine_constant_stretch(self):
         p = AffineProfile(r1=1.5, gamma=8j)
         for r in (1.6, 2.0, 7.3, 480.0):
-            st = eval_scaling(p, r)
-            assert st.alpha == pytest.approx(1.0, abs=1e-14)
-            assert st.d == pytest.approx(1.0 + 8.0j, abs=1e-13)
+            assert p.alpha(r) == pytest.approx(1.0, abs=1e-14)
+            assert p.d(r) == pytest.approx(1.0 + 8.0j, abs=1e-13)
 
     def test_affine_direct_substitution(self):
-        st = eval_scaling(AffineProfile(r1=1.5, gamma=8j), 3.0)
-        assert st.alpha_tilde == pytest.approx(0.5, abs=1e-15)
-        assert st.d_tilde == pytest.approx(1.0 + 4.0j, abs=1e-14)
-        assert st.d == pytest.approx(1.0 + 8.0j, abs=1e-13)
-        assert st.r_tilde == pytest.approx(3.0 + 12.0j, abs=1e-13)
+        p = AffineProfile(r1=1.5, gamma=8j)
+        assert p.alpha_tilde(3.0) == pytest.approx(0.5, abs=1e-15)
+        assert p.d_tilde(3.0) == pytest.approx(1.0 + 4.0j, abs=1e-14)
+        assert p.d(3.0) == pytest.approx(1.0 + 8.0j, abs=1e-13)
+        assert p.r_tilde(3.0) == pytest.approx(3.0 + 12.0j, abs=1e-13)
 
     def test_array_evaluation(self):
         p = RampProfile(r1=1.0, gamma=1j, width=0.5)
         r = np.linspace(0.0, 3.0, 64)
-        st = eval_scaling(p, r)
-        assert st.d.shape == r.shape
-        assert np.all(st.alpha_tilde[r <= 1.0] == 0.0)
+        d = p.d(r)
+        assert d.shape == r.shape
+        assert np.all(p.alpha_tilde(r)[r <= 1.0] == 0.0)
         # constant beyond the ramp
         tail = r > 1.5
-        assert np.allclose(st.d[tail], st.d_tilde[tail])
+        assert np.allclose(d[tail], p.d_tilde(r)[tail])
 
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
@@ -180,9 +175,8 @@ class TestModuli:
         rng = np.random.default_rng(11)
         r = rng.uniform(0.0, 50.0, 100_000)
         for profile in profiles():
-            st = eval_scaling(profile, r)
-            assert np.min(np.abs(st.d_tilde)) >= 1.0 - 1e-12
-            assert np.min(np.abs(st.d)) >= 1.0 - 1e-12
+            assert np.min(np.abs(profile.d_tilde(r))) >= 1.0 - 1e-12
+            assert np.min(np.abs(profile.d(r))) >= 1.0 - 1e-12
 
     def test_tau_bounded_by_tau_star_and_decays(self):
         p = AffineProfile(r1=1.5, gamma=8j)
@@ -193,57 +187,6 @@ class TestModuli:
         # sup approached at the onset, decay in the far field
         assert taus[0] > lim.tau_star - 1e-6
         assert abs(p.tau(1500.0)) < 1e-3
-
-
-class TestHatState:
-    def test_constant_continuation_below_onset(self):
-        p = AffineProfile(r1=1.5, gamma=8j)
-        inner = hat_state(p, ISO, 0.3)
-        near = hat_state(p, ISO, 1.5 * (1 + 1e-9))
-        assert inner.alpha_hat == 1.0
-        assert inner.d_hat == 1.0 + 8.0j
-        assert abs(inner.tau_hat - near.tau_hat) < 1e-8
-        assert abs(inner.psi_hat - near.psi_hat) < 1e-8
-
-    def test_hat_equals_plain_beyond_onset(self):
-        p = AffineProfile(r1=1.5, gamma=8j)
-        r = np.array([1.7, 2.4, 10.0])
-        hs = hat_state(p, ISO, r)
-        assert np.allclose(hs.d_hat, p.d(r), rtol=1e-14)
-        assert np.allclose(hs.tau_hat, p.tau(r), rtol=0, atol=1e-14)
-
-    def test_ramp_hat_is_continuous(self):
-        p = RampProfile(r1=1.0, gamma=4j, width=0.5)
-        lo = hat_state(p, ISO, 1.0 - 1e-9)
-        hi = hat_state(p, ISO, 1.0 + 1e-9)
-        assert abs(lo.d_hat - hi.d_hat) < 1e-7
-
-
-class TestTSymbol:
-    def test_unit_modulus(self):
-        p = AffineProfile(r1=1.5, gamma=8j)
-        for med in (ISO, PAPER_MEDIUM):
-            vals = t_symbol(p, med, 1.0, np.geomspace(0.1, 100.0, 50))
-            assert np.allclose(np.abs(vals), 1.0, atol=1e-13)
-
-    def test_radial_derivative_decays(self):
-        p = AffineProfile(r1=1.5, gamma=8j)
-
-        def slope(r, h=1e-4):
-            return abs(
-                t_symbol(p, ISO, 1.0, r + h) - t_symbol(p, ISO, 1.0, r - h)
-            ) / (2 * h)
-
-        s = [slope(r) for r in (15.0, 150.0, 1500.0)]
-        assert s[1] < 0.15 * s[0]
-        assert s[2] < 0.15 * s[1]
-
-    def test_boundary_ray_rejected(self):
-        p = AffineProfile(r1=1.5, gamma=8j)
-        lim = limits(p, ISO)
-        omega = 2.0 / lim.d0  # makes i*omega*d0 purely imaginary
-        with pytest.raises(DomainError):
-            t_symbol(p, ISO, omega, 2.0)
 
 
 class TestGammaOfOmega:
