@@ -287,7 +287,7 @@ def d_sigma(x, y, profile: ScalingProfile, medium: Medium) -> ComplexDistance:
     y = np.asarray(y, dtype=float)
     if x.shape != (medium.dim,) or y.shape != (medium.dim,):
         raise PreconditionError(
-            f"points must be {medium.dim}-vectors matching the medium")
+            f"points must have {medium.dim} coordinates, as the medium")
     r0 = float(np.linalg.norm(y))
     _check_separation(profile, medium, r0)
     scaled_x = profile.d_tilde(float(np.linalg.norm(x))) * x

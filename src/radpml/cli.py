@@ -35,7 +35,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +344,27 @@ def parse_config(path) -> RunConfig:
 # SVG scatter
 # ---------------------------------------------------------------------------
 
+def _marker(shape, x, y):
+    """SVG elements of one scatter marker centred at (x, y): a filled
+    "disk", a "cross", an "open" circle or a "plus"."""
+    if shape == "disk":
+        return [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#1f6fb2"/>']
+    if shape == "open":
+        return [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4.5" '
+                f'fill="none" stroke="#8e6bbf" stroke-width="1.6"/>']
+    if shape == "cross":
+        return [f'<line x1="{x - 4:.2f}" y1="{y - 4:.2f}" '
+                f'x2="{x + 4:.2f}" y2="{y + 4:.2f}" '
+                f'stroke="#c0392b" stroke-width="1.8"/>',
+                f'<line x1="{x - 4:.2f}" y1="{y + 4:.2f}" '
+                f'x2="{x + 4:.2f}" y2="{y - 4:.2f}" '
+                f'stroke="#c0392b" stroke-width="1.8"/>']
+    return [f'<line x1="{x - 5:.2f}" y1="{y:.2f}" x2="{x + 5:.2f}" '
+            f'y2="{y:.2f}" stroke="#2c8a4b" stroke-width="1.6"/>',
+            f'<line x1="{x:.2f}" y1="{y - 5:.2f}" x2="{x:.2f}" '
+            f'y2="{y + 5:.2f}" stroke="#2c8a4b" stroke-width="1.6"/>']
+
+
 def render_spectrum_svg(spectrum: Spectrum, references=(),
                         title="computed spectrum") -> str:
     """Standalone SVG scatter of eigenvalues in the complex plane.
@@ -412,26 +433,11 @@ def render_spectrum_svg(spectrum: Spectrum, references=(),
                f'{(top + height - bottom) / 2:.2f})">Im(omega)</text>')
 
     for z in references:
-        x, y = sx(z.real), sy(z.imag)
-        out.append(f'<line x1="{x - 5:.2f}" y1="{y:.2f}" x2="{x + 5:.2f}" '
-                   f'y2="{y:.2f}" stroke="#2c8a4b" stroke-width="1.6"/>')
-        out.append(f'<line x1="{x:.2f}" y1="{y - 5:.2f}" x2="{x:.2f}" '
-                   f'y2="{y + 5:.2f}" stroke="#2c8a4b" stroke-width="1.6"/>')
+        out.extend(_marker("plus", sx(z.real), sy(z.imag)))
     for i, w in enumerate(spectrum.omegas):
-        x, y = sx(w.real), sy(w.imag)
-        if spectrum.spurious[i]:
-            out.append(f'<line x1="{x - 4:.2f}" y1="{y - 4:.2f}" '
-                       f'x2="{x + 4:.2f}" y2="{y + 4:.2f}" '
-                       f'stroke="#c0392b" stroke-width="1.8"/>')
-            out.append(f'<line x1="{x - 4:.2f}" y1="{y + 4:.2f}" '
-                       f'x2="{x + 4:.2f}" y2="{y - 4:.2f}" '
-                       f'stroke="#c0392b" stroke-width="1.8"/>')
-        elif spectrum.ambiguous[i]:
-            out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4.5" '
-                       f'fill="none" stroke="#8e6bbf" stroke-width="1.6"/>')
-        else:
-            out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" '
-                       f'fill="#1f6fb2"/>')
+        shape = ("cross" if spectrum.spurious[i]
+                 else "open" if spectrum.ambiguous[i] else "disk")
+        out.extend(_marker(shape, sx(w.real), sy(w.imag)))
 
     legend = [("resonance", "disk"), ("spurious", "cross"),
               ("ambiguous", "open")]
@@ -440,26 +446,7 @@ def render_spectrum_svg(spectrum: Spectrum, references=(),
     ly = top + 14.0
     lx = width - right - 128.0
     for label, shape in legend:
-        cx, cy = lx + 8.0, ly - 4.0
-        if shape == "disk":
-            out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="#1f6fb2"/>')
-        elif shape == "cross":
-            out.append(f'<line x1="{cx - 4:.2f}" y1="{cy - 4:.2f}" '
-                       f'x2="{cx + 4:.2f}" y2="{cy + 4:.2f}" '
-                       f'stroke="#c0392b" stroke-width="1.8"/>')
-            out.append(f'<line x1="{cx - 4:.2f}" y1="{cy + 4:.2f}" '
-                       f'x2="{cx + 4:.2f}" y2="{cy - 4:.2f}" '
-                       f'stroke="#c0392b" stroke-width="1.8"/>')
-        elif shape == "open":
-            out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4.5" '
-                       f'fill="none" stroke="#8e6bbf" stroke-width="1.6"/>')
-        else:
-            out.append(f'<line x1="{cx - 5:.2f}" y1="{cy:.2f}" '
-                       f'x2="{cx + 5:.2f}" y2="{cy:.2f}" '
-                       f'stroke="#2c8a4b" stroke-width="1.6"/>')
-            out.append(f'<line x1="{cx:.2f}" y1="{cy - 5:.2f}" '
-                       f'x2="{cx:.2f}" y2="{cy + 5:.2f}" '
-                       f'stroke="#2c8a4b" stroke-width="1.6"/>')
+        out.extend(_marker(shape, lx + 8.0, ly - 4.0))
         out.append(f'<text x="{lx + 20:.2f}" y="{ly:.2f}" '
                    f'font-family="monospace" font-size="12" '
                    f'fill="#222222">{label}</text>')
@@ -561,8 +548,7 @@ def _stage(name):
         raise
 
 
-def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0,
-                slim: bool = False):
+def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
     with _stage("mesh"):
         geometry = config.geometry if layer_scale == 1.0 \
             else config.stretched_geometry(layer_scale)
@@ -582,12 +568,6 @@ def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0,
         spectrum = shift_invert_arnoldi(
             pencil, config.shift ** 2, config.k, krylov_dim=config.krylov_dim,
             d0=limits(profile, config.medium).d0, seed=seed, inner=inner)
-    if slim:
-        # Eigenvalues only; the comparison run's vectors, mesh, and
-        # pencil are dead weight once the movement test has partners.
-        slim_spectrum = replace(
-            spectrum, vectors=np.zeros((0, len(spectrum)), dtype=complex))
-        return slim_spectrum, None, None
     return spectrum, mesh, pencil
 
 
@@ -602,17 +582,16 @@ def cmd_solve(args) -> int:
     try:
         # The stretched comparison runs first: it is the larger of the
         # two problems, and solving it before the base pencil exists
-        # keeps the peak footprint to one factorization at a time.
-        stretched = _solve_once(config, seed, layer_scale=config.stretch,
-                                slim=True)[0]
+        # keeps the peak footprint to one factorization at a time; only
+        # its eigenvalues are kept.
+        stretched = _solve_once(config, seed, layer_scale=config.stretch)[0]
         gc.collect()
         spectrum, mesh, pencil = _solve_once(config, seed)
         print(f"solve: {mesh.num_triangles} triangles (q={config.q}), "
               f"{pencil.size} dofs, {len(spectrum)} eigenvalues near "
               f"shift {config.shift:g}")
         with _stage("spurious-filter"):
-            spectrum = spurious_filter(
-                lambda s: stretched, spectrum, config.stretch)
+            spectrum = spurious_filter(spectrum, stretched, config.stretch)
     except _PIPELINE_ERRORS as exc:
         print(f"solve: error at stage {exc.stage}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -656,10 +635,10 @@ def _read_points_any(path):
             header = fh.readline().strip()
     except OSError as exc:
         raise ConfigError(f"cannot read {path!r}: {exc}") from None
-    if header.startswith("re_omega"):
-        omegas, _, _, spurious = read_spectrum_csv(path)
-        return [complex(w) for w in omegas[~spurious]]
     try:
+        if header.startswith("re_omega"):
+            omegas, _, _, spurious = read_spectrum_csv(path)
+            return [complex(w) for w in omegas[~spurious]]
         return [ref.root for ref in read_reference_csv(path)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

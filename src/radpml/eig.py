@@ -7,24 +7,30 @@ and a Ritz value theta maps back through omega^2 = sigma_sq + 1/theta.
 Physical resonances sit in the lower half plane, so omega is reported on
 the Im(omega) <= 0 branch of the square root.
 
-Every returned pair carries its relative residual; pairs worse than
-1e-6 are dropped with a warning (Ritz clutter near the shift is
-expected, not an error).  Validity against the scaled-resolvent region
-is flagged per eigenvalue: in_lambda_d0 is False exactly when
-|Re(i omega d0)| <= 1e-10 for the profile's asymptotic direction d0.
+An invariant Krylov subspace (breakdown) ends the basis early; the
+basis reached is used as it stands and its size is recorded.  A fresh
+random start vector would reach the same dimension, the degree of the
+operator's minimal polynomial, so there is nothing to restart.
 
-Spurious-mode detection re-solves with the damping layer widened by a
-stretch factor and matches the two spectra by nearest neighbor:
-genuine resonances are insensitive to the layer, discretization
-artifacts either lose their partner or travel far.  Matches with two
-candidates inside the search radius are flagged ambiguous instead of
-spurious.
+Every returned eigenvalue carries the relative residual of its Ritz
+vector; pairs worse than 1e-6 are dropped with a warning (Ritz clutter
+near the shift is expected, not an error).  A Ritz vector is formed only
+to measure that residual and is not kept.  Validity against the
+scaled-resolvent region is flagged per eigenvalue: in_lambda_d0 is False
+exactly when |Re(i omega d0)| <= 1e-10 for the profile's asymptotic
+direction d0.
 
-Factorizations go through SuperLU with its minimum-degree ordering on
-A^T + A, in symmetric mode with diagonal pivoting.  A solve probe checks
-the factor, and one whose residual exceeds 1e-9 is redone with threshold
-partial pivoting.  Small systems (n < 3000) use a dense LU instead, which
-also reports the exact pivot index when the matrix is singular.
+Spurious-mode detection compares the spectrum with that of the same
+problem with the damping layer widened by a stretch factor, matching the
+two by nearest neighbor: genuine resonances are insensitive to the
+layer, discretization artifacts either lose their partner or travel
+far.  Matches with two candidates inside the search radius are flagged
+ambiguous instead of spurious.
+
+Every factorization goes through SuperLU with its minimum-degree
+ordering on A^T + A, in symmetric mode with diagonal pivoting.  A solve
+probe checks the factor, and one whose residual exceeds 1e-9 is redone
+with threshold partial pivoting.
 """
 
 from __future__ import annotations
@@ -58,35 +64,22 @@ __all__ = [
     "write_spectrum_json",
 ]
 
-#: below this dimension the dense factorization is faster and gives
-#: exact pivot diagnostics
-DENSE_CUTOFF = 3000
-
 #: residual level beyond which a Ritz pair is considered unconverged
 RESIDUAL_DROP = 1e-6
 
 #: margin of the in_lambda_d0 flag: |Re(i omega d0)| <= margin is "outside"
 LAMBDA_MARGIN = 1e-10
 
+#: spurious filter: a base eigenvalue with no stretched partner inside
+#: this radius is spurious
+MATCH_RADIUS = 0.5
 
-class _DenseLU:
-    method = path = "dense"
+#: spurious filter: movement flag threshold in units of the median movement
+MOVE_FACTOR = 10.0
 
-    def __init__(self, mat):
-        self.n = mat.shape[0]
-        self.fill = self.n * self.n
-        with warnings.catch_warnings():
-            # the exact-zero pivot is re-reported as SingularMatrixError
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-        diag = np.abs(np.diag(lu))
-        if np.any(diag == 0.0):
-            raise SingularMatrixError(
-                f"zero pivot at index {int(np.argmin(diag))}")
-        self._lu = (lu, piv)
-
-    def solve(self, b):
-        return scipy.linalg.lu_solve(self._lu, b, check_finite=False)
+#: spurious filter: the threshold never drops below this fraction of the
+#: match radius
+FLOOR_FRAC = 1.0e-3
 
 
 class _SuperLU:
@@ -138,47 +131,33 @@ class _SuperLU:
         return self._lu.solve(np.asarray(b, dtype=complex))
 
 
-def sparse_lu(mat, method: str = "auto"):
-    """LU factorization with a ``solve`` method.
-
-    ``method`` is "auto" (dense below ``DENSE_CUTOFF``), "dense", or
-    "sparse".
+def sparse_lu(mat):
+    """SuperLU factorization of a square sparse or dense matrix, with a
+    ``solve`` method.
 
     Raises
     ------
     SingularMatrixError
-        On an exactly singular pivot (the dense path and the structural
-        check report the offending index).
+        On an empty column (its index is reported) or when both the
+        diagonal and the threshold-pivoting factorization fail.
     """
-    if scipy.sparse.issparse(mat):
-        mat = mat.tocsc()
-    else:
-        mat = np.asarray(mat)
+    mat = scipy.sparse.csc_matrix(mat, dtype=complex)
     if mat.shape[0] != mat.shape[1]:
         raise ValidationError("matrix must be square")
-    if method == "auto":
-        method = "dense" if mat.shape[0] < DENSE_CUTOFF else "sparse"
-    if method == "dense":
-        dense = mat.toarray() if scipy.sparse.issparse(mat) else mat
-        return _DenseLU(np.asarray(dense, dtype=complex))
-    if method == "sparse":
-        return _SuperLU(scipy.sparse.csc_matrix(mat, dtype=complex))
-    raise ValidationError(f"unknown factorization method {method!r}")
+    return _SuperLU(mat)
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenpairs of one shift-invert run, sorted by |omega - shift|.
+    """Eigenvalues of one shift-invert run, sorted by |omega - shift|.
 
-    ``vectors[:, i]`` is the unit eigenvector of ``omegas[i]`` with its
-    largest entry rotated to the positive real axis, which makes repeat
-    runs bitwise comparable.  ``ambiguous`` marks eigenvalues whose
-    spurious classification could not be decided (two match candidates);
-    such entries are never marked spurious.
+    ``residuals[i]`` is the relative residual of the Ritz vector of
+    ``omegas[i]``; the Ritz vector itself is not kept.  ``ambiguous`` marks
+    eigenvalues whose spurious classification could not be decided (two
+    match candidates); such entries are never marked spurious.
     """
 
     omegas: np.ndarray        # (k,) complex, Im <= 0
-    vectors: np.ndarray       # (n, k) complex, unit columns
     residuals: np.ndarray     # (k,) float
     in_lambda_d0: np.ndarray  # (k,) bool
     spurious: np.ndarray      # (k,) bool
@@ -186,8 +165,8 @@ class Spectrum:
     provenance: dict
 
     def __post_init__(self):
-        for name in ("omegas", "vectors", "residuals", "in_lambda_d0",
-                     "spurious", "ambiguous"):
+        for name in ("omegas", "residuals", "in_lambda_d0", "spurious",
+                     "ambiguous"):
             getattr(self, name).setflags(write=False)
 
     def __len__(self):
@@ -251,7 +230,7 @@ def shift_invert_arnoldi(pencil: AssembledPencil, shift_sq: complex, k: int,
                          krylov_dim: int | None = None,
                          d0: complex = 1.0 + 0.0j, seed: int = 0,
                          inner=None) -> Spectrum:
-    """Up to k eigenpairs of K u = omega^2 M u nearest the shift.
+    """Up to k eigenvalues of K u = omega^2 M u nearest the shift.
 
     Parameters
     ----------
@@ -296,22 +275,12 @@ def shift_invert_arnoldi(pencil: AssembledPencil, shift_sq: complex, k: int,
     def apply_op(vec):
         return lu.solve(mass @ vec)
 
-    basis = None
-    for attempt in range(4):  # initial run plus up to 3 perturbed restarts
-        v, h, mb = _arnoldi(apply_op, n, m, np.random.default_rng(seed + attempt))
-        if mb >= min(2 * k, n) or mb == n:
-            basis = (v, h, mb)
-            break
-        basis = (v, h, mb)
-    v, h, mb = basis
-    restarts = attempt
-
+    v, h, mb = _arnoldi(apply_op, n, m, np.random.default_rng(seed))
     theta, y = scipy.linalg.eig(h[:mb, :mb])
     order = np.argsort(-np.abs(theta), kind="stable")
 
     shift = _lower_branch_sqrt(shift_sq)
     kept_omega = []
-    kept_vec = []
     kept_res = []
     dropped = 0
     for idx in order:
@@ -322,16 +291,11 @@ def shift_invert_arnoldi(pencil: AssembledPencil, shift_sq: complex, k: int,
             continue
         omega_sq = shift_sq + 1.0 / th
         omega = _lower_branch_sqrt(omega_sq)
-        vec = v[:mb].T @ y[:, idx]
-        vec = vec / np.linalg.norm(vec)
-        top = int(np.argmax(np.abs(vec)))
-        vec = vec * (np.conj(vec[top]) / np.abs(vec[top]))
-        res = rayleigh_residual(pencil, omega, vec)
+        res = rayleigh_residual(pencil, omega, v[:mb].T @ y[:, idx])
         if res > RESIDUAL_DROP:
             dropped += 1
             continue
         kept_omega.append(omega)
-        kept_vec.append(vec)
         kept_res.append(res)
     if dropped:
         warnings.warn(
@@ -339,41 +303,37 @@ def shift_invert_arnoldi(pencil: AssembledPencil, shift_sq: complex, k: int,
             AccuracyWarning, stacklevel=2)
 
     omegas = np.array(kept_omega, dtype=complex)
-    vectors = (np.stack(kept_vec, axis=1) if kept_omega
-               else np.zeros((n, 0), dtype=complex))
     residuals = np.array(kept_res, dtype=float)
     sort = np.argsort(np.abs(omegas - shift), kind="stable")
     omegas = omegas[sort]
-    vectors = vectors[:, sort]
     residuals = residuals[sort]
     in_lambda = np.abs((1j * omegas * complex(d0)).real) > LAMBDA_MARGIN
 
     factor = getattr(lu, "lu", lu)  # a condensed solver factors its skeleton
     provenance = {
         "shift_sq": shift_sq, "shift": shift, "k": k, "krylov_dim": m,
-        "basis_size": mb, "seed": seed, "restarts": restarts,
-        "dropped": dropped, "d0": complex(d0), "solver": lu.method,
+        "basis_size": mb, "seed": seed, "dropped": dropped,
+        "d0": complex(d0), "solver": lu.method,
         "factor_path": factor.path, "factor_fill": factor.fill,
         "skeleton_size": factor.n,
     }
     flags = np.zeros(len(omegas), dtype=bool)
-    return Spectrum(omegas=omegas, vectors=vectors, residuals=residuals,
+    return Spectrum(omegas=omegas, residuals=residuals,
                     in_lambda_d0=in_lambda, spurious=flags,
                     ambiguous=flags.copy(), provenance=provenance)
 
 
-def spurious_filter(solve_at_stretch, base: Spectrum, stretch: float,
-                    radius: float = 0.5, move_factor: float = 10.0,
-                    floor_frac: float = 1.0e-3) -> Spectrum:
-    """Flag spurious eigenvalues by re-solving with a stretched layer.
+def spurious_filter(base: Spectrum, stretched: Spectrum,
+                    stretch: float) -> Spectrum:
+    """Flag spurious eigenvalues of ``base`` against a stretched layer.
 
-    ``solve_at_stretch(stretch)`` must return the Spectrum of the same
-    problem with the damping-layer width multiplied by ``stretch`` and
-    everything else fixed.  Base eigenvalues without a partner inside
-    ``radius``, or whose movement exceeds the flag threshold
-    ``max(move_factor * median matched movement, floor_frac * radius)``,
-    are flagged spurious.  The floor keeps the threshold meaningful when
-    every matched mode is converged down to the truncation level: the
+    ``stretched`` is the Spectrum of the same problem with the
+    damping-layer width multiplied by ``stretch`` and everything else
+    fixed.  Base eigenvalues without a partner inside ``MATCH_RADIUS``,
+    or whose movement exceeds the flag threshold ``max(MOVE_FACTOR *
+    median matched movement, FLOOR_FRAC * MATCH_RADIUS)``, are flagged
+    spurious.  The floor keeps the threshold meaningful when every
+    matched mode is converged down to the truncation level: the
     median is then pure reproducibility noise, and without the floor a
     weakly damped (but perfectly physical) mode whose truncation error
     is merely larger than its neighbours' would be flagged.  The median
@@ -389,16 +349,15 @@ def spurious_filter(solve_at_stretch, base: Spectrum, stretch: float,
     """
     if not stretch >= 1.0:
         raise ValidationError("layer stretch must be >= 1")
-    other = solve_at_stretch(stretch)
     n = len(base)
     spurious = np.zeros(n, dtype=bool)
     ambiguous = np.zeros(n, dtype=bool)
     matched = np.zeros(n, dtype=bool)
     movement = np.full(n, np.nan)
-    if len(other):
-        dist = np.abs(base.omegas[:, None] - other.omegas[None, :])
+    if len(stretched):
+        dist = np.abs(base.omegas[:, None] - stretched.omegas[None, :])
         for i in range(n):
-            inside = np.sort(dist[i][dist[i] < radius])
+            inside = np.sort(dist[i][dist[i] < MATCH_RADIUS])
             if inside.size == 0:
                 spurious[i] = True
                 continue
@@ -411,7 +370,7 @@ def spurious_filter(solve_at_stretch, base: Spectrum, stretch: float,
         spurious[:] = True
     threshold = np.nan
     median = None
-    floor = floor_frac * radius
+    floor = FLOOR_FRAC * MATCH_RADIUS
     has_partner = matched | ambiguous
     if np.any(has_partner):
         # The median estimates the reproducibility scale of physical
@@ -424,12 +383,12 @@ def spurious_filter(solve_at_stretch, base: Spectrum, stretch: float,
         stable = has_partner & (movement <= floor)
         pool = movement[stable if np.any(stable) else has_partner]
         median = float(np.median(pool))
-        threshold = max(move_factor * median, floor)
+        threshold = max(MOVE_FACTOR * median, floor)
         spurious[matched & (movement > threshold)] = True
     provenance = dict(base.provenance)
     provenance.update({
-        "stretch": float(stretch), "match_radius": float(radius),
-        "move_factor": float(move_factor), "move_threshold": threshold,
+        "stretch": float(stretch), "match_radius": MATCH_RADIUS,
+        "move_factor": MOVE_FACTOR, "move_threshold": threshold,
         "move_floor": float(floor),
         "matched": int(np.count_nonzero(matched)),
         "median_movement": median,
@@ -456,17 +415,27 @@ def write_spectrum_csv(spectrum: Spectrum, path):
 
 
 def read_spectrum_csv(path):
-    """Arrays (omegas, residuals, in_lambda_d0, spurious) from the CSV."""
+    """Arrays (omegas, residuals, in_lambda_d0, spurious) from the CSV,
+    typed complex, float, bool and bool even when there are no rows."""
+    rows = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "re_omega,im_omega,residual,in_lambda_d0,spurious":
             raise ValidationError("not a spectrum CSV (unexpected header)")
-        rows = [line.split(",") for line in fh if line.strip()]
-    omegas = np.array([complex(float(r[0]), float(r[1])) for r in rows])
-    residuals = np.array([float(r[2]) for r in rows])
-    in_lambda = np.array([bool(int(r[3])) for r in rows])
-    spurious = np.array([bool(int(r[4])) for r in rows])
-    return omegas, residuals, in_lambda, spurious
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                re, im, res, in_lambda, spurious = line.strip().split(",")
+                rows.append((complex(float(re), float(im)), float(res),
+                             bool(int(in_lambda)), bool(int(spurious))))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {lineno}: expected five numeric fields, "
+                    f"got {line.strip()!r}") from None
+    columns = list(zip(*rows)) or [()] * 4
+    return tuple(np.array(col, dtype=dtype)
+                 for col, dtype in zip(columns, (complex, float, bool, bool)))
 
 
 def _jsonable(value):

@@ -38,7 +38,8 @@ from .basis import (
 from .errors import (AssemblyError, DomainError, ShiftRejectedError,
                      ValidationError)
 from .media import Medium
-from .mesh import BOUNDARY_OBSTACLE, BOUNDARY_OUTER, Mesh, REGION_INTERIOR
+from .mesh import (BOUNDARY_OBSTACLE, BOUNDARY_OUTER, Mesh, REGION_INTERIOR,
+                   _global_edges)
 from .scaling import ScalingProfile
 
 __all__ = [
@@ -124,25 +125,6 @@ def scaled_tensor(x, profile: ScalingProfile | None, medium: Medium):
 # function space
 # ---------------------------------------------------------------------------
 
-def _global_edges(tri: np.ndarray, ends: np.ndarray, nv: int):
-    """Global edge numbers of each triangle's local edges and of the
-    vertex pairs ``ends``, and the number of edges.
-
-    Edges are numbered in order of first appearance, triangle by triangle
-    and local edge by local edge, and keyed by their sorted end vertices.
-    """
-    def keys_of(pairs):
-        pairs = np.sort(pairs, axis=-1).astype(np.int64)
-        return pairs[..., 0] * nv + pairs[..., 1]
-
-    keys, first, inverse = np.unique(keys_of(tri[:, np.array(LOCAL_EDGES)]),
-                                     return_index=True, return_inverse=True)
-    number = np.empty(keys.size, dtype=np.int64)
-    number[np.argsort(first)] = np.arange(keys.size)
-    return (number[inverse].reshape(tri.shape[0], 3),
-            number[np.searchsorted(keys, keys_of(ends))], keys.size)
-
-
 @dataclass(frozen=True)
 class FunctionSpace:
     """Hierarchic H^1 space of order p on a curved mesh.
@@ -171,7 +153,8 @@ class FunctionSpace:
 
         dirichlet_tags = [tag for tag, kind in self.bc.items() if kind == DIRICHLET]
         ends = mesh.boundary_edges[np.isin(mesh.boundary_tags, dirichlet_tags)]
-        tri_edge, edges, ne = _global_edges(tri, ends, nv)
+        tri_edge, edges, first = _global_edges(tri, ends, nv)
+        ne = first.size
         n_edge_modes = p - 1
         n_bubbles = (p - 1) * (p - 2) // 2
         total = nv + ne * n_edge_modes + nt * n_bubbles

@@ -114,10 +114,6 @@ class Medium:
         return self.sigma.shape[0]
 
     @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.sigma))
-
-    @property
     def inv(self) -> np.ndarray:
         return np.linalg.inv(self.sigma)
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import lagrange_geometry_basis, lattice_nodes, triangle_quadrature
+from .basis import (LOCAL_EDGES, lagrange_geometry_basis, lattice_nodes,
+                    triangle_quadrature)
 from .errors import GenerationError, GeometryError, ValidationError
 
 __all__ = [
@@ -295,6 +296,27 @@ def generate(geometry: Geometry, hmax: float, q: int) -> Mesh:
     return mesh
 
 
+def _global_edges(tri: np.ndarray, ends: np.ndarray, nv: int):
+    """Global edge numbers of each triangle's local edges and of the
+    vertex pairs ``ends``, and the flat position ``3 t + e`` of each
+    edge's first appearance (one entry per edge).
+
+    Edges are numbered in order of first appearance, triangle by triangle
+    and local edge by local edge, and keyed by their sorted end vertices.
+    """
+    def keys_of(pairs):
+        pairs = np.sort(pairs, axis=-1).astype(np.int64)
+        return pairs[..., 0] * nv + pairs[..., 1]
+
+    keys, first, inverse = np.unique(keys_of(tri[:, np.array(LOCAL_EDGES)]),
+                                     return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(keys.size, dtype=np.int64)
+    number[order] = np.arange(keys.size)
+    return (number[inverse].reshape(tri.shape[0], 3),
+            number[np.searchsorted(keys, keys_of(ends))], first[order])
+
+
 # red-refinement child corners in parent reference coordinates
 _CHILD_CORNERS = np.array([
     [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]],
@@ -302,7 +324,6 @@ _CHILD_CORNERS = np.array([
     [[0.0, 0.5], [0.5, 0.5], [0.0, 1.0]],
     [[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]],
 ])
-_PARENT_EDGE_OF_MID = {(0, 1): 0, (1, 2): 1, (2, 0): 2}
 
 
 def refine(mesh: Mesh) -> Mesh:
@@ -317,24 +338,15 @@ def refine(mesh: Mesh) -> Mesh:
     mid_ref = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
     mids, _ = mapping(mesh, mid_ref)
 
-    verts = [mesh.vertices]
-    next_vert = mesh.num_vertices
-    mid_index = np.empty((nt, 3), dtype=np.int64)
-    edge_owner: dict[tuple[int, int], int] = {}
-    new_points = []
-    for t in range(nt):
-        tri = mesh.triangles[t]
-        for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            idx = edge_owner.get(key)
-            if idx is None:
-                idx = next_vert
-                edge_owner[key] = idx
-                new_points.append(mids[t, e])
-                next_vert += 1
-            mid_index[t, e] = idx
-    verts.append(np.array(new_points))
-    vertices = np.concatenate(verts)
+    # midpoint vertices follow the parent vertices in edge order, each
+    # taken from the first triangle that has the edge
+    nb = len(mesh.boundary_edges)
+    ends = np.concatenate([mesh.boundary_edges, mesh.interface_edges])
+    tri_edge, end_edge, first = _global_edges(mesh.triangles, ends,
+                                              mesh.num_vertices)
+    vertices = np.concatenate([mesh.vertices, mids.reshape(-1, 2)[first]])
+    mid_index = mesh.num_vertices + tri_edge
+    end_mid = mesh.num_vertices + end_edge
 
     # children: corner indices in terms of parent vertices and midpoints
     tri = mesh.triangles
@@ -357,22 +369,11 @@ def refine(mesh: Mesh) -> Mesh:
         blocks.append(phys)
     nodes = np.stack(blocks, axis=1).reshape(4 * nt, -1, 2)
 
-    def split_edges(edges, tags=None):
-        out_e = []
-        out_t = []
-        for row, edge in enumerate(edges):
-            key = (min(edge), max(edge))
-            mid = edge_owner[key]
-            out_e.append((edge[0], mid))
-            out_e.append((mid, edge[1]))
-            if tags is not None:
-                out_t.extend([tags[row], tags[row]])
-        return (np.array(out_e, dtype=np.int64),
-                None if tags is None else np.array(out_t, dtype=np.uint8))
-
-    b_edges, b_tags = split_edges([tuple(e) for e in mesh.boundary_edges],
-                                  list(mesh.boundary_tags))
-    i_edges, _ = split_edges([tuple(e) for e in mesh.interface_edges])
+    # each boundary and interface edge splits at its midpoint, in order
+    halves = np.stack([ends[:, 0], end_mid, end_mid, ends[:, 1]],
+                      axis=1).reshape(-1, 2)
+    b_edges, i_edges = halves[:2 * nb], halves[2 * nb:]
+    b_tags = np.repeat(mesh.boundary_tags, 2)
 
     out = Mesh(
         geometry=mesh.geometry, q=q, vertices=vertices, triangles=children,

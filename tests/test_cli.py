@@ -6,11 +6,14 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import radpml
+from radpml.analytic import read_reference_csv
 from radpml.cli import (
     EXIT_CONDITION,
     EXIT_CONFIG,
@@ -22,10 +25,11 @@ from radpml.cli import (
     parse_config,
     render_spectrum_svg,
 )
-from radpml.eig import Spectrum
+from radpml.eig import Spectrum, read_spectrum_csv
 from radpml.errors import ConfigError, GenerationError, SingularMatrixError
 from radpml.fem import CondensedShiftSolver
 
+REPO = Path(__file__).resolve().parent.parent
 
 DEFAULTS = {
     "geometry": {"obstacle": "disk", "radius": "1.0", "r1": "1.5",
@@ -68,7 +72,6 @@ def make_spectrum(omegas, spurious=None, ambiguous=None):
     false = np.zeros(n, dtype=bool)
     return Spectrum(
         omegas=omegas,
-        vectors=np.eye(max(n, 1), dtype=complex)[:, :n],
         residuals=np.full(n, 1e-12),
         in_lambda_d0=np.ones(n, dtype=bool),
         spurious=false.copy() if spurious is None else np.asarray(spurious),
@@ -243,8 +246,8 @@ class TestSolveCommand:
         assert document["dofs"] > 0 and document["triangles"] > 0
         provenance = document["provenance"]
         assert provenance["solver"] == "condensed"
-        # p = 3 leaves one bubble per triangle off the skeleton, which is
-        # past the dense cutoff and factors without the pivoting fallback
+        # p = 3 leaves one bubble per triangle off the skeleton, which
+        # factors without the pivoting fallback
         assert provenance["skeleton_size"] == \
             document["dofs"] - document["triangles"]
         assert provenance["factor_path"] == "sparse"
@@ -364,6 +367,30 @@ class TestCompareCommand:
         ref = write_reference_file(tmp_path / "ref.csv", [0.5 - 0.6j, 2.0 - 1.0j])
         assert main(["compare", str(ref), str(ref)]) == EXIT_OK
 
+    def test_empty_spectrum_is_unmatched(self, tmp_path, capsys):
+        """``solve`` writes a header-only CSV when every Ritz pair is
+        dropped; its arrays keep their types and nothing matches."""
+        ref = write_reference_file(tmp_path / "ref.csv", [0.5 - 0.6j, 2.0 - 1.0j])
+        path = tmp_path / "spectrum.csv"
+        path.write_text("re_omega,im_omega,residual,in_lambda_d0,spurious\n",
+                        encoding="ascii")
+        arrays = read_spectrum_csv(path)
+        assert [a.dtype for a in arrays] == [complex, float, bool, bool]
+        assert all(a.shape == (0,) for a in arrays)
+        assert main(["compare", str(path), str(ref)]) == EXIT_UNMATCHED
+        out = capsys.readouterr().out
+        assert out.count("UNMATCHED") == 2
+        assert "0/2 references matched" in out
+
+    def test_short_row_is_config_error(self, tmp_path, capsys):
+        ref = write_reference_file(tmp_path / "ref.csv", [0.5 - 0.6j])
+        path = tmp_path / "spectrum.csv"
+        path.write_text("re_omega,im_omega,residual,in_lambda_d0,spurious\n"
+                        "0.5,-0.6,1e-12,1,0\n"
+                        "0.7,-0.6\n", encoding="ascii")
+        assert main(["compare", str(path), str(ref)]) == EXIT_CONFIG
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestDampingCommand:
     def test_isotropic_bound_met(self, tmp_path, capsys):
@@ -410,6 +437,27 @@ class TestSvgRendering:
         spectrum = make_spectrum([0.3 - 0.1j, 1.7 - 0.9j])
         assert render_spectrum_svg(spectrum) == render_spectrum_svg(spectrum)
 
+    @pytest.mark.parametrize("case", ["disk", "ellipse"])
+    def test_committed_plot_reproduced(self, case):
+        """Re-rendering the committed run from its JSON record gives the
+        committed SVG byte for byte (the out/ files are only read)."""
+        out = REPO / "out" / case
+        records = json.loads((out / "spectrum.json").read_text())["eigenvalues"]
+        spectrum = Spectrum(
+            omegas=np.array([complex(r["re_omega"], r["im_omega"])
+                             for r in records]),
+            residuals=np.array([r["residual"] for r in records]),
+            in_lambda_d0=np.array([r["in_lambda_d0"] for r in records]),
+            spurious=np.array([r["spurious"] for r in records]),
+            ambiguous=np.array([r["ambiguous"] for r in records]),
+            provenance={})
+        references = [ref.root for ref in
+                      read_reference_csv(REPO / "out" / "disk" / "reference.csv")]
+        svg = render_spectrum_svg(
+            spectrum, references,
+            title="spectrum near shift 1.5-1j (affine scaling)")
+        assert svg == (out / "spectrum.svg").read_text(encoding="ascii")
+
 
 class TestEntryPoint:
     def test_unknown_command_is_usage_error(self):
@@ -425,6 +473,19 @@ class TestEntryPoint:
     def test_config_error_maps_to_exit_code(self, tmp_path):
         path = write_config(tmp_path, scaling={"gamma": "nonsense"})
         assert main(["check", str(path)]) == EXIT_CONFIG
+
+
+class TestReadme:
+    def test_python_example_runs(self, capsys):
+        """The README's Python API example runs as written."""
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+        assert len(blocks) == 1
+        namespace = {}
+        exec(compile(blocks[0], "README.md", "exec"), namespace)
+        spectrum = namespace["spectrum"]
+        assert isinstance(spectrum, Spectrum) and len(spectrum) > 0
+        assert capsys.readouterr().out.strip()
 
 
 class TestPublicNames:

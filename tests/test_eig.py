@@ -50,7 +50,6 @@ def make_spectrum(omegas, provenance=None):
     n = omegas.size
     return Spectrum(
         omegas=omegas,
-        vectors=np.eye(max(n, 1), n, dtype=complex),
         residuals=np.full(n, 1e-12),
         in_lambda_d0=np.ones(n, dtype=bool),
         spurious=np.zeros(n, dtype=bool),
@@ -88,9 +87,7 @@ class TestSparseLU:
     def test_identity_solve_is_identity(self):
         eye = scipy.sparse.identity(12, dtype=complex, format="csc")
         b = np.arange(12, dtype=complex)
-        for method in ("dense", "sparse"):
-            assert np.allclose(sparse_lu(eye, method).solve(b), b,
-                               rtol=0, atol=1e-15)
+        assert np.allclose(sparse_lu(eye).solve(b), b, rtol=0, atol=1e-15)
 
     def test_random_sparse_residual(self):
         rng = np.random.default_rng(11)
@@ -100,9 +97,8 @@ class TestSparseLU:
                       + 1j * scipy.sparse.random(n, n, density=0.05,
                                                  random_state=8))).tocsc()
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for method in ("dense", "sparse"):
-            x = sparse_lu(a, method).solve(b)
-            assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-10
+        x = sparse_lu(a).solve(b)
+        assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-10
 
     def test_tridiagonal_against_thomas_oracle(self):
         n = 200
@@ -113,30 +109,22 @@ class TestSparseLU:
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         oracle = thomas_solve(np.full(n, -1.0 + 0j), main.copy(),
                               np.full(n, -1.0 + 0j), b)
-        for method in ("dense", "sparse"):
-            x = sparse_lu(a, method).solve(b)
-            assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-12
+        x = sparse_lu(a).solve(b)
+        assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-12
 
-    def test_auto_method_selection(self):
-        small = scipy.sparse.identity(10, dtype=complex, format="csc")
-        assert sparse_lu(small).method == "dense"
-        n = 3500
-        big = scipy.sparse.diags(
-            [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
-            [-1, 0, 1], format="csc").astype(complex)
-        assert sparse_lu(big).method == "sparse"
-
-    def test_singular_dense_reports_pivot_index(self):
+    def test_singular_dense_input_rejected(self):
+        """A dense array goes through SuperLU too; an exactly singular
+        one fails both factorizations and is reported as singular."""
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-        with pytest.raises(SingularMatrixError, match="index 1"):
-            sparse_lu(a, method="dense")
+        with pytest.raises(SingularMatrixError, match="factorization failed"):
+            sparse_lu(a)
 
     def test_empty_column_reports_index(self):
         a = scipy.sparse.csc_matrix(
             np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]],
                      dtype=complex))
         with pytest.raises(SingularMatrixError, match="index 1"):
-            sparse_lu(a, method="sparse")
+            sparse_lu(a)
 
     def test_probe_falls_back_to_threshold_pivoting(self):
         """Diagonal pivots on 2x2 blocks with 1e-17 diagonals leave a
@@ -148,15 +136,13 @@ class TestSparseLU:
         a = (scipy.sparse.block_diag([block] * (n // 2))
              + scipy.sparse.diags(np.full(n - 1, 1e-3), 1)).astype(complex)
         b = np.random.default_rng(2).standard_normal(n) + 0j
-        lu = sparse_lu(a, "sparse")
+        lu = sparse_lu(a)
         assert lu.fallback is True
         assert lu.probe_residual > 1e-9
         assert lu.path == "sparse-fallback"
         assert np.linalg.norm(a @ lu.solve(b) - b) / np.linalg.norm(b) < 1e-12
 
-    def test_condensed_pencil_keeps_diagonal_pivots(self, monkeypatch):
-        import radpml.eig as eig_mod
-        monkeypatch.setattr(eig_mod, "DENSE_CUTOFF", 0)
+    def test_condensed_pencil_keeps_diagonal_pivots(self):
         mesh = generate(Geometry(DiskObstacle(1.0), 1.5, 2.0), hmax=1.0, q=2)
         solver = CondensedShiftSolver(FunctionSpace(mesh, 4), PROFILE, ISO,
                                       (2.5 - 0.8j) ** 2).factor()
@@ -168,8 +154,6 @@ class TestSparseLU:
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
             sparse_lu(np.zeros((2, 3)))
-        with pytest.raises(ValidationError):
-            sparse_lu(np.eye(2), method="cholesky")
 
 
 class TestShiftInvertArnoldi:
@@ -215,8 +199,9 @@ class TestShiftInvertArnoldi:
                 runs.append(shift_invert_arnoldi(coarse_pencil, shift_sq,
                                                  k=5, krylov_dim=40, seed=3))
         a, b = runs
+        # each residual is measured on a Ritz vector formed from the whole
+        # basis, so the comparison reaches the basis as well
         assert np.array_equal(a.omegas, b.omegas)
-        assert np.array_equal(a.vectors, b.vectors)
         assert np.array_equal(a.residuals, b.residuals)
 
     def test_disk_backed_basis_bitwise_identical(self, coarse_pencil,
@@ -232,7 +217,6 @@ class TestShiftInvertArnoldi:
             on_disk = shift_invert_arnoldi(coarse_pencil, shift_sq,
                                            k=5, krylov_dim=40, seed=3)
         assert np.array_equal(in_core.omegas, on_disk.omegas)
-        assert np.array_equal(in_core.vectors, on_disk.vectors)
         assert np.array_equal(in_core.residuals, on_disk.residuals)
 
     def test_basis_is_orthonormal(self, coarse_pencil):
@@ -259,15 +243,14 @@ class TestShiftInvertArnoldi:
         assert flags[np.round(on_ray, 8)] == False  # noqa: E712
         assert flags[np.round(off_ray, 8)] == True  # noqa: E712
 
-    def test_breakdown_restarts_then_succeeds(self):
+    def test_breakdown_uses_invariant_basis(self):
         """On K = M = I every start vector spans an invariant subspace;
-        the solver restarts three times, accepts the one-vector basis,
-        and still returns the exact eigenvalue omega = 1."""
+        the solver keeps the one-vector basis and still returns the exact
+        eigenvalue omega = 1."""
         eye = scipy.sparse.identity(30, dtype=complex, format="csr")
         pencil = AssembledPencil(stiffness=eye, mass=eye.copy())
         spectrum = shift_invert_arnoldi(pencil, 0.5, k=1)
         assert abs(spectrum.omegas[0] - 1.0) < 1e-13
-        assert spectrum.provenance["restarts"] == 3
         assert spectrum.provenance["basis_size"] == 1
 
     def test_singular_shift_rejected(self):
@@ -286,7 +269,7 @@ class TestSpuriousFilter:
     def test_unmatched_eigenvalue_flagged(self):
         base = make_spectrum([1.0 - 0.1j, 2.0 - 0.2j, 5.0 - 3.0j])
         stretched = make_spectrum([1.0001 - 0.1j, 2.0002 - 0.2j])
-        result = spurious_filter(lambda s: stretched, base, stretch=1.5)
+        result = spurious_filter(base, stretched, stretch=1.5)
         assert list(result.spurious) == [False, False, True]
         assert not result.ambiguous.any()
         assert np.array_equal(result.omegas, base.omegas)
@@ -295,13 +278,13 @@ class TestSpuriousFilter:
         base = make_spectrum([1.0 - 0.1j, 2.0 - 0.2j, 3.0 - 1.0j])
         stretched = make_spectrum([1.0 - 0.1j + 1e-6, 2.0 - 0.2j + 2e-6,
                                    3.3 - 1.0j])
-        result = spurious_filter(lambda s: stretched, base, stretch=1.5)
+        result = spurious_filter(base, stretched, stretch=1.5)
         assert list(result.spurious) == [False, False, True]
 
     def test_ambiguous_match_not_spurious(self):
         base = make_spectrum([1.0 - 0.1j, 4.0 - 0.5j])
         stretched = make_spectrum([0.9 - 0.1j, 1.1 - 0.1j, 4.0 - 0.5j])
-        result = spurious_filter(lambda s: stretched, base, stretch=1.2)
+        result = spurious_filter(base, stretched, stretch=1.2)
         assert list(result.ambiguous) == [True, False]
         assert list(result.spurious) == [False, False]
 
@@ -315,24 +298,23 @@ class TestSpuriousFilter:
                               3.0 - 1.0j, 0.5 - 0.3j])
         gentle = make_spectrum([1.0 - 1.0j + 1e-8, 2.0 - 1.0j - 1e-8,
                                 3.0 - 1.0j + 2e-8, 0.5 - 0.3j + 4e-6])
-        result = spurious_filter(lambda s: gentle, base, stretch=1.5)
+        result = spurious_filter(base, gentle, stretch=1.5)
         assert not result.spurious.any()
         assert result.provenance["move_threshold"] == \
             result.provenance["move_floor"]
         rough = make_spectrum([1.0 - 1.0j + 1e-8, 2.0 - 1.0j - 1e-8,
                                3.0 - 1.0j + 2e-8, 0.5 - 0.3j + 0.05])
-        result = spurious_filter(lambda s: rough, base, stretch=1.5)
+        result = spurious_filter(base, rough, stretch=1.5)
         assert list(result.spurious) == [False, False, False, True]
 
     def test_identity_stretch_flags_nothing(self, coarse_pencil):
         """stretch = 1 re-solves the identical problem; determinism makes
         every movement exactly zero and no flag can raise."""
-        def solve(stretch):
+        def solve():
             with pytest.warns(AccuracyWarning):
                 return shift_invert_arnoldi(coarse_pencil, (2.5 - 0.8j) ** 2,
                                             k=5, krylov_dim=40, seed=0)
-        base = solve(1.0)
-        result = spurious_filter(solve, base, stretch=1.0)
+        result = spurious_filter(solve(), solve(), stretch=1.0)
         assert not result.spurious.any()
         assert not result.ambiguous.any()
         # zero median -> the reproducibility floor is the active threshold
@@ -343,7 +325,7 @@ class TestSpuriousFilter:
     def test_stretch_validation(self):
         base = make_spectrum([1.0])
         with pytest.raises(ValidationError):
-            spurious_filter(lambda s: base, base, stretch=0.9)
+            spurious_filter(base, base, stretch=0.9)
 
 
 class TestSpectrumSerialization:

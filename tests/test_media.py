@@ -89,7 +89,6 @@ class TestMedium:
         assert med.dim == 2
         assert med.sigma_min == 0.25
         assert med.sigma_max == 1.0
-        assert med.det == pytest.approx(0.25, rel=1e-14)
 
     def test_rejects_indefinite(self):
         with pytest.raises(DefinitenessError):

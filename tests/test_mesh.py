@@ -11,7 +11,7 @@ with safety margins.
 import numpy as np
 import pytest
 
-from radpml.basis import triangle_quadrature
+from radpml.basis import lattice_nodes, triangle_quadrature
 from radpml.errors import GenerationError, GeometryError, ValidationError
 from radpml.mesh import (
     BOUNDARY_OBSTACLE,
@@ -209,7 +209,68 @@ class TestGenerate:
             mesh.vertices[0, 0] = 7.0
 
 
+def loop_refine(mesh):
+    """Red refinement with the midpoints numbered by a per-triangle dict
+    walk and the tagged edges split by dict lookup: an independent
+    statement of the numbering that ``refine`` derives from the global
+    edge table."""
+    tri = mesh.triangles
+    mids, _ = mapping(mesh, np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]))
+    owner = {}
+    points = []
+    mid_index = np.empty((len(tri), 3), dtype=np.int64)
+    for t, corners in enumerate(tri):
+        for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+            key = (min(corners[a], corners[b]), max(corners[a], corners[b]))
+            if key not in owner:
+                owner[key] = mesh.num_vertices + len(points)
+                points.append(mids[t, e])
+            mid_index[t, e] = owner[key]
+    m01, m12, m20 = mid_index.T
+    children = np.stack([
+        np.stack([tri[:, 0], m01, m20], 1),
+        np.stack([m01, tri[:, 1], m12], 1),
+        np.stack([m20, m12, tri[:, 2]], 1),
+        np.stack([m01, m12, m20], 1),
+    ], axis=1).reshape(-1, 3)
+
+    def split(edges):
+        out = []
+        for a, b in edges:
+            mid = owner[(min(a, b), max(a, b))]
+            out.extend([(a, mid), (mid, b)])
+        return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+    corners = np.array([[[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]],
+                        [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5]],
+                        [[0.0, 0.5], [0.5, 0.5], [0.0, 1.0]],
+                        [[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]])
+    ref = lattice_nodes(mesh.q)
+    lam = np.stack([1.0 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]], axis=1)
+    nodes = np.stack([mapping(mesh, lam @ corners[k])[0] for k in range(4)],
+                     axis=1).reshape(4 * len(tri), -1, 2)
+    return {
+        "vertices": np.concatenate([mesh.vertices, np.array(points)]),
+        "triangles": children,
+        "regions": np.repeat(mesh.regions, 4),
+        "boundary_edges": split(mesh.boundary_edges),
+        "boundary_tags": np.repeat(mesh.boundary_tags, 2),
+        "interface_edges": split(mesh.interface_edges),
+        "mapping_nodes": nodes,
+    }
+
+
 class TestRefine:
+    @pytest.mark.parametrize("geometry", [DISK, ELLIPSE], ids=["disk", "ellipse"])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_matches_loop_numbering_bitwise(self, geometry, q):
+        mesh = generate(geometry, hmax=0.4, q=q)
+        fine = refine(mesh)
+        for name, expected in loop_refine(mesh).items():
+            actual = getattr(fine, name)
+            assert actual.dtype == expected.dtype, name
+            assert np.array_equal(actual, expected), name
+
     def test_counts_and_tags(self):
         mesh = generate(DISK, hmax=1.2, q=2)
         fine = refine(mesh)
