@@ -17,12 +17,10 @@ computation:
 * the measured vs guaranteed damping rate of the scaled plane kernel
   e^{i omega d_sigma};
 * the exterior Neumann references for the unit disk: roots of
-  ``(H_n^{(1)})'`` located by an argument-principle count plus Newton
-  iteration.  Each contour level and each Newton sweep is one series
-  evaluation of orders n - 1 and n together, and a sweep evaluates only
-  its distinct iterates.  The series is elementwise and runs a term
-  count fixed by the largest |z| of its arguments, so dropping repeats
-  leaves every root and residual bit-for-bit unchanged.
+  ``(H_n^{(1)})'`` counted by the argument principle, recovered from the
+  moments of that contour integral (no further series evaluation) and
+  polished by a few Newton sweeps.  Each contour level and each sweep is
+  one series evaluation of orders n - 1 and n together.
 """
 
 from __future__ import annotations
@@ -31,11 +29,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DomainError,
     IncompleteSearchError,
     PreconditionError,
+    ValidationError,
 )
 from .media import Medium, RangeBox
 from .scaling import ScalingProfile, limits
@@ -69,6 +69,9 @@ SUPPORTED_RADIUS = 15.0
 MAX_ORDER = 20
 
 _SERIES_MAX_TERMS = 400
+
+#: Newton sweeps that polish the moment seeds of one order at most
+_POLISH_SWEEPS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +360,12 @@ class ResonanceReference:
     residual: float     # |(H_n^{(1)})'(root)|
 
 
-def _logderiv_count(n: int, box: RangeBox, panels: int) -> complex:
+def _logderiv_count(n: int, box: RangeBox, panels: int):
     """Contour integral (1/2 pi i) oint H''/H' dz over the box boundary.
 
     The 16-point Gauss panels of all four sides are one evaluation over
-    64 * ``panels`` nodes, and the panel sums are added in order round
-    the contour, as one evaluation per panel would add them.  The series
-    runs the term count of the node of largest |z|, so other nodes may
-    gain terms below their rounding level; that moves the value in its
-    last bits, far inside the 1e-3 to which the integer count is read.
+    64 * ``panels`` nodes.  Returns the integral, the nodes and their
+    quadrature terms, whose sum is the integral.
     """
     corners = np.array([
         box.re_lo + 1j * box.im_lo, box.re_hi + 1j * box.im_lo,
@@ -377,22 +377,20 @@ def _logderiv_count(n: int, box: RangeBox, panels: int) -> complex:
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     z = (a + (b - a) * t0) + (0.5 * (gl_x + 1.0)) * length
     _, d1, d2 = _hankel_with_two_derivs(n, z.ravel())
-    d1, d2 = d1.reshape(z.shape), d2.reshape(z.shape)
-    panel_sums = 0.5 * length[..., 0] * np.sum(gl_w * d2 / d1, axis=-1)
-    total = 0.0 + 0.0j
-    for part in panel_sums.ravel():
-        total += part
-    return total / (2.0j * np.pi)
+    terms = (0.5 / (2.0j * np.pi)) * length * gl_w * (d2 / d1).reshape(z.shape)
+    return terms.sum(), z.ravel(), terms.ravel()
 
 
-def _argument_principle_count(n: int, box: RangeBox) -> int:
+def _argument_principle_count(n: int, box: RangeBox):
+    """Certified count of roots of H' in the box, with the nodes and
+    quadrature terms of the contour level that certified it."""
     panels = 4
     prev = None
     while panels <= 256:
-        val = _logderiv_count(n, box, panels)
+        val, nodes, terms = _logderiv_count(n, box, panels)
         rounded = int(np.rint(val.real))
         if (abs(val - rounded) < 1e-3 and prev == rounded):
-            return rounded
+            return rounded, nodes, terms
         prev = rounded
         panels *= 2
     raise IncompleteSearchError(
@@ -400,63 +398,55 @@ def _argument_principle_count(n: int, box: RangeBox) -> int:
         "a root may lie on or very near the box boundary")
 
 
-def _newton_cluster(n: int, box: RangeBox) -> np.ndarray:
-    """All distinct roots of (H_n^{(1)})' inside the box via seeded Newton.
+def _moment_seeds(box: RangeBox, count: int, nodes, terms) -> np.ndarray:
+    """The ``count`` roots inside the contour, from its moments.
 
-    A sweep steps every live seed with one series evaluation over its
-    distinct iterates (``np.unique``) and broadcasts the steps back.  Many
-    seeds share an iterate: those reset to the box centre land on the
-    same few values and run to the sweep cap together.  The series is
-    elementwise and runs a term count fixed by the largest |z| of its
-    arguments, which repeats do not change, so the steps, and hence the
-    roots, are bit-for-bit those of stepping every seed.
+    For zeta = (z - c) / r, c the box centre and r its half-diagonal, the
+    moments s_p = (1/2 pi i) oint zeta^p H''/H' dz are power sums of the
+    scaled roots (Delves & Lyness 1967): the eigenvalues of the Hankel
+    pencil (s_{i+j+1}, s_{i+j}) (Kravanja & Van Barel 2000).
     """
-    nx = max(8, int(np.ceil((box.re_hi - box.re_lo) / 0.12)))
-    ny = max(6, int(np.ceil((box.im_hi - box.im_lo) / 0.12)))
-    re = np.linspace(box.re_lo, box.re_hi, nx + 2)[1:-1]
-    im = np.linspace(box.im_lo, box.im_hi, ny + 2)[1:-1]
-    z = (re[:, None] + 1j * im[None, :]).ravel()
-    alive = np.ones(z.size, dtype=bool)
-    for _ in range(60):
-        if not np.any(alive):
+    centre = 0.5 * (box.re_lo + box.re_hi) + 0.5j * (box.im_lo + box.im_hi)
+    radius = 0.5 * math.hypot(box.re_hi - box.re_lo, box.im_hi - box.im_lo)
+    zeta = (nodes - centre) / radius
+    moments = zeta ** np.arange(2 * count)[:, None] @ terms
+    hankel = np.add.outer(np.arange(count), np.arange(count))
+    return centre + radius * scipy.linalg.eigvals(moments[hankel + 1],
+                                                  moments[hankel])
+
+
+def _polish(n: int, box: RangeBox, z: np.ndarray) -> np.ndarray:
+    """Distinct roots of (H_n^{(1)})' inside the box, by Newton from seeds.
+
+    Each sweep steps every seed with one series evaluation.  An iterate
+    that leaves the series' supported disk, fails to converge, leaves
+    the box or keeps a residual of 1e-10 or more is not located.
+    """
+    converged = np.zeros(z.size, dtype=bool)
+    for _ in range(_POLISH_SWEEPS):
+        if not np.all(np.abs(z) <= SUPPORTED_RADIUS):  # also NaN
             break
-        za = z[alive]
-        # keep iterates in the series' supported disk
-        za = np.where(np.abs(za) > 0.95 * SUPPORTED_RADIUS,
-                      0.5 * (box.re_lo + box.re_hi) + 0.5j * (box.im_lo + box.im_hi), za)
-        distinct, inverse = np.unique(za, return_inverse=True)
-        _, d1, d2 = _hankel_with_two_derivs(n, distinct)
-        step = (d1 / d2)[inverse]
-        za = za - step
-        z[alive] = za
-        conv = np.abs(step) < 1e-14 * (1.0 + np.abs(za))
-        idx = np.where(alive)[0]
-        alive[idx[conv]] = False
-    pad = 1e-9
-    converged = ~alive
+        _, d1, d2 = _hankel_with_two_derivs(n, z)
+        step = d1 / d2
+        z = z - step
+        converged = np.abs(step) < 1e-14 * (1.0 + np.abs(z))
+        if converged.all():
+            break
+    pad = 1e-9  # the caller checks that the box lies in the supported disk
     inside = ((z.real > box.re_lo + pad) & (z.real < box.re_hi - pad)
-              & (z.imag > box.im_lo + pad) & (z.imag < box.im_hi - pad)
-              & (np.abs(z) <= SUPPORTED_RADIUS))
+              & (z.imag > box.im_lo + pad) & (z.imag < box.im_hi - pad))
     z = z[inside & converged]
-    if z.size == 0:
-        return z
-    resid = np.abs(hankel1_deriv(n, z))
-    z = z[resid < 1e-10]
-    # dedupe
-    z = z[np.lexsort((z.imag, z.real))]
-    keep = []
-    for zi in z:
-        if not keep or abs(zi - keep[-1]) > 1e-8:
-            keep.append(zi)
-    return np.asarray(keep)
+    z = np.sort_complex(z[np.abs(hankel1_deriv(n, z)) < 1e-10])
+    return z[np.abs(np.diff(z, prepend=np.inf)) > 1e-8]  # dedupe
 
 
 def find_disk_neumann_references(n_max: int, box: RangeBox):
     """Roots of (H_n^{(1)})' in ``box`` for all orders n <= n_max.
 
     These are the resonances of the exterior Neumann problem on the unit
-    disk.  Each order is counted by the argument principle and located by
-    Newton iteration from a seed grid; the two must agree.
+    disk.  Each order is counted by the argument principle; the moments
+    of that contour integral give one seed per counted root, which Newton
+    polishes.  The located roots must match the count.
 
     Returns
     -------
@@ -479,8 +469,10 @@ def find_disk_neumann_references(n_max: int, box: RangeBox):
         raise DomainError("search box exceeds the supported series radius")
     refs = []
     for n in range(n_max + 1):
-        count = _argument_principle_count(n, box)
-        roots = _newton_cluster(n, box)
+        count, nodes, terms = _argument_principle_count(n, box)
+        if count == 0:
+            continue
+        roots = _polish(n, box, _moment_seeds(box, count, nodes, terms))
         if roots.size != count:
             raise IncompleteSearchError(
                 f"order {n}: argument principle certifies {count} roots, "
@@ -503,16 +495,23 @@ def write_reference_csv(refs, path):
 
 
 def read_reference_csv(path):
+    """References from a ``write_reference_csv`` file; a malformed row
+    is a ValidationError naming the file and line."""
     refs = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if header != ["n", "k", "re", "im", "residual"]:
-            raise ValueError(f"unexpected reference CSV header: {header!r}")
-        for line in fh:
+            raise ValidationError(f"unexpected reference CSV header: {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            n, k, re, im, resid = line.strip().split(",")
-            refs.append(ResonanceReference(
-                order=int(n), index=int(k),
-                root=complex(float(re), float(im)), residual=float(resid)))
+            try:
+                n, k, re, im, resid = line.strip().split(",")
+                refs.append(ResonanceReference(
+                    order=int(n), index=int(k),
+                    root=complex(float(re), float(im)), residual=float(resid)))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {lineno}: expected five numeric fields, "
+                    f"got {line.strip()!r}") from None
     return refs

@@ -573,10 +573,16 @@ def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
 
 def cmd_solve(args) -> int:
     config = parse_config(args.config)
-    if config.reference_csv and not Path(config.reference_csv).is_file():
-        raise ConfigError(
-            f"[output] reference = {config.reference_csv!r}: no such file "
-            f"(a relative path is taken from the working directory)")
+    references = []
+    if config.reference_csv:
+        try:
+            references = [ref.root for ref in read_reference_csv(config.reference_csv)]
+        except OSError as exc:
+            raise ConfigError(
+                f"[output] reference = {config.reference_csv!r}: {exc.strerror} "
+                f"(a relative path is taken from the working directory)") from None
+        except ValueError as exc:
+            raise ConfigError(f"[output] reference: {exc}") from None
     seed = config.seed if args.seed is None else args.seed
     out = _out_dir(config, args)
     try:
@@ -600,9 +606,6 @@ def cmd_solve(args) -> int:
     print(f"solve: spurious filter at stretch {config.stretch:g}: "
           f"{n_spurious} spurious, {n_ambiguous} ambiguous")
 
-    references = []
-    if config.reference_csv:
-        references = [ref.root for ref in read_reference_csv(config.reference_csv)]
     written = []
     if "csv" in config.formats:
         write_spectrum_csv(spectrum, out / "spectrum.csv")

@@ -231,8 +231,9 @@ def test_4_reference_roots(disk_references):
         t0 = time.perf_counter()
         refs = disk_references
         # the finder itself raises IncompleteSearchError whenever the
-        # argument-principle count disagrees with the Newton cluster, so
-        # a successful return certifies count agreement for every order
+        # argument-principle count disagrees with the roots located from
+        # its contour moments, so a successful return certifies count
+        # agreement for every order
         assert all(ref.residual < 1e-10 for ref in refs)
         orders = sorted({ref.order for ref in refs})
         assert orders == [1, 2, 3, 4, 5, 6]

@@ -27,6 +27,7 @@ from radpml.errors import (
     DomainError,
     IncompleteSearchError,
     PreconditionError,
+    ValidationError,
 )
 from radpml.media import Medium, RangeBox
 from radpml.scaling import AffineProfile, RampProfile, limits
@@ -48,6 +49,57 @@ GOLDEN_ROOTS = {
 }
 
 REFERENCE_BOX = RangeBox(0.1, 8.0, -3.0, 0.0)
+
+# All 44 roots of orders 0..20 in the widest supported box, keyed by
+# (order, index), as a seeded Newton-grid search located them (every
+# residual below 2e-14).  Orders 0 and 18..20 have none.
+WIDE_BOX = RangeBox(0.1, 13.5, -6.5, 0.0)
+WIDE_ROOTS = {
+    (1, 1): 0.5011835086915849 - 0.6435450244768959j,
+    (2, 1): 1.4344380231860914 - 0.8345461744215912j,
+    (3, 1): 0.440799874727564 - 1.9816183381685752j,
+    (3, 2): 2.373857446097508 - 0.9675620761326879j,
+    (4, 1): 1.3225913318124716 - 2.4409343934883703j,
+    (4, 2): 3.32208352855408 - 1.0727873526640475j,
+    (5, 1): 0.43637037196085166 - 3.309812798220255j,
+    (5, 2): 2.2119320668415634 - 2.803721160271408j,
+    (5, 3): 4.276887706855142 - 1.1612492864197115j,
+    (6, 1): 1.3103975995888508 - 3.839447186855396j,
+    (6, 2): 3.1094434022294193 - 3.1082268012960044j,
+    (6, 3): 5.236617044690811 - 1.238320508195458j,
+    (7, 1): 0.43515128082378524 - 4.636428961580778j,
+    (7, 2): 2.189089427470159 - 4.287127454253631j,
+    (7, 3): 4.014197688801699 - 3.3730212813012006j,
+    (7, 4): 6.20015511193665 - 1.3070642054519142j,
+    (8, 1): 1.3064670397730542 - 5.199929876003095j,
+    (8, 2): 3.0732757747106976 - 4.678396473355895j,
+    (8, 3): 4.925183742733809 - 3.6087252195103625j,
+    (8, 4): 7.1667293990409595 - 1.3694096765318569j,
+    (9, 1): 0.43464946801673604 - 5.962537033084425j,
+    (9, 2): 2.1808833844388307 - 5.694370967320289j,
+    (9, 3): 3.962829632576177 - 5.027989824303489j,
+    (9, 4): 5.841530634414067 - 3.822053113914111j,
+    (9, 5): 8.135786069294548 - 1.4266590037568958j,
+    (10, 1): 3.0591758438720715 - 6.137519804572387j,
+    (10, 2): 4.857369612496846 - 5.345299787805908j,
+    (10, 3): 6.7625221847141175 - 4.017551149732996j,
+    (10, 4): 9.106914818768214 - 1.4797368680956307j,
+    (11, 1): 5.756466569960701 - 5.636733085769165j,
+    (11, 2): 7.6875733528822785 - 4.198455787277246j,
+    (11, 3): 10.079802983625134 - 1.529326147625424j,
+    (12, 1): 6.65970958415386 - 5.906881297975986j,
+    (12, 2): 8.61620376428794 - 4.367161418443722j,
+    (12, 3): 11.054206537193132 - 1.575947053266723j,
+    (13, 1): 7.566725690451517 - 6.159161669413094j,
+    (13, 2): 9.548015482274577 - 4.525494294538018j,
+    (13, 3): 12.029931110973484 - 1.6200060107167853j,
+    (14, 1): 8.477183261329484 - 6.396194456950258j,
+    (14, 2): 10.482675629924914 - 4.674882309620089j,
+    (14, 3): 13.00681917205623 - 1.6618272683195616j,
+    (15, 1): 11.41990306483596 - 4.816465116926069j,
+    (16, 1): 12.359458176153542 - 4.951168259449872j,
+    (17, 1): 13.30113502743338 - 5.079754657467442j,
+}
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -411,46 +463,75 @@ class TestDiskReferences:
             assert abs(ref.root - com.root) <= 1e-12 * abs(com.root)
             assert ref.residual < 1e-10
 
-    def test_each_distinct_argument_evaluated_once(self, monkeypatch):
-        # every Newton sweep evaluates only its distinct iterates, and
-        # every contour level of the count is a single evaluation
-        stack, evaluations, levels = ["search"], [], []
+    def test_matches_wide_golden_set(self):
+        wide = find_disk_neumann_references(MAX_ORDER, WIDE_BOX)
+        assert [(r.order, r.index) for r in wide] == list(WIDE_ROOTS)
+        for ref in wide:
+            golden = WIDE_ROOTS[(ref.order, ref.index)]
+            assert abs(ref.root - golden) <= 1e-12 * abs(golden)
+            assert ref.residual < 1e-10
+
+    def test_evaluation_budget(self, monkeypatch):
+        # each contour level is one evaluation of 64 * panels nodes, the
+        # moments evaluate nothing, each Newton sweep evaluates the N
+        # counted roots of its order, and an order with N = 0 is not
+        # polished
+        context, evaluations, levels, counts, seeds = ["search"], [], [], {}, []
         evaluate = analytic._hankel_with_two_derivs
 
         def spy(n, z):
-            evaluations.append((stack[-1], z))
+            evaluations.append((context[-1], n, z.size))
             return evaluate(n, z)
 
-        def enter(name, calls):
+        def enter(name, record=lambda args, result: None):
             inner = getattr(analytic, name)
 
             def wrapped(*args):
-                calls.append(args)
-                stack.append(name)
+                context.append(name)
                 try:
-                    return inner(*args)
+                    result = inner(*args)
                 finally:
-                    stack.pop()
+                    context.pop()
+                record(args, result)
+                return result
             monkeypatch.setattr(analytic, name, wrapped)
 
         monkeypatch.setattr(analytic, "_hankel_with_two_derivs", spy)
-        enter("_newton_cluster", [])
-        enter("_argument_principle_count", [])
-        enter("_logderiv_count", levels)
+        enter("_argument_principle_count",
+              lambda args, result: counts.setdefault(args[0], result[0]))
+        enter("_logderiv_count", lambda args, _: levels.append(args[2]))
+        enter("_moment_seeds",
+              lambda args, result: seeds.append((args[1], result.size)))
+        enter("_polish")
 
-        find_disk_neumann_references(6, REFERENCE_BOX)
-        newton = [z for ctx, z in evaluations if ctx == "_newton_cluster"]
-        contour = [z for ctx, z in evaluations if ctx == "_logderiv_count"]
-        assert newton and levels
-        assert len(newton) + len(contour) == len(evaluations)
-        for z in newton:
-            assert np.unique(z).size == z.size
-        assert len(contour) == len(levels)
-        for z, (_, _, panels) in zip(contour, levels):
-            assert z.size == 4 * panels * 16
+        find_disk_neumann_references(MAX_ORDER, WIDE_BOX)
+        assert sorted(counts) == list(range(MAX_ORDER + 1))
+        assert seeds == [(count, count) for count in counts.values() if count]
+        assert {ctx for ctx, _, _ in evaluations} == \
+            {"_logderiv_count", "_polish"}
+        contour = [size for ctx, _, size in evaluations
+                   if ctx == "_logderiv_count"]
+        assert contour == [64 * panels for panels in levels]
+        polish = [(n, size) for ctx, n, size in evaluations
+                  if ctx == "_polish"]
+        for n, count in counts.items():
+            sweeps = [size for m, size in polish if m == n]
+            assert sweeps == [count] * len(sweeps)
+            if count:
+                assert 1 <= len(sweeps) <= analytic._POLISH_SWEEPS
+            else:
+                assert not sweeps
 
     def test_csv_round_trip(self, refs, tmp_path):
         path = tmp_path / "refs.csv"
         write_reference_csv(refs, path)
         back = read_reference_csv(path)
         assert back == refs
+
+    @pytest.mark.parametrize("row", ["1,1", "1,1,0.5,-0.6,x", "1,1,0.5,-0.6,0,7"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "refs.csv"
+        path.write_text(f"n,k,re,im,residual\n1,1,0.5,-0.6,1e-16\n\n{row}\n",
+                        encoding="ascii")
+        with pytest.raises(ValidationError, match=f"refs.csv: line 4: .*{row!r}"):
+            read_reference_csv(path)

@@ -316,6 +316,23 @@ class TestSolveCommand:
         assert "config error: [output] reference" in err
         assert "no/such/reference.csv" in err
 
+    def test_malformed_reference_table_is_config_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        import radpml.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("solve started despite a bad reference table")
+
+        monkeypatch.setattr(cli_module, "generate", never)
+        table = tmp_path / "reference.csv"
+        table.write_text("n,k,re,im,residual\n1,1\n", encoding="ascii")
+        path = write_config(tmp_path, output={"reference": str(table)})
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: [output] reference" in err
+        assert "line 2" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, discretization={"p": "7"})
         assert main(["solve", str(path)]) == EXIT_CONFIG
@@ -390,6 +407,11 @@ class TestCompareCommand:
                         "0.7,-0.6\n", encoding="ascii")
         assert main(["compare", str(path), str(ref)]) == EXIT_CONFIG
         assert "line 3" in capsys.readouterr().err
+        with open(ref, "a", encoding="ascii") as fh:
+            fh.write("1,1\n")
+        assert main(["compare", str(ref), str(ref)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "ref.csv: line 3" in err
 
 
 class TestDampingCommand:
