@@ -78,7 +78,6 @@ from .fem import (
     AssembledPencil,
     CondensedShiftSolver,
     FunctionSpace,
-    assemble,
     element_matrices,
     rayleigh_residual,
     scaled_tensor,

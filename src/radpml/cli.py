@@ -66,9 +66,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-# ``assemble`` is not called here but stays importable from this module,
-# where perfbench/tracer.py wraps it.
-from .fem import CondensedShiftSolver, FunctionSpace, assemble
+from .fem import CondensedShiftSolver, FunctionSpace
 from .media import Medium, RangeBox
 from .mesh import DiskObstacle, EllipseObstacle, Geometry, generate, refine
 from .scaling import PROFILE_KINDS, admissible, gamma_of_omega, limits, min_stabilizing_c
@@ -303,6 +301,8 @@ def parse_config(path) -> RunConfig:
     if not stretch >= 1.0:
         raise ConfigError(f"[solver] stretch must be >= 1, got {stretch:g}")
     seed = reader.get("solver", "seed", int, default=0)
+    if seed < 0:
+        raise ConfigError(f"[solver] seed must be >= 0, got {seed}")
 
     out_dir = reader.get("output", "directory", str, default="out").strip()
     raw_formats = reader.get("output", "formats", str, default=",".join(FORMATS))
@@ -559,20 +559,21 @@ def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
         space = FunctionSpace(mesh, config.p)
         profile = config.build_profile()
         # one element pass assembles the pencil and condenses the bubbles
-        inner = CondensedShiftSolver(space, profile, config.medium,
-                                     config.shift ** 2)
-        pencil = inner.pencil
+        solver = CondensedShiftSolver(space, profile, config.medium,
+                                      config.shift ** 2)
     with _stage("factorization"):
-        inner.factor()
+        solver.factor()
     with _stage("eigensolve"):
         spectrum = shift_invert_arnoldi(
-            pencil, config.shift ** 2, config.k, krylov_dim=config.krylov_dim,
-            d0=limits(profile, config.medium).d0, seed=seed, inner=inner)
-    return spectrum, mesh, pencil
+            solver, config.k, krylov_dim=config.krylov_dim,
+            d0=limits(profile, config.medium).d0, seed=seed)
+    return spectrum, mesh, solver.pencil
 
 
 def cmd_solve(args) -> int:
     config = parse_config(args.config)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     references = []
     if config.reference_csv:
         try:
@@ -648,6 +649,9 @@ def _read_points_any(path):
 
 
 def cmd_compare(args) -> int:
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise ConfigError(
+            f"--tolerance must be finite and >= 0, got {args.tolerance:g}")
     computed = _read_points_any(args.computed)
     references = sorted(_read_points_any(args.reference), key=abs)
     count = len(references) if args.count is None else max(args.count, 0)
@@ -677,6 +681,8 @@ def cmd_compare(args) -> int:
 def cmd_damping(args) -> int:
     config = parse_config(args.config)
     omega = args.omega
+    if not np.isfinite(omega):
+        raise ConfigError(f"--omega must be finite, got {omega:g}")
     rays = args.rays
     if rays < 0:
         raise ConfigError(f"--rays must be >= 0, got {rays}")

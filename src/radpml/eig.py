@@ -4,6 +4,8 @@ The truncated resonance problem K u = omega^2 M u is affine in omega^2,
 so a single linear shift-invert in the omega^2 plane suffices: Arnoldi
 iterates v -> (K - sigma_sq M)^{-1} M v with full reorthogonalization,
 and a Ritz value theta maps back through omega^2 = sigma_sq + 1/theta.
+The pencil, the shift and the inverse all come from one factored
+``fem.CondensedShiftSolver``, whose ``factor`` calls ``sparse_lu`` below.
 Physical resonances sit in the lower half plane, so omega is reported on
 the Im(omega) <= 0 branch of the square root.
 
@@ -46,13 +48,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import (
-    AccuracyWarning,
-    ShiftRejectedError,
-    SingularMatrixError,
-    ValidationError,
-)
-from .fem import AssembledPencil, rayleigh_residual
+from .errors import AccuracyWarning, SingularMatrixError, ValidationError
+from .fem import rayleigh_residual
 
 __all__ = [
     "sparse_lu",
@@ -226,54 +223,39 @@ def _arnoldi(apply_op, n, m, rng):
     return v, h, m
 
 
-def shift_invert_arnoldi(pencil: AssembledPencil, shift_sq: complex, k: int,
-                         krylov_dim: int | None = None,
-                         d0: complex = 1.0 + 0.0j, seed: int = 0,
-                         inner=None) -> Spectrum:
-    """Up to k eigenvalues of K u = omega^2 M u nearest the shift.
+def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
+                         d0: complex = 1.0 + 0.0j, seed: int = 0) -> Spectrum:
+    """Up to k eigenvalues of K u = omega^2 M u nearest the solver's shift.
 
     Parameters
     ----------
-    shift_sq : the shift in the omega^2 plane (must not be an eigenvalue).
+    solver : a factored ``fem.CondensedShiftSolver``.  Its ``pencil`` is
+        (K, M), ``shift_sq`` the shift in the omega^2 plane, ``solve``
+        applies (K - shift_sq*M)^{-1} and ``lu`` is the skeleton factor
+        whose path, fill and size go into the provenance.  Residuals are
+        measured against the full pencil, so a wrong solve cannot
+        smuggle in bad pairs.
     k : number of requested pairs.
     krylov_dim : basis size, >= 2k+10 (default 2k+20, capped at n).
     d0 : asymptotic scaling direction used for the in_lambda_d0 flags
         (1 means the flag tests Im(omega) != 0).
     seed : start-vector seed; identical inputs and seed reproduce the
         spectrum bitwise.
-    inner : optional prebuilt solver for K - shift_sq*M exposing
-        ``solve(b)``, ``method`` and the factor it applies as ``lu``
-        (for example a condensed solver); by default the shifted pencil
-        is factored here.  Residuals are always measured against the
-        full pencil, so a wrong inner solver cannot smuggle in bad pairs.
-
-    Raises
-    ------
-    ShiftRejectedError
-        If K - shift_sq * M is singular (the shift is an eigenvalue).
     """
     if k < 1:
         raise ValidationError("at least one eigenpair must be requested")
+    pencil = solver.pencil
     n = pencil.size
     if krylov_dim is None:
         krylov_dim = 2 * k + 20
     elif krylov_dim < 2 * k + 10:
         raise ValidationError("krylov_dim must be at least 2k + 10")
     m = min(krylov_dim, n)
-    shift_sq = complex(shift_sq)
-
-    if inner is None:
-        try:
-            lu = sparse_lu(pencil.stiffness - shift_sq * pencil.mass)
-        except SingularMatrixError as exc:
-            raise ShiftRejectedError(
-                f"shifted pencil is singular ({exc}); move the shift") from exc
-    else:
-        lu = inner
+    shift_sq = solver.shift_sq
     mass = pencil.mass
 
     def apply_op(vec):
-        return lu.solve(mass @ vec)
+        return solver.solve(mass @ vec)
 
     v, h, mb = _arnoldi(apply_op, n, m, np.random.default_rng(seed))
     theta, y = scipy.linalg.eig(h[:mb, :mb])
@@ -309,13 +291,12 @@ def shift_invert_arnoldi(pencil: AssembledPencil, shift_sq: complex, k: int,
     residuals = residuals[sort]
     in_lambda = np.abs((1j * omegas * complex(d0)).real) > LAMBDA_MARGIN
 
-    factor = getattr(lu, "lu", lu)  # a condensed solver factors its skeleton
     provenance = {
         "shift_sq": shift_sq, "shift": shift, "k": k, "krylov_dim": m,
         "basis_size": mb, "seed": seed, "dropped": dropped,
-        "d0": complex(d0), "solver": lu.method,
-        "factor_path": factor.path, "factor_fill": factor.fill,
-        "skeleton_size": factor.n,
+        "d0": complex(d0), "solver": "condensed",
+        "factor_path": solver.lu.path, "factor_fill": solver.lu.fill,
+        "skeleton_size": solver.lu.n,
     }
     flags = np.zeros(len(omegas), dtype=bool)
     return Spectrum(omegas=omegas, residuals=residuals,

@@ -11,13 +11,17 @@ where dt, d are the scaling factors at |x| (the cofactor pattern: each
 frame direction carries det(J)/stretch with radial stretch d and
 tangential stretch dt).  Below the onset radius both factors are one and
 the coefficient reduces to (sigma, 1) exactly — interior elements are
-assembled bitwise identically with or without a profile.
+assembled bitwise identically whatever the profile, and a profile whose
+onset lies beyond the mesh gives the unscaled pencil.
 
-A solve makes one sweep over the elements.  Each chunk's blocks are one
-GEMM of the coefficient, pulled back to the reference triangle, against
-shape-function products tabulated once per pass; the upper triangle is
-mirrored, and blocks are summed in element order into a CSR pattern that
-K and M share, so both are exactly symmetric.
+``CondensedShiftSolver`` is the one route from a function space to a
+pencil and a shift-invert operator: its construction makes the one sweep
+over the elements.  Each chunk's blocks are one GEMM of the coefficient,
+pulled back to the reference triangle, against shape-function products
+tabulated once per pass; the upper triangle is mirrored, and blocks are
+summed in element order into a CSR pattern that K and M share, so both
+are exactly symmetric.  The same chunk's blocks are then condensed onto
+the vertex/edge skeleton, and ``factor`` factors what remains.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .basis import (
     triangle_quadrature,
 )
 from .errors import (AssemblyError, DomainError, ShiftRejectedError,
-                     ValidationError)
+                     SingularMatrixError, ValidationError)
 from .media import Medium
 from .mesh import (BOUNDARY_OBSTACLE, BOUNDARY_OUTER, Mesh, REGION_INTERIOR,
                    _global_edges)
@@ -51,7 +55,6 @@ __all__ = [
     "CondensedShiftSolver",
     "scaled_tensor",
     "element_matrices",
-    "assemble",
     "rayleigh_residual",
 ]
 
@@ -62,26 +65,22 @@ NEUMANN = "neumann"
 #: homogeneous Dirichlet condition on the outer circle
 DEFAULT_BC = {BOUNDARY_OBSTACLE: NEUMANN, BOUNDARY_OUTER: DIRICHLET}
 
+#: elements per chunk of the element pass
+CHUNK = 512
+
 
 # ---------------------------------------------------------------------------
 # scaled coefficient
 # ---------------------------------------------------------------------------
 
-def _factors_at(radii: np.ndarray, profile: ScalingProfile | None):
-    if profile is None:
-        ones = np.ones_like(radii, dtype=complex)
-        return ones, ones.copy()
-    return profile.d_tilde(radii), profile.d(radii)
-
-
-def _tensor_batch(points: np.ndarray, profile: ScalingProfile | None,
+def _tensor_batch(points: np.ndarray, profile: ScalingProfile,
                   medium: Medium):
     """Vectorized (tensor, weight) at an array of 2D points."""
     pts = np.asarray(points, dtype=float)
     radii = np.hypot(pts[..., 0], pts[..., 1])
     if np.any(radii == 0.0):
         raise DomainError("the polar coefficient frame is singular at the origin")
-    dt, d = _factors_at(radii, profile)
+    dt, d = profile.d_tilde(radii), profile.d(radii)
     sigma = medium.sigma
     tensor = np.empty(pts.shape[:-1] + (2, 2), dtype=complex)
     weight = dt * d
@@ -112,7 +111,7 @@ def _tensor_batch(points: np.ndarray, profile: ScalingProfile | None,
     return tensor, weight
 
 
-def scaled_tensor(x, profile: ScalingProfile | None, medium: Medium):
+def scaled_tensor(x, profile: ScalingProfile, medium: Medium):
     """Diffusion tensor and mass weight of the scaled form at one point."""
     if medium.dim != 2:
         raise ValidationError("the assembled form is two-dimensional")
@@ -207,19 +206,20 @@ class AssembledPencil:
                 float(np.linalg.norm(self.mass.data)))
 
 
-def element_matrices(space: FunctionSpace, profile: ScalingProfile | None,
+def element_matrices(space: FunctionSpace, profile: ScalingProfile,
                      medium: Medium, triangle_ids, quad_degree: int | None = None):
     """Local (stiffness, mass) blocks for the given triangles.
 
     Exposed for the interior-identity and quadrature-robustness checks;
-    assembly uses the same code path.
+    the solver's element pass uses the same code path with the default
+    2p+2 rule.
     """
     ids = np.asarray(triangle_ids, dtype=np.int64)
     return _element_blocks(space, profile, medium, ids,
                            _reference_tables(space, quad_degree))
 
 
-def _reference_tables(space, quad_degree):
+def _reference_tables(space, quad_degree=None):
     """Quadrature weights, geometry basis and, per local pair i <= j, the
     shape-function products that a pulled-back coefficient C multiplies:
     sym(dN_i dN_j^T) for the components (C00, C01 + C10, C11), and N_i N_j."""
@@ -313,39 +313,6 @@ class _Pattern:
                                        shape=(self.n, self.n))
 
 
-def _element_pass(space, profile, medium, quad_degree, chunk, condense=None):
-    """The one sweep over the elements: each chunk's K and M blocks are
-    scattered into the pencil, then handed to ``condense`` if given."""
-    if medium.dim != 2:
-        raise ValidationError("the assembled form is two-dimensional")
-    tables = _reference_tables(space, quad_degree)
-    pattern = _Pattern(space.element_dofs, space.num_dofs)
-    k_data, m_data = np.zeros((2, pattern.nnz), dtype=complex)
-    nt = space.mesh.num_triangles
-    for start in range(0, nt, chunk):
-        ids = np.arange(start, min(start + chunk, nt))
-        k_blocks, m_blocks = _element_blocks(space, profile, medium, ids,
-                                             tables)
-        pattern.add(k_data, ids, k_blocks)
-        pattern.add(m_data, ids, m_blocks)
-        if condense is not None:
-            condense(ids, k_blocks, m_blocks)
-    return AssembledPencil(stiffness=pattern.matrix(k_data),
-                           mass=pattern.matrix(m_data))
-
-
-def assemble(space: FunctionSpace, profile: ScalingProfile | None,
-             medium: Medium, quad_degree: int | None = None,
-             chunk: int = 512) -> AssembledPencil:
-    """Assemble the scaled stiffness/mass pencil over the free dofs.
-
-    Quadrature degree defaults to 2p+2; Dirichlet rows and columns are
-    eliminated.  K and M come out exactly symmetric and share a sparsity
-    pattern.
-    """
-    return _element_pass(space, profile, medium, quad_degree, chunk)
-
-
 def rayleigh_residual(pencil: AssembledPencil, omega: complex,
                       u: np.ndarray) -> float:
     """|| K u - omega^2 M u || / (||u|| (||K||_F + |omega^2| ||M||_F))."""
@@ -370,16 +337,15 @@ class CondensedShiftSolver:
     is algebraically exact; solutions match the unreduced factorization up
     to roundoff.
 
-    Construction is the one element pass of a solve: it assembles the
-    pencil (``pencil``) and condenses in the same sweep.  ``solve`` needs
-    ``factor`` to have run.
+    Construction is the one element pass of a solve: each chunk's K and
+    M blocks are scattered into the pencil (``pencil``) and condensed in
+    the same sweep.  ``solve`` needs ``factor`` to have run.
     """
 
-    method = "condensed"
-
-    def __init__(self, space: FunctionSpace, profile: ScalingProfile | None,
-                 medium: Medium, shift_sq: complex,
-                 quad_degree: int | None = None, chunk: int = 512):
+    def __init__(self, space: FunctionSpace, profile: ScalingProfile,
+                 medium: Medium, shift_sq: complex):
+        if medium.dim != 2:
+            raise ValidationError("the assembled form is two-dimensional")
         p = space.p
         ns_local = 3 * p                      # vertex + edge modes
         nb_local = (p - 1) * (p - 2) // 2     # interior bubbles
@@ -396,8 +362,18 @@ class CondensedShiftSolver:
         self._schur_pattern = _Pattern(self.skel, self.skeleton_size)
         self._schur_data = np.zeros(self._schur_pattern.nnz, dtype=complex)
         self.lu = None
-        self.pencil = _element_pass(space, profile, medium, quad_degree,
-                                    chunk, self._condense)
+        tables = _reference_tables(space)
+        pattern = _Pattern(space.element_dofs, self.n)
+        k_data, m_data = np.zeros((2, pattern.nnz), dtype=complex)
+        for start in range(0, nt, CHUNK):
+            ids = np.arange(start, min(start + CHUNK, nt))
+            k_blocks, m_blocks = _element_blocks(space, profile, medium, ids,
+                                                 tables)
+            pattern.add(k_data, ids, k_blocks)
+            pattern.add(m_data, ids, m_blocks)
+            self._condense(ids, k_blocks, m_blocks)
+        self.pencil = AssembledPencil(stiffness=pattern.matrix(k_data),
+                                      mass=pattern.matrix(m_data))
 
     def _condense(self, ids, k_blocks, m_blocks):
         ns_local = self.gain.shape[1]
@@ -418,10 +394,21 @@ class CondensedShiftSolver:
                                 a_ss - gain @ np.swapaxes(a_sb, 1, 2))
 
     def factor(self) -> "CondensedShiftSolver":
-        """Factor the condensed Schur complement; returns self."""
+        """Factor the condensed Schur complement; returns self.
+
+        Raises
+        ------
+        ShiftRejectedError
+            If the skeleton factor is singular (the shift is an
+            eigenvalue).
+        """
         from .eig import sparse_lu
 
-        self.lu = sparse_lu(self._schur_pattern.matrix(self._schur_data))
+        try:
+            self.lu = sparse_lu(self._schur_pattern.matrix(self._schur_data))
+        except SingularMatrixError as exc:
+            raise ShiftRejectedError(
+                f"shifted pencil is singular ({exc}); move the shift") from exc
         self._schur_pattern = self._schur_data = None
         return self
 

@@ -308,32 +308,15 @@ def _assumption1_violations(profile: ScalingProfile) -> list:
     return bad
 
 
-def _golden_max(fun, lo, hi, iters=80):
-    """Golden-section maximizer of a unimodal scalar function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-        if b - a < 1e-13 * max(1.0, abs(a)):
-            break
-    return max(fc, fd)
-
-
 def _sup_abs_tau(profile: ScalingProfile) -> float:
     """sup over r > r1 of |arg(d_tilde/d)| by sampling plus refinement."""
     closed = profile.tau_star_closed()
     if closed is not None:
         return abs(closed)
+    # imported here: loading scipy.optimize with the package would slow
+    # the start-up of every command
+    import scipy.optimize
+
     r1 = profile.r1
     grid = r1 * np.geomspace(1.0 + 1e-9, 1e3, _SUP_SAMPLES)
     extra = profile._extra_sample_points()
@@ -343,8 +326,10 @@ def _sup_abs_tau(profile: ScalingProfile) -> float:
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    refined = _golden_max(lambda r: abs(profile.tau(r)), lo, hi)
-    return float(max(vals[i], refined))
+    refined = scipy.optimize.minimize_scalar(
+        lambda r: -abs(profile.tau(r)), bounds=(lo, hi), method="bounded",
+        options={"xatol": 1e-12})
+    return float(max(vals[i], -refined.fun))
 
 
 def limits(profile: ScalingProfile, medium: Medium) -> ScalingLimits:
@@ -353,7 +338,7 @@ def limits(profile: ScalingProfile, medium: Medium) -> ScalingLimits:
     d_inf comes from the profile's closed-form alpha_tilde limit when
     available, otherwise from evaluation at 1e6*r1 confirmed at 1e7*r1.
     tau_star uses the affine closed form or dense geometric sampling with
-    golden-section refinement.  psi follows from tau_star because
+    bounded Brent refinement.  psi follows from tau_star because
     |sin tau(r)| is maximized exactly where |tau| is (tau has one sign).
 
     Raises

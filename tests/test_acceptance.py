@@ -23,6 +23,7 @@ import scipy.linalg
 
 from radpml import (
     AffineProfile,
+    CondensedShiftSolver,
     DiskObstacle,
     FunctionSpace,
     Geometry,
@@ -30,7 +31,6 @@ from radpml import (
     RampProfile,
     RangeBox,
     SmoothedPolynomialProfile,
-    assemble,
     b_tau,
     damping_rate,
     find_disk_neumann_references,
@@ -388,12 +388,12 @@ def _first_resonance_error(p, layer_width, reference):
     space = FunctionSpace(mesh, p)
     profile = AffineProfile(R1, GAMMA)
     medium = Medium(ISO)
-    pencil = assemble(space, profile, medium)
+    solver = CondensedShiftSolver(space, profile, medium,
+                                  reference**2).factor()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         spectrum = shift_invert_arnoldi(
-            pencil, reference**2, 3, krylov_dim=24,
-            d0=limits(profile, medium).d0, seed=0)
+            solver, 3, krylov_dim=24, d0=limits(profile, medium).d0, seed=0)
     assert len(spectrum), f"no converged eigenvalues at p={p}"
     nearest = spectrum.omegas[np.argmin(np.abs(spectrum.omegas - reference))]
     return abs(nearest - reference) / abs(reference)
@@ -444,7 +444,9 @@ def test_9_dense_oracle_equivalence():
             geometry = Geometry(DiskObstacle(1.0), R1, 2.0)
             mesh = generate(geometry, hmax, 2)
             space = FunctionSpace(mesh, p)
-            pencil = assemble(space, profile, medium)
+            solver = CondensedShiftSolver(space, profile, medium,
+                                          (1.5 - 1.0j) ** 2).factor()
+            pencil = solver.pencil
             assert pencil.size <= 200, f"pencil too large: {pencil.size}"
 
             dense = scipy.linalg.eig(
@@ -455,8 +457,7 @@ def test_9_dense_oracle_equivalence():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 spectrum = shift_invert_arnoldi(
-                    pencil, (1.5 - 1.0j) ** 2, 6,
-                    krylov_dim=pencil.size - 2,
+                    solver, 6, krylov_dim=pencil.size - 2,
                     d0=limits(profile, medium).d0, seed=0)
             assert len(spectrum) >= 4, "window unexpectedly empty"
             for omega in spectrum.omegas:

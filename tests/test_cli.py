@@ -5,8 +5,11 @@ import ast
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +173,11 @@ class TestParseConfig:
     def test_shrinking_stretch_rejected(self, tmp_path):
         path = write_config(tmp_path, solver={"stretch": "0.9"})
         with pytest.raises(ConfigError, match="stretch"):
+            parse_config(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = write_config(tmp_path, solver={"seed": "-1"})
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
             parse_config(path)
 
     def test_unknown_format_rejected(self, tmp_path):
@@ -337,6 +345,36 @@ class TestSolveCommand:
         path = write_config(tmp_path, discretization={"p": "7"})
         assert main(["solve", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("seed, flag", [("-1", []),
+                                            ("0", ["--seed=-3"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys,
+                                           monkeypatch, seed, flag):
+        import radpml.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("solve started despite a negative seed")
+
+        monkeypatch.setattr(cli_module, "generate", never)
+        path = write_config(tmp_path, solver={"seed": seed})
+        assert main(["solve", str(path)] + flag) == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_singular_skeleton_rejects_shift(self, tmp_path, capsys,
+                                             monkeypatch):
+        import radpml.eig as eig_module
+
+        def singular(*args, **kwargs):
+            raise SingularMatrixError("zero pivot at index 0 (empty column)")
+
+        monkeypatch.setattr(eig_module, "sparse_lu", singular)
+        path = write_config(tmp_path)
+        assert main(["solve", str(path)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "error at stage factorization" in err
+        assert "move the shift" in err
+
 
 class TestCompareCommand:
     def test_identical_points_match(self, tmp_path, capsys):
@@ -413,6 +451,13 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "ref.csv: line 3" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
+    def test_bad_tolerance_is_config_error(self, tmp_path, capsys, tolerance):
+        ref = write_reference_file(tmp_path / "ref.csv", [0.5 - 0.6j])
+        code = main(["compare", str(ref), str(ref), f"--tolerance={tolerance}"])
+        assert code == EXIT_CONFIG
+        assert "--tolerance must be finite and >= 0" in capsys.readouterr().err
+
 
 class TestDampingCommand:
     def test_isotropic_bound_met(self, tmp_path, capsys):
@@ -435,6 +480,13 @@ class TestDampingCommand:
         path = write_config(tmp_path)
         assert main(["damping", str(path), "--rays", "0"]) == EXIT_OK
         assert "0 rays evaluated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
+    def test_non_finite_omega_is_config_error(self, tmp_path, capsys, omega):
+        path = write_config(tmp_path)
+        assert main(["damping", str(path), f"--omega={omega}"]) == EXIT_CONFIG
+        assert "--omega must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "damping.json").exists()
 
 
 class TestSvgRendering:
@@ -495,6 +547,19 @@ class TestEntryPoint:
     def test_config_error_maps_to_exit_code(self, tmp_path):
         path = write_config(tmp_path, scaling={"gamma": "nonsense"})
         assert main(["check", str(path)]) == EXIT_CONFIG
+
+
+class TestImportBudget:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        """``scipy.optimize`` is imported where it is used: loading it with
+        the CLI would add about 0.15 s to every command's start-up."""
+        code = ("import sys, radpml.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, check=True,
+                                env={**os.environ,
+                                     "PYTHONPATH": str(REPO / "src")})
+        assert result.stdout.strip() == "False"
 
 
 class TestReadme:

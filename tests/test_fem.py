@@ -1,5 +1,10 @@
 """Assembly tests: scaled coefficient, function space, and the pencil.
 
+Every pencil comes from the element pass of ``CondensedShiftSolver``, the
+one route from a function space to a pencil.  Unscaled pencils use a
+profile whose onset lies beyond the mesh, where the coefficient is
+exactly (sigma, 1).
+
 Closed-form anchors (the P1 element matrices, eigenstructure of the
 scaled tensor, determinant invariance) are classical identities stated
 inline.  Accuracy anchors — mass totals against the exact truncated-disk
@@ -25,7 +30,6 @@ from radpml.fem import (
     AssembledPencil,
     CondensedShiftSolver,
     FunctionSpace,
-    assemble,
     element_matrices,
     rayleigh_residual,
     scaled_tensor,
@@ -49,9 +53,17 @@ ISO = Medium.isotropic(2)
 ANISO = Medium.diagonal([0.25, 1.0])
 GAMMA = 8j
 ALL_NEUMANN = {BOUNDARY_OBSTACLE: NEUMANN, BOUNDARY_OUTER: NEUMANN}
+#: onset far beyond every mesh below: the scaling is the identity there
+UNSCALED = AffineProfile(r1=100.0, gamma=GAMMA)
+SHIFT_SQ = (1.5 - 1.0j) ** 2
 
 DISK = Geometry(DiskObstacle(1.0), 1.5, 2.0)
 ELLIPSE = Geometry(EllipseObstacle(0.5, 1.0), 1.5, 2.0)
+
+
+def assembled(space, profile, medium):
+    """The pencil of the solver's element pass (no factorization)."""
+    return CondensedShiftSolver(space, profile, medium, SHIFT_SQ).pencil
 
 
 def unit_triangle_mesh(counterclockwise=True):
@@ -258,7 +270,7 @@ class TestAssemble:
     def test_p1_unit_triangle_matrices(self):
         """Classical P1 element matrices on the unit right triangle."""
         space = FunctionSpace(unit_triangle_mesh(), 1, bc=ALL_NEUMANN)
-        pencil = assemble(space, None, ISO)
+        pencil = assembled(space, UNSCALED, ISO)
         k_exp = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
         m_exp = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
         assert np.allclose(pencil.stiffness.toarray(), k_exp, rtol=0, atol=1e-14)
@@ -269,7 +281,7 @@ class TestAssemble:
         quadrature-exact domain area (anchor 2.1e-13 relative)."""
         mesh = generate(DISK, hmax=0.3, q=6)
         space = FunctionSpace(mesh, 1, bc=ALL_NEUMANN)
-        pencil = assemble(space, None, ISO)
+        pencil = assembled(space, UNSCALED, ISO)
         exact = np.pi * (3.5**2 - 1.0**2)
         total = pencil.mass.sum()
         assert abs(total - exact) / exact < 1e-12
@@ -280,7 +292,7 @@ class TestAssemble:
         summation make K and M exactly symmetric, not just close."""
         mesh = generate(ELLIPSE, hmax=0.5, q=3)
         space = FunctionSpace(mesh, 4)
-        pencil = assemble(space, AffineProfile(r1=1.5, gamma=GAMMA), ANISO)
+        pencil = assembled(space, AffineProfile(r1=1.5, gamma=GAMMA), ANISO)
         for mat in (pencil.stiffness, pencil.mass):
             diff = (mat - mat.T).tocoo()
             assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
@@ -288,7 +300,7 @@ class TestAssemble:
     def test_shared_sparsity_pattern(self):
         mesh = generate(DISK, hmax=0.8, q=2)
         space = FunctionSpace(mesh, 3)
-        pencil = assemble(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
+        pencil = assembled(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
         assert np.array_equal(pencil.stiffness.indptr, pencil.mass.indptr)
         assert np.array_equal(pencil.stiffness.indices, pencil.mass.indices)
 
@@ -296,11 +308,11 @@ class TestAssemble:
         mesh = generate(DISK, hmax=0.8, q=4)
         space = FunctionSpace(mesh, 5)
         interior = np.where(mesh.regions == REGION_INTERIOR)[0]
-        k_none, m_none = element_matrices(space, None, ISO, interior)
+        k_flat, m_flat = element_matrices(space, UNSCALED, ISO, interior)
         k_prof, m_prof = element_matrices(
             space, AffineProfile(r1=1.5, gamma=GAMMA), ISO, interior)
-        assert np.array_equal(k_none, k_prof)
-        assert np.array_equal(m_none, m_prof)
+        assert np.array_equal(k_flat, k_prof)
+        assert np.array_equal(m_flat, m_prof)
 
     def test_quadrature_robustness_geometric(self):
         """Raising the rule from 2p+2 to 2p+4 moves unscaled entries on
@@ -310,8 +322,8 @@ class TestAssemble:
         space = FunctionSpace(mesh, 4)
         radii = np.hypot(*mesh.vertices[mesh.triangles].mean(axis=1).T)
         ids = np.concatenate([np.argsort(radii)[:16], np.argsort(radii)[-16:]])
-        k_a, m_a = element_matrices(space, None, ISO, ids, quad_degree=10)
-        k_b, m_b = element_matrices(space, None, ISO, ids, quad_degree=14)
+        k_a, m_a = element_matrices(space, UNSCALED, ISO, ids, quad_degree=10)
+        k_b, m_b = element_matrices(space, UNSCALED, ISO, ids, quad_degree=14)
         assert np.max(np.abs(k_a - k_b)) / np.max(np.abs(k_b)) < 1e-11
         assert np.max(np.abs(m_a - m_b)) / np.max(np.abs(m_b)) < 1e-11
 
@@ -334,20 +346,20 @@ class TestAssemble:
         assert np.max(np.abs(m_a - m_b)) / np.max(np.abs(m_b)) < 1e-9
 
     def test_unscaled_pencil_real_scaled_pencil_damped(self):
-        """Without a profile the pencil is exactly real, and with M
-        symmetric positive definite the generalized spectrum is real
-        (the self-adjoint gamma -> 0 limit).  With Im gamma > 0 active
+        """With the onset beyond the mesh the pencil is exactly real, and
+        with M symmetric positive definite the generalized spectrum is
+        real (the self-adjoint gamma -> 0 limit).  With Im gamma > 0 active
         on the layer every eigenvalue moves off the real axis (anchor:
         min |Im| / max(|lambda|, 1) = 4.7e-5 at this configuration)."""
         mesh = generate(Geometry(DiskObstacle(1.0), 1.5, 1.0), hmax=0.7, q=2)
         space = FunctionSpace(mesh, 2)
-        pencil = assemble(space, None, ISO)
+        pencil = assembled(space, UNSCALED, ISO)
         assert np.all(pencil.stiffness.data.imag == 0.0)
         assert np.all(pencil.mass.data.imag == 0.0)
         m_real = pencil.mass.real.toarray()
         assert scipy.linalg.eigh(m_real, eigvals_only=True).min() > 0.0
 
-        scaled = assemble(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
+        scaled = assembled(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
         lam = scipy.linalg.eig(scaled.stiffness.toarray(),
                                scaled.mass.toarray(), right=False)
         lam = lam[np.isfinite(lam)]
@@ -369,12 +381,12 @@ class TestAssemble:
         space = FunctionSpace(unit_triangle_mesh(counterclockwise=False), 1,
                               bc=ALL_NEUMANN)
         with pytest.raises(AssemblyError, match="element 0"):
-            assemble(space, None, ISO)
+            assembled(space, UNSCALED, ISO)
 
     def test_medium_dimension_checked(self):
         space = FunctionSpace(unit_triangle_mesh(), 1, bc=ALL_NEUMANN)
         with pytest.raises(ValidationError):
-            assemble(space, None, Medium.isotropic(3))
+            assembled(space, UNSCALED, Medium.isotropic(3))
 
 
 class TestElementPass:
@@ -401,12 +413,11 @@ class TestElementPass:
             m_dense[sub] += m_blk[np.ix_(keep, keep)]
         solver = CondensedShiftSolver(space, self.profile, ANISO,
                                       self.shift_sq)
-        for pencil in (solver.pencil, assemble(space, self.profile, ANISO)):
-            for mat, dense in ((pencil.stiffness, k_dense),
-                               (pencil.mass, m_dense)):
-                err = np.max(np.abs(mat.toarray() - dense))
-                assert err <= 1e-14 * np.max(np.abs(dense))
-                assert np.array_equal(mat.toarray(), mat.T.toarray())
+        for mat, dense in ((solver.pencil.stiffness, k_dense),
+                           (solver.pencil.mass, m_dense)):
+            err = np.max(np.abs(mat.toarray() - dense))
+            assert err <= 1e-14 * np.max(np.abs(dense))
+            assert np.array_equal(mat.toarray(), mat.T.toarray())
 
     def test_condensed_solve_matches_sparse_direct(self):
         solver = CondensedShiftSolver(self.space, self.profile, ANISO,
@@ -489,8 +500,8 @@ class TestRayleighResidual:
 
     def test_cached_scale_matches_formula(self):
         mesh = generate(DISK, hmax=1.2, q=2)
-        pencil = assemble(FunctionSpace(mesh, 3),
-                          AffineProfile(r1=1.5, gamma=GAMMA), ISO)
+        pencil = assembled(FunctionSpace(mesh, 3),
+                           AffineProfile(r1=1.5, gamma=GAMMA), ISO)
         rng = np.random.default_rng(5)
         for omega in (1.5 - 1.0j, 0.4 - 0.1j, 3.0 - 2.5j):
             u = rng.normal(size=pencil.size) + 1j * rng.normal(size=pencil.size)
