@@ -20,7 +20,10 @@ computation:
   ``(H_n^{(1)})'`` counted by the argument principle, recovered from the
   moments of that contour integral (no further series evaluation) and
   polished by a few Newton sweeps.  Each contour level and each sweep is
-  one series evaluation of orders n - 1 and n together.
+  one series evaluation of orders n - 1 and n together.  The moment
+  pencil is solved with numpy alone: the seeds are only starting points,
+  and every root is certified after Newton, so the reference search runs
+  without loading scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DomainError,
@@ -398,21 +400,34 @@ def _argument_principle_count(n: int, box: RangeBox):
         "a root may lie on or very near the box boundary")
 
 
-def _moment_seeds(box: RangeBox, count: int, nodes, terms) -> np.ndarray:
-    """The ``count`` roots inside the contour, from its moments.
+def _moment_seeds(box: RangeBox, count: int, nodes, terms,
+                  n: int) -> np.ndarray:
+    """The ``count`` roots of order ``n`` inside the contour, from its moments.
 
     For zeta = (z - c) / r, c the box centre and r its half-diagonal, the
     moments s_p = (1/2 pi i) oint zeta^p H''/H' dz are power sums of the
     scaled roots (Delves & Lyness 1967): the eigenvalues of the Hankel
-    pencil (s_{i+j+1}, s_{i+j}) (Kravanja & Van Barel 2000).
+    pencil (s_{i+j+1}, s_{i+j}) (Kravanja & Van Barel 2000).  H0 is
+    regular for distinct roots, so these are the eigenvalues of
+    H0^{-1} H1, found by numpy without a QZ solve.  They are only
+    Newton's starting points: the polish, the residual gate, the box
+    test and the count check certify the roots.  An exactly singular H0
+    (a repeated root) is an incomplete search.
     """
     centre = 0.5 * (box.re_lo + box.re_hi) + 0.5j * (box.im_lo + box.im_hi)
     radius = 0.5 * math.hypot(box.re_hi - box.re_lo, box.im_hi - box.im_lo)
     zeta = (nodes - centre) / radius
     moments = zeta ** np.arange(2 * count)[:, None] @ terms
     hankel = np.add.outer(np.arange(count), np.arange(count))
-    return centre + radius * scipy.linalg.eigvals(moments[hankel + 1],
-                                                  moments[hankel])
+    try:
+        scaled = np.linalg.eigvals(
+            np.linalg.solve(moments[hankel], moments[hankel + 1]))
+    except np.linalg.LinAlgError as exc:
+        raise IncompleteSearchError(
+            f"order {n}: the moment pencil of {count} roots is singular "
+            f"({exc}); a root may be repeated, shrink or shift the box"
+        ) from None
+    return centre + radius * scaled
 
 
 def _polish(n: int, box: RangeBox, z: np.ndarray) -> np.ndarray:
@@ -458,7 +473,8 @@ def find_disk_neumann_references(n_max: int, box: RangeBox):
         If the box touches the left half-plane (the series branch cut and
         the singularity at 0 live there) or n_max exceeds MAX_ORDER.
     IncompleteSearchError
-        If the located roots do not match the certified count.
+        If the located roots do not match the certified count, or the
+        moments of an order form a singular pencil.
     """
     if n_max > MAX_ORDER or n_max < 0:
         raise DomainError(f"n_max must lie in [0, {MAX_ORDER}]")
@@ -472,7 +488,7 @@ def find_disk_neumann_references(n_max: int, box: RangeBox):
         count, nodes, terms = _argument_principle_count(n, box)
         if count == 0:
             continue
-        roots = _polish(n, box, _moment_seeds(box, count, nodes, terms))
+        roots = _polish(n, box, _moment_seeds(box, count, nodes, terms, n))
         if roots.size != count:
             raise IncompleteSearchError(
                 f"order {n}: argument principle certifies {count} roots, "

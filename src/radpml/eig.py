@@ -33,6 +33,9 @@ Every factorization goes through SuperLU with its minimum-degree
 ordering on A^T + A, in symmetric mode with diagonal pivoting.  A solve
 probe checks the factor, and one whose residual exceeds 1e-9 is redone
 with threshold partial pivoting.
+
+scipy is imported inside the functions that factor and solve, so the
+commands that solve nothing import this module on numpy alone.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import AccuracyWarning, SingularMatrixError, ValidationError
 from .fem import rayleigh_residual
@@ -95,6 +95,8 @@ class _SuperLU:
     method = "sparse"
 
     def __init__(self, mat):
+        import scipy.sparse.linalg
+
         self.n = mat.shape[0]
         empty_cols = np.where(np.diff(mat.indptr) == 0)[0]
         if empty_cols.size:
@@ -138,6 +140,8 @@ def sparse_lu(mat):
         On an empty column (its index is reported) or when both the
         diagonal and the threshold-pivoting factorization fail.
     """
+    import scipy.sparse
+
     mat = scipy.sparse.csc_matrix(mat, dtype=complex)
     if mat.shape[0] != mat.shape[1]:
         raise ValidationError("matrix must be square")
@@ -242,6 +246,8 @@ def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
     seed : start-vector seed; identical inputs and seed reproduce the
         spectrum bitwise.
     """
+    import scipy.linalg
+
     if k < 1:
         raise ValidationError("at least one eigenpair must be requested")
     pencil = solver.pencil

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .basis import (
     LOCAL_EDGES,
@@ -309,6 +308,9 @@ class _Pattern:
         np.add.at(data, slot[keep], blocks[keep])
 
     def matrix(self, data):
+        # imported here: commands that assemble nothing never load scipy
+        import scipy.sparse
+
         return scipy.sparse.csr_matrix((data, self.indices, self.indptr),
                                        shape=(self.n, self.n))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from radpml import analytic
@@ -521,6 +522,42 @@ class TestDiskReferences:
                 assert 1 <= len(sweeps) <= analytic._POLISH_SWEEPS
             else:
                 assert not sweeps
+
+    def test_seeds_match_qz_oracle(self):
+        """The numpy solve of the moment pencil gives the generalized
+        eigenvalues that QZ gives on the same pencil."""
+        box = WIDE_BOX
+        centre = 0.5 * (box.re_lo + box.re_hi) + 0.5j * (box.im_lo + box.im_hi)
+        radius = 0.5 * math.hypot(box.re_hi - box.re_lo, box.im_hi - box.im_lo)
+        checked = 0
+        for n in range(MAX_ORDER + 1):
+            count, nodes, terms = analytic._argument_principle_count(n, box)
+            if count == 0:
+                continue
+            seeds = analytic._moment_seeds(box, count, nodes, terms, n)
+            zeta = (nodes - centre) / radius
+            moments = zeta ** np.arange(2 * count)[:, None] @ terms
+            hankel = np.add.outer(np.arange(count), np.arange(count))
+            oracle = centre + radius * scipy.linalg.eigvals(
+                moments[hankel + 1], moments[hankel])
+            gap = np.abs(seeds[:, None] - oracle[None, :])
+            assert seeds.shape == oracle.shape == (count,)
+            assert gap.min(axis=0).max() <= 1e-10 * radius, n
+            assert gap.min(axis=1).max() <= 1e-10 * radius, n
+            checked += 1
+        assert checked == len({order for order, _ in WIDE_ROOTS})
+
+    def test_singular_moment_pencil_is_incomplete_search(self):
+        """The moments of one root of multiplicity two make H0 exactly
+        singular; the search reports that instead of guessing."""
+        box = REFERENCE_BOX
+        centre = 0.5 * (box.re_lo + box.re_hi) + 0.5j * (box.im_lo + box.im_hi)
+        radius = 0.5 * math.hypot(box.re_hi - box.re_lo, box.im_hi - box.im_lo)
+        # one node at zeta = 1/2 with weight 2: s_p = 2 (1/2)^p
+        nodes = np.array([centre + 0.5 * radius])
+        terms = np.array([2.0 + 0.0j])
+        with pytest.raises(IncompleteSearchError, match="order 3: .*singular"):
+            analytic._moment_seeds(box, 2, nodes, terms, 3)
 
     def test_csv_round_trip(self, refs, tmp_path):
         path = tmp_path / "refs.csv"

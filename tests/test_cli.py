@@ -409,6 +409,14 @@ class TestCompareCommand:
         assert main(["compare", str(tmp_path / "spectrum.csv"), str(ref),
                      "--tolerance", "0.2"]) == EXIT_OK
 
+    def test_negative_count_is_config_error(self, tmp_path, capsys):
+        """A negative count used to compare nothing and pass."""
+        ref = write_reference_file(tmp_path / "ref.csv", [0.5 - 0.6j])
+        assert main(["compare", str(ref), str(ref), "--count=-3"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--count must be >= 0, got -3" in captured.err
+        assert "matched" not in captured.out
+
     def test_spurious_rows_are_excluded(self, tmp_path, capsys):
         ref = write_reference_file(tmp_path / "ref.csv", [0.5 - 0.6j])
         with open(tmp_path / "spectrum.csv", "w", encoding="ascii") as fh:
@@ -489,6 +497,56 @@ class TestDampingCommand:
         assert not (tmp_path / "out" / "damping.json").exists()
 
 
+class TestOutputPaths:
+    """An output directory or artifact path that cannot be made or written
+    is a config error naming the path, raised before any computation."""
+
+    ARTIFACTS = {"check": "check.json", "reference": "reference.csv",
+                 "damping": "damping.json", "solve": "spectrum.svg"}
+
+    @pytest.mark.parametrize("case", ["out-is-file", "out-under-file",
+                                      "artifact-is-dir"])
+    @pytest.mark.parametrize("command", list(ARTIFACTS))
+    def test_unusable_path_is_config_error(self, tmp_path, capsys,
+                                           monkeypatch, command, case):
+        import radpml.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("computation started despite a bad output")
+
+        for name in ("admissible", "find_disk_neumann_references",
+                     "damping_rate", "generate"):
+            monkeypatch.setattr(cli_module, name, never)
+        path = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="ascii")
+        if case == "artifact-is-dir":
+            out = tmp_path / "out"
+            named = out / self.ARTIFACTS[command]
+            named.mkdir(parents=True)
+        else:
+            named = out = blocker if case == "out-is-file" else blocker / "sub"
+        assert main([command, str(path), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error: cannot " in captured.err
+        assert repr(str(named)) in captured.err
+        assert not captured.out
+
+    def test_unwritable_artifact_is_config_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        import radpml.cli as cli_module
+
+        def denied(refs, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli_module, "write_reference_csv", denied)
+        path = write_config(tmp_path, reference={"max_order": "0"})
+        assert main(["reference", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot write {str(tmp_path / 'out' / 'reference.csv')!r}: " \
+            "Permission denied" in err
+
+
 class TestSvgRendering:
     def test_marker_classes_and_axes(self):
         spectrum = make_spectrum([1.0 - 0.5j, 2.0 - 1.0j, 3.0 - 0.2j],
@@ -549,17 +607,69 @@ class TestEntryPoint:
         assert main(["check", str(path)]) == EXIT_CONFIG
 
 
+SCIPY_MODULES = ("sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def run_python(code, *args):
+    """stdout of ``code`` run in a fresh interpreter on the source tree."""
+    result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    return result.stdout.strip()
+
+
 class TestImportBudget:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
         """``scipy.optimize`` is imported where it is used: loading it with
-        the CLI would add about 0.15 s to every command's start-up."""
+        the CLI would add about 0.2 s to every command's start-up."""
         code = ("import sys, radpml.cli; "
                 "print('scipy.optimize' in sys.modules)")
-        result = subprocess.run([sys.executable, "-c", code],
-                                capture_output=True, text=True, check=True,
-                                env={**os.environ,
-                                     "PYTHONPATH": str(REPO / "src")})
-        assert result.stdout.strip() == "False"
+        assert run_python(code) == "False"
+
+    @pytest.mark.parametrize("module", ["radpml", "radpml.cli"])
+    def test_import_leaves_scipy_unloaded(self, module):
+        """Only the functions that factor, solve or build sparse matrices
+        import scipy, so importing the package loads numpy alone."""
+        assert run_python(f"import sys, {module}; print({SCIPY_MODULES})") \
+            == "[]"
+
+    @pytest.mark.parametrize("command", ["reference", "check", "damping",
+                                         "compare"])
+    def test_commands_other_than_solve_leave_scipy_unloaded(self, tmp_path,
+                                                            command):
+        # the default config's affine profile has a closed-form tau*, so
+        # check and damping need no scipy.optimize either
+        config = write_config(tmp_path)
+        out = ["--out", tmp_path / "out"]
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("re_omega,im_omega,residual,in_lambda_d0,spurious\n"
+                            "0.5,-0.6,1e-12,1,0\n", encoding="ascii")
+        argv = {
+            "reference": ["reference", REPO / "configs" / "disk.cfg", *out],
+            "check": ["check", config, *out],
+            "damping": ["damping", config, *out],
+            "compare": ["compare", spectrum,
+                        write_reference_file(tmp_path / "ref.csv",
+                                             [0.5 - 0.6j])],
+        }[command]
+        script = ("import sys; from radpml.cli import main; "
+                  f"code = main(sys.argv[1:]); print(code, {SCIPY_MODULES})")
+        assert run_python(script, *argv).splitlines()[-1] == f"{EXIT_OK} []"
+
+    def test_solve_loads_solver_modules_before_the_mesh(self, tmp_path):
+        """Loaded mid-solve, scipy's objects split the freed element-pass
+        blocks that the Krylov basis reuses, and the peak RSS rises."""
+        script = (
+            "import sys, radpml.cli as cli\n"
+            "def generate(*args, **kwargs):\n"
+            "    print({'scipy.linalg', 'scipy.sparse.linalg'}"
+            " <= set(sys.modules))\n"
+            "    raise SystemExit(0)\n"
+            "cli.generate = generate\n"
+            "cli.main(sys.argv[1:])\n")
+        path = write_config(tmp_path)
+        assert run_python(script, "solve", path) == "True"
 
 
 class TestReadme:
