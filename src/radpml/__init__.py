@@ -33,7 +33,6 @@ from .media import (
 from .analytic import (
     MAX_ORDER,
     SUPPORTED_RADIUS,
-    ComplexDistance,
     ResonanceReference,
     bessel_j,
     bessel_y,

@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .media import Medium, RangeBox
-from .scaling import ScalingProfile, limits
+from .scaling import ScalingProfile, _separation, limits
 
 __all__ = [
     "SUPPORTED_RADIUS",
@@ -49,7 +49,6 @@ __all__ = [
     "bessel_y",
     "hankel1",
     "hankel1_deriv",
-    "ComplexDistance",
     "d_sigma",
     "damping_rate",
     "ResonanceReference",
@@ -255,26 +254,7 @@ def _hankel_with_two_derivs(n: int, z: np.ndarray):
 # complex distance and kernel damping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexDistance:
-    """Scaled anisotropic distance on the branch with Im >= 0."""
-
-    value: complex
-
-    def __post_init__(self):
-        if self.value.imag < 0.0:
-            raise ValueError("complex distance constructed off its branch")
-
-
-def _check_separation(profile: ScalingProfile, medium: Medium, r0: float):
-    ratio = medium.sigma_max / medium.sigma_min
-    if not profile.r1 > ratio * r0:
-        raise PreconditionError(
-            f"onset radius r1 = {profile.r1:g} must exceed "
-            f"(sigma_max/sigma_min) * |y| = {ratio * r0:g}")
-
-
-def d_sigma(x, y, profile: ScalingProfile, medium: Medium) -> ComplexDistance:
+def d_sigma(x, y, profile: ScalingProfile, medium: Medium) -> complex:
     """Complex distance sqrt((dt(|x|) x - y)^T sigma^{-1} (dt(|x|) x - y)).
 
     ``dt`` is the scaled-radius stretch, so the first argument is the
@@ -293,15 +273,18 @@ def d_sigma(x, y, profile: ScalingProfile, medium: Medium) -> ComplexDistance:
     if x.shape != (medium.dim,) or y.shape != (medium.dim,):
         raise PreconditionError(
             f"points must have {medium.dim} coordinates, as the medium")
-    r0 = float(np.linalg.norm(y))
-    _check_separation(profile, medium, r0)
+    separated, bound = _separation(profile.r1, medium, float(np.linalg.norm(y)))
+    if not separated:
+        raise PreconditionError(
+            f"onset radius r1 = {profile.r1:g} must exceed "
+            f"(sigma_max/sigma_min) * |y| = {bound:g}")
     scaled_x = profile.d_tilde(float(np.linalg.norm(x))) * x
     diff = scaled_x - y
     quad = diff @ medium.inv @ diff
     root = np.sqrt(complex(quad))
     if root.imag < 0.0:
         root = -root
-    return ComplexDistance(complex(root))
+    return complex(root)
 
 
 def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction,
@@ -322,6 +305,8 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction,
     ------
     PreconditionError
         If Re(i omega d0) >= 0 (no damping guaranteed).
+    ValidationError
+        If the profile fails the sampled profile-assumption checks.
     """
     lim = limits(profile, medium)
     omega = complex(omega)
@@ -340,7 +325,7 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction,
     y[0] = r0
     rs = np.linspace(10.0 * profile.r1, 20.0 * profile.r1, samples)
     log_decay = np.array([
-        (omega * d_sigma(r * direction, y, profile, medium).value).imag
+        (omega * d_sigma(r * direction, y, profile, medium)).imag
         for r in rs
     ])
     measured = float(np.polyfit(rs, log_decay, 1)[0])

@@ -18,7 +18,8 @@ search; 4 unmatched comparison; 64 configuration error (also used for
 command-line usage errors and for an output path that cannot be made or
 written).
 
-Configuration files are flat INI text with decimal numbers only.  The
+Configuration files are flat INI text with decimal numbers only, and a
+key that no setting reads is a configuration error.  The
 scaling strength is a single complex literal such as ``1+0.5i`` (``8i``
 is accepted for ``0+8i``), or a pair ``c`` / ``omega_dependent = true``
 for the frequency-dependent family, which is evaluated at the solver
@@ -70,7 +71,7 @@ from .errors import (
 from .fem import CondensedShiftSolver, FunctionSpace
 from .media import Medium, RangeBox
 from .mesh import DiskObstacle, EllipseObstacle, Geometry, generate, refine
-from .scaling import PROFILE_KINDS, admissible, gamma_of_omega, limits, min_stabilizing_c
+from .scaling import PROFILE_KINDS, _separation, admissible, gamma_of_omega
 
 EXIT_OK = 0
 EXIT_CONDITION = 2
@@ -131,7 +132,8 @@ _REQUIRED = object()
 
 class _Reader:
     """configparser wrapper that turns every failure into ConfigError
-    with section/key diagnostics."""
+    with section/key diagnostics, and records every (section, key) that
+    ``get`` or ``has`` looks up."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -144,8 +146,10 @@ class _Reader:
         except configparser.Error as exc:
             raise ConfigError(f"malformed configuration: {exc}") from None
         self.parser = parser
+        self.looked_up = set()
 
     def get(self, section, key, cast, default=_REQUIRED):
+        self.looked_up.add((section, key))
         raw = self.parser.get(section, key, fallback=None) \
             if self.parser.has_section(section) else None
         if raw is None:
@@ -166,7 +170,20 @@ class _Reader:
                 f"{getattr(cast, '__name__', 'value')}") from None
 
     def has(self, section, key):
+        self.looked_up.add((section, key))
         return self.parser.has_section(section) and self.parser.has_option(section, key)
+
+    def unread(self):
+        """``[section] key`` of every key in the file that no lookup asked
+        for; a [DEFAULT] key counts as read if any section's lookup read it."""
+        defaults = self.parser.defaults()
+        read = {key for _, key in self.looked_up}
+        names = [f"[{self.parser.default_section}] {key}"
+                 for key in defaults if key not in read]
+        return names + [f"[{section}] {key}" for section in self.parser.sections()
+                        for key in self.parser.options(section)
+                        if key not in defaults
+                        and (section, key) not in self.looked_up]
 
 
 @dataclass(frozen=True)
@@ -325,6 +342,11 @@ def parse_config(path) -> RunConfig:
     if ref_max_order < 0:
         raise ConfigError(
             f"[reference] max_order must be >= 0, got {ref_max_order}")
+    unread = reader.unread()
+    if unread:
+        raise ConfigError(
+            f"{reader.path}: unknown key(s) {', '.join(unread)} (misspelt, "
+            f"or not used by this obstacle or profile kind)")
 
     config = RunConfig(
         path=str(path), sha256=digest, geometry=geometry, medium=medium,
@@ -500,13 +522,13 @@ def cmd_check(args) -> int:
     config = parse_config(args.config)
     path, = _outputs(config, args, ["check.json"])
     profile = config.build_profile()
-    report = admissible(profile, config.medium, config.geometry.obstacle.extent)
-    min_c = min_stabilizing_c(config.medium)
+    r0 = config.geometry.obstacle.extent
+    report = admissible(profile, config.medium, r0)
+    _, bound = _separation(profile.r1, config.medium, r0)
     flags = [
         ("profile-assumptions", report.profile_ok, ""),
         ("separation", report.separation_ok,
-         f"(r1 = {config.geometry.r1:g}, required > "
-         f"{config.medium.sigma_max / config.medium.sigma_min * config.geometry.obstacle.extent:g})"),
+         f"(r1 = {config.geometry.r1:g}, required > {bound:g})"),
         ("coercivity", report.coercivity_ok,
          f"(cos(tau*) = {report.cos_tau_star:.6g}, threshold = {report.threshold:.6g})"),
         ("far-field-decay", report.far_field_ok, ""),
@@ -515,7 +537,7 @@ def cmd_check(args) -> int:
         verdict = "PASS" if ok else "FAIL"
         print(f"check: {name}: {verdict} {detail}".rstrip())
     print(f"check: tau* = {report.tau_star:.9g}, psi* = {report.psi_star:.9g}, "
-          f"min stabilizing c = {min_c:.9g}")
+          f"min stabilizing c = {report.min_c:.9g}")
     for message in report.messages:
         print(f"check: note: {message}")
     _write_json(path, {
@@ -526,7 +548,7 @@ def cmd_check(args) -> int:
         "psi_star": report.psi_star,
         "cos_tau_star": report.cos_tau_star,
         "threshold": report.threshold,
-        "min_stabilizing_c": min_c,
+        "min_stabilizing_c": report.min_c,
         "all_ok": report.all_ok,
     })
     if report.all_ok:
@@ -583,16 +605,14 @@ def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
             mesh = refine(mesh)
     with _stage("assembly"):
         space = FunctionSpace(mesh, config.p)
-        profile = config.build_profile()
         # one element pass assembles the pencil and condenses the bubbles
-        solver = CondensedShiftSolver(space, profile, config.medium,
-                                      config.shift ** 2)
+        solver = CondensedShiftSolver(space, config.build_profile(),
+                                      config.medium, config.shift ** 2)
     with _stage("factorization"):
         solver.factor()
     with _stage("eigensolve"):
         spectrum = shift_invert_arnoldi(
-            solver, config.k, krylov_dim=config.krylov_dim,
-            d0=limits(profile, config.medium).d0, seed=seed)
+            solver, config.k, krylov_dim=config.krylov_dim, seed=seed)
     return spectrum, mesh, solver.pencil
 
 
@@ -738,7 +758,8 @@ def cmd_damping(args) -> int:
             rows.append({"angle": angle, "measured": measured, "bound": bound})
             print(f"damping: angle {np.degrees(angle):7.2f} deg  "
                   f"measured {measured:.6f}  bound {bound:.6f}")
-    except PreconditionError as exc:
+    except (PreconditionError, ValidationError) as exc:
+        # ValidationError: the profile fails the sampled assumption checks
         print(f"damping: hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_CONDITION
     _write_json(path, {

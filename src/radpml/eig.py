@@ -19,8 +19,8 @@ vector; pairs worse than 1e-6 are dropped with a warning (Ritz clutter
 near the shift is expected, not an error).  A Ritz vector is formed only
 to measure that residual and is not kept.  Validity against the
 scaled-resolvent region is flagged per eigenvalue: in_lambda_d0 is False
-exactly when |Re(i omega d0)| <= 1e-10 for the profile's asymptotic
-direction d0.
+exactly when |Re(i omega d0)| <= 1e-10 for the asymptotic direction d0
+that the solver took from its own profile.
 
 Spurious-mode detection compares the spectrum with that of the same
 problem with the damping layer widened by a stretch factor, matching the
@@ -228,21 +228,21 @@ def _arnoldi(apply_op, n, m, rng):
 
 
 def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
-                         d0: complex = 1.0 + 0.0j, seed: int = 0) -> Spectrum:
+                         seed: int = 0) -> Spectrum:
     """Up to k eigenvalues of K u = omega^2 M u nearest the solver's shift.
 
     Parameters
     ----------
     solver : a factored ``fem.CondensedShiftSolver``.  Its ``pencil`` is
         (K, M), ``shift_sq`` the shift in the omega^2 plane, ``solve``
-        applies (K - shift_sq*M)^{-1} and ``lu`` is the skeleton factor
-        whose path, fill and size go into the provenance.  Residuals are
+        applies (K - shift_sq*M)^{-1}, ``lu`` is the skeleton factor
+        whose path, fill and size go into the provenance, and ``d0`` is
+        the asymptotic scaling direction of the profile the pencil was
+        built from, which the in_lambda_d0 flags test.  Residuals are
         measured against the full pencil, so a wrong solve cannot
         smuggle in bad pairs.
     k : number of requested pairs.
     krylov_dim : basis size, >= 2k+10 (default 2k+20, capped at n).
-    d0 : asymptotic scaling direction used for the in_lambda_d0 flags
-        (1 means the flag tests Im(omega) != 0).
     seed : start-vector seed; identical inputs and seed reproduce the
         spectrum bitwise.
     """
@@ -295,12 +295,12 @@ def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
     sort = np.argsort(np.abs(omegas - shift), kind="stable")
     omegas = omegas[sort]
     residuals = residuals[sort]
-    in_lambda = np.abs((1j * omegas * complex(d0)).real) > LAMBDA_MARGIN
+    in_lambda = np.abs((1j * omegas * solver.d0).real) > LAMBDA_MARGIN
 
     provenance = {
         "shift_sq": shift_sq, "shift": shift, "k": k, "krylov_dim": m,
         "basis_size": mb, "seed": seed, "dropped": dropped,
-        "d0": complex(d0), "solver": "condensed",
+        "d0": complex(solver.d0), "solver": "condensed",
         "factor_path": solver.lu.path, "factor_fill": solver.lu.fill,
         "skeleton_size": solver.lu.n,
     }

@@ -43,7 +43,7 @@ from .errors import (AssemblyError, DomainError, ShiftRejectedError,
 from .media import Medium
 from .mesh import (BOUNDARY_OBSTACLE, BOUNDARY_OUTER, Mesh, REGION_INTERIOR,
                    _global_edges)
-from .scaling import ScalingProfile
+from .scaling import ScalingProfile, limits
 
 __all__ = [
     "DIRICHLET",
@@ -341,13 +341,15 @@ class CondensedShiftSolver:
 
     Construction is the one element pass of a solve: each chunk's K and
     M blocks are scattered into the pencil (``pencil``) and condensed in
-    the same sweep.  ``solve`` needs ``factor`` to have run.
+    the same sweep.  ``solve`` needs ``factor`` to have run.  ``d0``, the
+    profile's asymptotic direction, comes from ``limits`` before the pass.
     """
 
     def __init__(self, space: FunctionSpace, profile: ScalingProfile,
                  medium: Medium, shift_sq: complex):
         if medium.dim != 2:
             raise ValidationError("the assembled form is two-dimensional")
+        self.d0 = limits(profile, medium).d0
         p = space.p
         ns_local = 3 * p                      # vertex + edge modes
         nb_local = (p - 1) * (p - 2) // 2     # interior bubbles

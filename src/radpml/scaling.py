@@ -91,7 +91,8 @@ class ScalingProfile:
         raise NotImplementedError
 
     def alpha_tilde_limit(self) -> float:
-        """Limit of alpha_tilde at infinity (bounded by Assumption 1)."""
+        """Limit of alpha_tilde at infinity (bounded by Assumption 1);
+        every kind defines it, and ``limits`` forms d_inf from it."""
         raise NotImplementedError
 
     def tau_star_closed(self):
@@ -104,21 +105,20 @@ class ScalingProfile:
 
     # -- pointwise quantities -------------------------------------------
 
-    def alpha_tilde(self, r):
+    def _beyond_onset(self, tail, r):
+        """``tail`` beyond r1, zero up to it."""
         arr = _as_radius_array(r)
         out = np.zeros(arr.shape)
         mask = arr > self.r1
         if np.any(mask):
-            out[mask] = self._tail_alpha_tilde(arr[mask])
+            out[mask] = tail(arr[mask])
         return out if out.ndim else float(out)
 
+    def alpha_tilde(self, r):
+        return self._beyond_onset(self._tail_alpha_tilde, r)
+
     def dalpha_tilde(self, r):
-        arr = _as_radius_array(r)
-        out = np.zeros(arr.shape)
-        mask = arr > self.r1
-        if np.any(mask):
-            out[mask] = self._tail_dalpha_tilde(arr[mask])
-        return out if out.ndim else float(out)
+        return self._beyond_onset(self._tail_dalpha_tilde, r)
 
     def alpha(self, r):
         arr = _as_radius_array(r)
@@ -266,6 +266,15 @@ class ScalingLimits:
     psi_flagged: bool
 
 
+def _tail_grid(profile: ScalingProfile, start: float) -> np.ndarray:
+    """Geometric radii from start*r1 to 1e3*r1, with the kind's extra points."""
+    grid = profile.r1 * np.geomspace(start, 1e3, _SUP_SAMPLES)
+    extra = profile._extra_sample_points()
+    if extra.size:
+        grid = np.sort(np.concatenate([grid, extra]))
+    return grid
+
+
 def _assumption1_violations(profile: ScalingProfile) -> list:
     """Sampled checks of the profile assumptions; empty list if clean."""
     r1 = profile.r1
@@ -275,10 +284,7 @@ def _assumption1_violations(profile: ScalingProfile) -> list:
         bad.append("alpha_tilde does not vanish on [0, r1]")
     if abs(profile.alpha_tilde(r1 * (1.0 + 1e-12))) > 1e-9:
         bad.append("alpha_tilde is not continuous at r1")
-    grid = r1 * np.geomspace(1.0 + 1e-6, 1e3, _SUP_SAMPLES)
-    extra = profile._extra_sample_points()
-    if extra.size:
-        grid = np.sort(np.concatenate([grid, extra]))
+    grid = _tail_grid(profile, 1.0 + 1e-6)
     at = profile.alpha_tilde(grid)
     a = profile.alpha(grid)
     if not (np.all(np.isfinite(at)) and np.all(np.isfinite(a))):
@@ -299,12 +305,8 @@ def _assumption1_violations(profile: ScalingProfile) -> list:
     scale = np.max(np.abs(da)) + 1.0
     if np.max(np.abs(fd - da)) > 1e-4 * scale:
         bad.append("dalpha_tilde is inconsistent with alpha_tilde")
-    try:
-        lim = profile.alpha_tilde_limit()
-        if np.max(at) > lim * (1.0 + 1e-6) + 1e-12:
-            bad.append("alpha_tilde exceeds its declared limit")
-    except NotImplementedError:
-        pass
+    if np.max(at) > profile.alpha_tilde_limit() * (1.0 + 1e-6) + 1e-12:
+        bad.append("alpha_tilde exceeds its declared limit")
     return bad
 
 
@@ -317,11 +319,7 @@ def _sup_abs_tau(profile: ScalingProfile) -> float:
     # the start-up of every command
     import scipy.optimize
 
-    r1 = profile.r1
-    grid = r1 * np.geomspace(1.0 + 1e-9, 1e3, _SUP_SAMPLES)
-    extra = profile._extra_sample_points()
-    if extra.size:
-        grid = np.sort(np.concatenate([grid, extra]))
+    grid = _tail_grid(profile, 1.0 + 1e-9)
     vals = np.abs(profile.tau(grid))
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
@@ -332,44 +330,44 @@ def _sup_abs_tau(profile: ScalingProfile) -> float:
     return float(max(vals[i], -refined.fun))
 
 
+def _limits(profile: ScalingProfile, medium: Medium) -> ScalingLimits:
+    """``limits`` without the profile-assumption checks."""
+    d_inf = 1.0 + profile.gamma * profile.alpha_tilde_limit()
+    tau_star = _sup_abs_tau(profile)
+    a = medium.sigma_min - (1.0 - np.cos(tau_star)) * medium.sigma_max
+    return ScalingLimits(
+        d0=complex(d_inf / abs(d_inf)),
+        d_inf=complex(d_inf),
+        tau_star=float(tau_star),
+        psi_star=float(np.arctan2(medium.sigma_max * np.sin(tau_star), a)),
+        psi_flagged=bool(a <= 0.0),
+    )
+
+
+def _separation(r1: float, medium: Medium, r0: float):
+    """(holds, bound) of the separation rule r1 > bound = (s_max/s_min) * r0."""
+    bound = medium.sigma_max / medium.sigma_min * r0
+    return r1 > bound, bound
+
+
 def limits(profile: ScalingProfile, medium: Medium) -> ScalingLimits:
     """Asymptotic scaling data: d0, d_inf, tau_star and psi_star.
 
-    d_inf comes from the profile's closed-form alpha_tilde limit when
-    available, otherwise from evaluation at 1e6*r1 confirmed at 1e7*r1.
-    tau_star uses the affine closed form or dense geometric sampling with
-    bounded Brent refinement.  psi follows from tau_star because
-    |sin tau(r)| is maximized exactly where |tau| is (tau has one sign).
+    d_inf comes from the profile's closed-form alpha_tilde limit, which
+    every kind defines.  tau_star uses the affine closed form or dense
+    geometric sampling with bounded Brent refinement.  psi follows from
+    tau_star because |sin tau(r)| is maximized exactly where |tau| is
+    (tau has one sign).
 
     Raises
     ------
     ValidationError
-        If the profile fails the sampled profile-assumption checks, or
-        the numeric d_inf evaluation has not converged.
+        If the profile fails the sampled profile-assumption checks.
     """
     bad = _assumption1_violations(profile)
     if bad:
         raise ValidationError("profile violates scaling assumptions: " + "; ".join(bad))
-    try:
-        d_inf = 1.0 + profile.gamma * profile.alpha_tilde_limit()
-    except NotImplementedError:
-        v1 = complex(profile.d_tilde(1e6 * profile.r1))
-        v2 = complex(profile.d_tilde(1e7 * profile.r1))
-        if abs(v1 - v2) > 1e-8 * max(1.0, abs(v2)):
-            raise ValidationError(
-                "d_tilde has not converged by r = 1e7*r1; cannot form limits")
-        d_inf = v2
-    d0 = d_inf / abs(d_inf)
-    tau_star = _sup_abs_tau(profile)
-    a = medium.sigma_min - (1.0 - np.cos(tau_star)) * medium.sigma_max
-    psi_star = float(np.arctan2(medium.sigma_max * np.sin(tau_star), a))
-    return ScalingLimits(
-        d0=complex(d0),
-        d_inf=complex(d_inf),
-        tau_star=float(tau_star),
-        psi_star=psi_star,
-        psi_flagged=bool(a <= 0.0),
-    )
+    return _limits(profile, medium)
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +421,14 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
     profile_ok = not bad
     msgs.extend(bad)
 
-    ratio = medium.sigma_max / medium.sigma_min
-    separation_ok = profile.r1 > ratio * r0
+    separation_ok, bound = _separation(profile.r1, medium, r0)
     if not separation_ok:
         msgs.append(
-            f"separation fails: r1 = {profile.r1:g} <= (s_max/s_min)*r0 = {ratio * r0:g}")
+            f"separation fails: r1 = {profile.r1:g} <= (s_max/s_min)*r0 = {bound:g}")
 
-    tau_star = _sup_abs_tau(profile)
+    lim = _limits(profile, medium)
     threshold = anisotropy_degree(medium)
-    cos_tau_star = float(np.cos(tau_star))
+    cos_tau_star = float(np.cos(lim.tau_star))
     coercivity_ok = cos_tau_star > threshold
     if not coercivity_ok:
         msgs.append(
@@ -457,9 +454,7 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
             f"far-field decay not observed: |tau({r_far:g})| = {tau_far:.2e}, "
             f"unit-stretch slope {s_mid:.2e} -> {s_far:.2e}")
 
-    a = medium.sigma_min - (1.0 - cos_tau_star) * medium.sigma_max
-    psi_star = float(np.arctan2(medium.sigma_max * np.sin(tau_star), a))
-    if a <= 0.0:
+    if lim.psi_flagged:
         msgs.append("psi_star is the argument of a number with non-positive real part")
 
     return AdmissibilityReport(
@@ -467,8 +462,8 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
         separation_ok=bool(separation_ok),
         coercivity_ok=bool(coercivity_ok),
         far_field_ok=bool(far_field_ok),
-        tau_star=float(tau_star),
-        psi_star=psi_star,
+        tau_star=lim.tau_star,
+        psi_star=lim.psi_star,
         cos_tau_star=cos_tau_star,
         threshold=float(threshold),
         min_c=min_stabilizing_c(medium),

@@ -392,8 +392,7 @@ def _first_resonance_error(p, layer_width, reference):
                                   reference**2).factor()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        spectrum = shift_invert_arnoldi(
-            solver, 3, krylov_dim=24, d0=limits(profile, medium).d0, seed=0)
+        spectrum = shift_invert_arnoldi(solver, 3, krylov_dim=24, seed=0)
     assert len(spectrum), f"no converged eigenvalues at p={p}"
     nearest = spectrum.omegas[np.argmin(np.abs(spectrum.omegas - reference))]
     return abs(nearest - reference) / abs(reference)
@@ -457,8 +456,7 @@ def test_9_dense_oracle_equivalence():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 spectrum = shift_invert_arnoldi(
-                    solver, 6, krylov_dim=pencil.size - 2,
-                    d0=limits(profile, medium).d0, seed=0)
+                    solver, 6, krylov_dim=pencil.size - 2, seed=0)
             assert len(spectrum) >= 4, "window unexpectedly empty"
             for omega in spectrum.omegas:
                 gap = np.min(np.abs(dense_omegas - omega))

@@ -12,7 +12,6 @@ from radpml import analytic
 from radpml.analytic import (
     MAX_ORDER,
     SUPPORTED_RADIUS,
-    ComplexDistance,
     bessel_j,
     bessel_y,
     d_sigma,
@@ -311,12 +310,12 @@ class TestComplexDistance:
 
     def test_coincident_points_vanish(self):
         x = np.array([0.3, -0.4])
-        assert d_sigma(x, x, self.PROF, self.MED).value == 0.0
+        assert d_sigma(x, x, self.PROF, self.MED) == 0.0
 
     def test_real_inside_onset(self):
         x = np.array([0.8, 0.3])
         y = np.array([-0.2, 0.5])
-        val = d_sigma(x, y, self.PROF, self.MED).value
+        val = d_sigma(x, y, self.PROF, self.MED)
         assert val.imag == 0.0
         assert val.real == pytest.approx(np.linalg.norm(x - y), rel=1e-14)
 
@@ -324,7 +323,7 @@ class TestComplexDistance:
         x = np.array([1.0, 0.0])
         y = np.array([0.0, 0.0])
         # sqrt(x^T sigma^{-1} x) with sigma_xx = 0.25 gives 1/sqrt(0.25) = 2
-        val = d_sigma(x, y, AffineProfile(r1=3.0, gamma=1j), self.ANISO).value
+        val = d_sigma(x, y, AffineProfile(r1=3.0, gamma=1j), self.ANISO)
         assert val == pytest.approx(2.0, rel=1e-14)
 
     def test_branch_on_large_sample(self):
@@ -349,7 +348,7 @@ class TestComplexDistance:
             roots = np.where(roots.imag < 0.0, -roots, roots)
             assert np.all(roots.imag >= 0.0)
             for k in rng.choice(total, 400, replace=False):
-                val = d_sigma(xs[k], ys[k], prof, med).value
+                val = d_sigma(xs[k], ys[k], prof, med)
                 assert val == pytest.approx(complex(roots[k]), abs=1e-13 * (1 + abs(roots[k])))
 
     def test_separation_precondition(self):
@@ -360,10 +359,6 @@ class TestComplexDistance:
         with pytest.raises(PreconditionError):
             d_sigma(np.array([3.0, 0.0]), np.array([0.6, 0.0]),
                     self.PROF, self.ANISO)
-
-    def test_off_branch_construction_rejected(self):
-        with pytest.raises(ValueError):
-            ComplexDistance(1.0 - 0.5j)
 
 
 class TestDampingRate:

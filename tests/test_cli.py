@@ -189,6 +189,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "absent.cfg")
 
+    def test_misspelt_key_rejected(self, tmp_path, capsys):
+        """``krylov_dm`` used to parse, and the run silently took the
+        default basis of 2k+20."""
+        path = write_config(tmp_path, solver={"krylov_dm": "80"})
+        with pytest.raises(ConfigError, match=r"\[solver\] krylov_dm"):
+            parse_config(path)
+        assert main(["check", str(path)]) == EXIT_CONFIG
+        assert "[solver] krylov_dm" in capsys.readouterr().err
+
+    def test_key_of_another_profile_kind_rejected(self, tmp_path):
+        path = write_config(tmp_path, scaling={"width": "0.7"})
+        with pytest.raises(ConfigError, match=r"\[scaling\] width"):
+            parse_config(path)
+
+    def test_default_section_key_counts_as_read_anywhere(self, tmp_path):
+        path = write_config(tmp_path, DEFAULT={"refinements": "1"})
+        assert parse_config(path).refinements == 1
+        path = write_config(tmp_path, DEFAULT={"colour": "red"})
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\] colour"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("name", ["disk.cfg", "ellipse.cfg"])
+    def test_shipped_configs_parse(self, name):
+        parse_config(REPO / "configs" / name)
+
 
 class TestCheckCommand:
     def test_isotropic_disk_passes(self, tmp_path, capsys):
@@ -205,6 +230,7 @@ class TestCheckCommand:
     def test_anisotropic_ellipse_fails_conditions(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
+            drop=[("geometry", "radius")],
             geometry={"obstacle": "ellipse", "semi_axis_x": "0.5",
                       "semi_axis_y": "1.0", "r1": "1.5", "layer_width": "2.0"},
             medium={"sigma_xx": "0.25", "sigma_xy": "0.0", "sigma_yy": "1.0"})
@@ -214,6 +240,27 @@ class TestCheckCommand:
         assert "min stabilizing c" in out
         document = json.loads((tmp_path / "out" / "check.json").read_text())
         assert document["all_ok"] is False
+
+    def test_paper_medium_numbers(self, tmp_path, capsys):
+        """``configs/ellipse.cfg`` (affine 8i, sigma = diag(0.25, 1), r0 = 1)
+        against closed forms: tau* = arctan 8, threshold 1 - 0.25/1,
+        psi* = atan2(sin tau*, cos tau* - 0.75), and the c that makes
+        1/sqrt(1 + 1/(4(c^2 + c))) reach 0.75."""
+        code = main(["check", str(REPO / "configs" / "ellipse.cfg"),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONDITION
+        assert "separation: FAIL (r1 = 1.5, required > 4)" in \
+            capsys.readouterr().out
+        document = json.loads((tmp_path / "check.json").read_text())
+        sin_tau, cos_tau = 8.0 / np.sqrt(65.0), 1.0 / np.sqrt(65.0)
+        assert document["tau_star"] == pytest.approx(np.arctan(8.0),
+                                                     rel=1e-15)
+        assert document["cos_tau_star"] == pytest.approx(cos_tau, rel=1e-14)
+        assert document["threshold"] == 0.75
+        assert document["psi_star"] == pytest.approx(
+            np.arctan2(sin_tau, cos_tau - 0.75), rel=1e-14)
+        assert document["min_stabilizing_c"] == pytest.approx(
+            (np.sqrt(16.0 / 7.0) - 1.0) / 2.0, rel=1e-14)
 
 
 class TestReferenceCommand:
@@ -308,6 +355,17 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert f"error at stage {stage}: synthetic {stage} failure" in err
+
+    def test_profile_failing_assumptions_stops_at_assembly(self, tmp_path,
+                                                           capsys):
+        """The solver takes d0 from ``limits`` before its element pass, so
+        the failing profile is reported after the first mesh."""
+        path = write_config(
+            tmp_path, discretization={"hmax": "0.8"},
+            scaling={"profile": "constant-after-ramp", "width": "1e-9"})
+        assert main(["solve", str(path)]) == EXIT_FAILURE
+        assert "solve: error at stage assembly: profile violates scaling " \
+            "assumptions" in capsys.readouterr().err
 
     def test_missing_reference_table_is_config_error(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -488,6 +546,19 @@ class TestDampingCommand:
         path = write_config(tmp_path)
         assert main(["damping", str(path), "--rays", "0"]) == EXIT_OK
         assert "0 rays evaluated" in capsys.readouterr().out
+
+    def test_profile_failing_assumptions_is_hypothesis_violation(
+            self, tmp_path, capsys):
+        """A ramp of width 1e-9 is not continuous at r1 at the sampled
+        scale: exit 2 before any ray, with no damping.json."""
+        path = write_config(tmp_path, scaling={
+            "profile": "constant-after-ramp", "width": "1e-9"})
+        assert main(["damping", str(path)]) == EXIT_CONDITION
+        captured = capsys.readouterr()
+        assert "damping: hypothesis violation: profile violates scaling " \
+            "assumptions: alpha_tilde is not continuous at r1" in captured.err
+        assert "angle" not in captured.out
+        assert not (tmp_path / "out" / "damping.json").exists()
 
     @pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
     def test_non_finite_omega_is_config_error(self, tmp_path, capsys, omega):

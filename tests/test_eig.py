@@ -46,11 +46,13 @@ COARSEST_DISK = Geometry(DiskObstacle(1.0), 1.5, 2.0)
 
 class DirectSolver:
     """Stand-in for a factored condensed solver over a synthetic pencil:
-    the shifted pencil is factored as it stands."""
+    the shifted pencil is factored as it stands, and d0 = 1 makes the
+    in_lambda_d0 flags test Im(omega) != 0."""
 
     def __init__(self, pencil, shift_sq):
         self.pencil = pencil
         self.shift_sq = complex(shift_sq)
+        self.d0 = 1.0
         self.lu = sparse_lu(pencil.stiffness - self.shift_sq * pencil.mass)
         self.solve = self.lu.solve
 
@@ -193,8 +195,7 @@ class TestShiftInvertArnoldi:
         unconverged straggler dropped under its documented warning."""
         with pytest.warns(AccuracyWarning, match="residual"):
             spectrum = shift_invert_arnoldi(
-                coarse_solver, k=5, krylov_dim=40,
-                d0=limits(PROFILE, ISO).d0, seed=0)
+                coarse_solver, k=5, krylov_dim=40, seed=0)
         omega = dense_lower_branch_omegas(coarse_solver.pencil)
         assert len(spectrum) >= 4
         for w in spectrum.omegas:
@@ -216,8 +217,7 @@ class TestShiftInvertArnoldi:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyWarning)
             spectrum = shift_invert_arnoldi(
-                solver, k=6, krylov_dim=solver.n - 2,
-                d0=limits(PROFILE, ISO).d0, seed=0)
+                solver, k=6, krylov_dim=solver.n - 2, seed=0)
         omega = dense_lower_branch_omegas(solver.pencil)
         assert len(spectrum) >= 4
         for w in spectrum.omegas:
@@ -272,7 +272,8 @@ class TestShiftInvertArnoldi:
         on_ray = np.conj(d0)           # omega*d0 real, Im(omega) < 0
         off_ray = 2.0 - 0.5j
         solver = diagonal_solver(on_ray**2 + 0.01, on_ray**2, off_ray**2)
-        spectrum = shift_invert_arnoldi(solver, k=2, d0=d0)
+        solver.d0 = d0
+        spectrum = shift_invert_arnoldi(solver, k=2)
         flags = {np.round(w, 8): f
                  for w, f in zip(spectrum.omegas, spectrum.in_lambda_d0)}
         assert flags[np.round(on_ray, 8)] == False  # noqa: E712

@@ -16,6 +16,8 @@ from radpml import (
     min_stabilizing_c,
 )
 
+from radpml.scaling import PROFILE_KINDS
+
 ISO = Medium.isotropic(2)
 PAPER_MEDIUM = Medium.diagonal([0.25, 1.0])
 
@@ -157,6 +159,16 @@ class TestLimits:
         # cos(arctan 8) ~ 0.124 < 0.75: psi loses its positive real part
         assert lim.psi_flagged
         assert lim.psi_star > np.pi / 2
+
+    @pytest.mark.parametrize("cls", PROFILE_KINDS.values(),
+                             ids=PROFILE_KINDS.keys())
+    def test_every_kind_has_closed_form_limit(self, cls):
+        """limits forms d_inf from alpha_tilde_limit alone, so every kind
+        must define it."""
+        profile = cls(r1=1.5, gamma=0.5 + 2j)
+        assert np.isfinite(profile.alpha_tilde_limit())
+        assert limits(profile, ISO).d_inf == \
+            1.0 + profile.gamma * profile.alpha_tilde_limit()
 
     def test_rejects_decreasing_profile(self):
         class Decreasing(SmoothedPolynomialProfile):
