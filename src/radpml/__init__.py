@@ -59,15 +59,12 @@ from .scaling import (
 from .mesh import (
     BOUNDARY_OBSTACLE,
     BOUNDARY_OUTER,
-    REGION_INTERIOR,
-    REGION_PML,
     DiskObstacle,
     EllipseObstacle,
     Geometry,
     Mesh,
     generate,
     max_edge_length,
-    refine,
     triangle_areas,
 )
 from .fem import (

@@ -70,7 +70,7 @@ from .errors import (
 )
 from .fem import CondensedShiftSolver, FunctionSpace
 from .media import Medium, RangeBox
-from .mesh import DiskObstacle, EllipseObstacle, Geometry, generate, refine
+from .mesh import DiskObstacle, EllipseObstacle, Geometry, generate
 from .scaling import PROFILE_KINDS, _separation, admissible, gamma_of_omega
 
 EXIT_OK = 0
@@ -203,7 +203,6 @@ class RunConfig:
     hmax: float
     p: int
     q: int
-    refinements: int
     shift: complex
     k: int
     krylov_dim: int | None
@@ -292,21 +291,21 @@ def parse_config(path) -> RunConfig:
                    ("amax", reader.get("scaling", "amax", float, default=1.0))]
 
     hmax = reader.get("discretization", "hmax", float)
-    if not hmax > 0.0:
-        raise ConfigError(f"[discretization] hmax must be positive, got {hmax:g}")
+    if not 0.0 < hmax < np.inf:
+        raise ConfigError(
+            f"[discretization] hmax must be positive and finite, got {hmax:g}")
     p = reader.get("discretization", "p", int)
     if not 1 <= p <= 6:
         raise ConfigError(f"[discretization] p must lie in [1, 6], got {p}")
     q = reader.get("discretization", "q", int, default=p)
     if not 1 <= q <= 6:
         raise ConfigError(f"[discretization] q must lie in [1, 6], got {q}")
-    refinements = reader.get("discretization", "refinements", int, default=0)
-    if not 0 <= refinements <= 6:
-        raise ConfigError(
-            f"[discretization] refinements must lie in [0, 6], got {refinements}")
 
     shift = complex(reader.get("solver", "shift_re", float),
                     reader.get("solver", "shift_im", float))
+    for key, part in (("shift_re", shift.real), ("shift_im", shift.imag)):
+        if not np.isfinite(part):
+            raise ConfigError(f"[solver] {key} must be finite, got {part:g}")
     k = reader.get("solver", "k", int)
     if k < 1:
         raise ConfigError(f"[solver] k must be at least 1, got {k}")
@@ -316,8 +315,9 @@ def parse_config(path) -> RunConfig:
             f"[solver] krylov_dim must be at least 2k+10 = {2 * k + 10}, "
             f"got {krylov_dim}")
     stretch = reader.get("solver", "stretch", float, default=1.5)
-    if not stretch >= 1.0:
-        raise ConfigError(f"[solver] stretch must be >= 1, got {stretch:g}")
+    if not 1.0 <= stretch < np.inf:
+        raise ConfigError(
+            f"[solver] stretch must be finite and >= 1, got {stretch:g}")
     seed = reader.get("solver", "seed", int, default=0)
     if seed < 0:
         raise ConfigError(f"[solver] seed must be >= 0, got {seed}")
@@ -352,7 +352,7 @@ def parse_config(path) -> RunConfig:
         path=str(path), sha256=digest, geometry=geometry, medium=medium,
         profile_kind=profile_kind, gamma=gamma, c=c,
         omega_dependent=omega_dependent, profile_options=tuple(options),
-        hmax=hmax, p=p, q=q, refinements=refinements, shift=shift, k=k,
+        hmax=hmax, p=p, q=q, shift=shift, k=k,
         krylov_dim=krylov_dim, stretch=stretch, seed=seed, out_dir=out_dir,
         formats=formats, reference_csv=reference_csv, ref_box=ref_box,
         ref_max_order=ref_max_order)
@@ -601,8 +601,6 @@ def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
         geometry = config.geometry if layer_scale == 1.0 \
             else config.stretched_geometry(layer_scale)
         mesh = generate(geometry, config.hmax, config.q)
-        for _ in range(config.refinements):
-            mesh = refine(mesh)
     with _stage("assembly"):
         space = FunctionSpace(mesh, config.p)
         # one element pass assembles the pencil and condenses the bubbles

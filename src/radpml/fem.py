@@ -41,8 +41,7 @@ from .basis import (
 from .errors import (AssemblyError, DomainError, ShiftRejectedError,
                      SingularMatrixError, ValidationError)
 from .media import Medium
-from .mesh import (BOUNDARY_OBSTACLE, BOUNDARY_OUTER, Mesh, REGION_INTERIOR,
-                   _global_edges)
+from .mesh import BOUNDARY_OBSTACLE, BOUNDARY_OUTER, Mesh, _global_edges
 from .scaling import ScalingProfile, limits
 
 __all__ = [
@@ -151,8 +150,7 @@ class FunctionSpace:
 
         dirichlet_tags = [tag for tag, kind in self.bc.items() if kind == DIRICHLET]
         ends = mesh.boundary_edges[np.isin(mesh.boundary_tags, dirichlet_tags)]
-        tri_edge, edges, first = _global_edges(tri, ends, nv)
-        ne = first.size
+        tri_edge, edges, ne = _global_edges(tri, ends, nv)
         n_edge_modes = p - 1
         n_bubbles = (p - 1) * (p - 2) // 2
         total = nv + ne * n_edge_modes + nt * n_bubbles

@@ -13,18 +13,13 @@ Every triangle carries the degree-q lattice of mapping nodes evaluated
 through the *exact* block mapping, so nodes on the obstacle, interface,
 and outer rings lie on those curves to machine precision, and the
 curved geometry is conforming across element edges (shared edges carry
-identical node sets).
-
-Refinement is uniform red subdivision performed in the parent's
-reference coordinates: child vertices and mapping nodes are images
-under the parent's curved mapping, which keeps the represented curved
-domain exactly fixed (no re-snapping to the analytic curves).
+identical node sets).  ``hmax`` is the one mesh-size parameter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,19 +32,14 @@ __all__ = [
     "EllipseObstacle",
     "Geometry",
     "Mesh",
-    "REGION_INTERIOR",
-    "REGION_PML",
     "BOUNDARY_OBSTACLE",
     "BOUNDARY_OUTER",
     "generate",
-    "refine",
     "mapping",
     "triangle_areas",
     "max_edge_length",
 ]
 
-REGION_INTERIOR = 0
-REGION_PML = 1
 BOUNDARY_OBSTACLE = 0
 BOUNDARY_OUTER = 1
 
@@ -102,8 +92,8 @@ class Geometry:
             raise GeometryError(
                 f"obstacle extent {self.obstacle.extent:g} must lie strictly "
                 f"inside the onset circle r1 = {self.r1:g}")
-        if not self.layer_width > 0.0:
-            raise GeometryError("layer width must be positive")
+        if not 0.0 < self.layer_width < math.inf:
+            raise GeometryError("layer width must be positive and finite")
 
     @property
     def truncation_radius(self) -> float:
@@ -112,26 +102,23 @@ class Geometry:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Curved triangulation with region and boundary tags.
+    """Curved triangulation with boundary tags.
 
     ``mapping_nodes[t]`` holds the physical coordinates of the degree-q
     lattice (see :func:`radpml.basis.lattice_nodes`) of triangle ``t``;
     vertices are duplicated inside it by construction.
     """
 
-    geometry: Geometry
     q: int
     vertices: np.ndarray        # (nv, 2) float
     triangles: np.ndarray       # (nt, 3) int, counterclockwise
-    regions: np.ndarray         # (nt,) uint8
     boundary_edges: np.ndarray  # (nb, 2) int
     boundary_tags: np.ndarray   # (nb,) uint8
-    interface_edges: np.ndarray  # (ni, 2) int, on |x| = r1
     mapping_nodes: np.ndarray   # (nt, n_lattice, 2) float
 
     def __post_init__(self):
-        for name in ("vertices", "triangles", "regions", "boundary_edges",
-                     "boundary_tags", "interface_edges", "mapping_nodes"):
+        for name in ("vertices", "triangles", "boundary_edges",
+                     "boundary_tags", "mapping_nodes"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -205,8 +192,8 @@ def generate(geometry: Geometry, hmax: float, q: int) -> Mesh:
     GenerationError
         If a mapped element has a nonpositive Jacobian somewhere.
     """
-    if not hmax > 0.0:
-        raise ValidationError("hmax must be positive")
+    if not 0.0 < hmax < math.inf:
+        raise ValidationError("hmax must be positive and finite")
     if q < 1:
         raise ValidationError("mapping order must be >= 1")
     r1 = geometry.r1
@@ -242,8 +229,6 @@ def generate(geometry: Geometry, hmax: float, q: int) -> Mesh:
     tris_b = np.stack([v00, v11, v01], axis=-1).reshape(-1, 3)
     triangles = np.concatenate([tris_a[:, None], tris_b[:, None]],
                                axis=1).reshape(-1, 3)
-    regions = np.where(np.repeat(rr.ravel(), 2) < n_ri,
-                       REGION_INTERIOR, REGION_PML).astype(np.uint8)
 
     # parameter coordinates (theta unwrapped, rho) of the triangle corners
     th0 = 2.0 * np.pi * cc / n_theta
@@ -282,15 +267,11 @@ def generate(geometry: Geometry, hmax: float, q: int) -> Mesh:
     for j in range(n_theta):
         b_edges.append((outer0 + j, outer0 + (j + 1) % n_theta))
         b_tags.append(BOUNDARY_OUTER)
-    if0 = n_ri * n_theta
-    iface = [(if0 + j, if0 + (j + 1) % n_theta) for j in range(n_theta)]
 
     mesh = Mesh(
-        geometry=geometry, q=q, vertices=vertices, triangles=triangles,
-        regions=regions,
+        q=q, vertices=vertices, triangles=triangles,
         boundary_edges=np.array(b_edges, dtype=np.int64),
         boundary_tags=np.array(b_tags, dtype=np.uint8),
-        interface_edges=np.array(iface, dtype=np.int64),
         mapping_nodes=nodes)
     _check_jacobians(mesh)
     return mesh
@@ -298,8 +279,7 @@ def generate(geometry: Geometry, hmax: float, q: int) -> Mesh:
 
 def _global_edges(tri: np.ndarray, ends: np.ndarray, nv: int):
     """Global edge numbers of each triangle's local edges and of the
-    vertex pairs ``ends``, and the flat position ``3 t + e`` of each
-    edge's first appearance (one entry per edge).
+    vertex pairs ``ends``, and the number of edges.
 
     Edges are numbered in order of first appearance, triangle by triangle
     and local edge by local edge, and keyed by their sorted end vertices.
@@ -310,74 +290,7 @@ def _global_edges(tri: np.ndarray, ends: np.ndarray, nv: int):
 
     keys, first, inverse = np.unique(keys_of(tri[:, np.array(LOCAL_EDGES)]),
                                      return_index=True, return_inverse=True)
-    order = np.argsort(first)
     number = np.empty(keys.size, dtype=np.int64)
-    number[order] = np.arange(keys.size)
+    number[np.argsort(first)] = np.arange(keys.size)
     return (number[inverse].reshape(tri.shape[0], 3),
-            number[np.searchsorted(keys, keys_of(ends))], first[order])
-
-
-# red-refinement child corners in parent reference coordinates
-_CHILD_CORNERS = np.array([
-    [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]],
-    [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5]],
-    [[0.0, 0.5], [0.5, 0.5], [0.0, 1.0]],
-    [[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]],
-])
-
-
-def refine(mesh: Mesh) -> Mesh:
-    """Uniform red refinement through the parent curved mappings.
-
-    Midpoint vertices and child mapping nodes are images of reference
-    midpoints under the parents' mappings, so the curved domain the mesh
-    represents is unchanged; tags are inherited.
-    """
-    nt = mesh.num_triangles
-    q = mesh.q
-    mid_ref = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-    mids, _ = mapping(mesh, mid_ref)
-
-    # midpoint vertices follow the parent vertices in edge order, each
-    # taken from the first triangle that has the edge
-    nb = len(mesh.boundary_edges)
-    ends = np.concatenate([mesh.boundary_edges, mesh.interface_edges])
-    tri_edge, end_edge, first = _global_edges(mesh.triangles, ends,
-                                              mesh.num_vertices)
-    vertices = np.concatenate([mesh.vertices, mids.reshape(-1, 2)[first]])
-    mid_index = mesh.num_vertices + tri_edge
-    end_mid = mesh.num_vertices + end_edge
-
-    # children: corner indices in terms of parent vertices and midpoints
-    tri = mesh.triangles
-    m01, m12, m20 = mid_index[:, 0], mid_index[:, 1], mid_index[:, 2]
-    children = np.stack([
-        np.stack([tri[:, 0], m01, m20], 1),
-        np.stack([m01, tri[:, 1], m12], 1),
-        np.stack([m20, m12, tri[:, 2]], 1),
-        np.stack([m01, m12, m20], 1),
-    ], axis=1).reshape(-1, 3)
-    regions = np.repeat(mesh.regions, 4)
-
-    # child mapping nodes: parent mapping at the child's lattice
-    ref = lattice_nodes(q)
-    lam = np.stack([1.0 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]], axis=1)
-    child_refs = np.einsum("nc,kcd->knd", lam, _CHILD_CORNERS)
-    blocks = []
-    for k in range(4):
-        phys, _ = mapping(mesh, child_refs[k])
-        blocks.append(phys)
-    nodes = np.stack(blocks, axis=1).reshape(4 * nt, -1, 2)
-
-    # each boundary and interface edge splits at its midpoint, in order
-    halves = np.stack([ends[:, 0], end_mid, end_mid, ends[:, 1]],
-                      axis=1).reshape(-1, 2)
-    b_edges, i_edges = halves[:2 * nb], halves[2 * nb:]
-    b_tags = np.repeat(mesh.boundary_tags, 2)
-
-    out = Mesh(
-        geometry=mesh.geometry, q=q, vertices=vertices, triangles=children,
-        regions=regions, boundary_edges=b_edges, boundary_tags=b_tags,
-        interface_edges=i_edges, mapping_nodes=nodes)
-    _check_jacobians(out)
-    return out
+            number[np.searchsorted(keys, keys_of(ends))], keys.size)

@@ -171,9 +171,31 @@ class TestParseConfig:
             parse_config(path)
 
     def test_shrinking_stretch_rejected(self, tmp_path):
-        path = write_config(tmp_path, solver={"stretch": "0.9"})
-        with pytest.raises(ConfigError, match="stretch"):
+        for stretch in ("0.9", "nan", "inf"):
+            path = write_config(tmp_path, solver={"stretch": stretch})
+            with pytest.raises(ConfigError, match="stretch"):
+                parse_config(path)
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("discretization", "hmax", "0", "hmax must be positive and finite"),
+        ("discretization", "hmax", "inf", "hmax must be positive and finite"),
+        ("discretization", "hmax", "nan", "hmax must be positive and finite"),
+        ("geometry", "layer_width", "inf", "layer width must be positive and finite"),
+        ("geometry", "layer_width", "nan", "layer width must be positive and finite"),
+        ("solver", "shift_re", "nan", "[solver] shift_re must be finite"),
+        ("solver", "shift_im", "-inf", "[solver] shift_im must be finite"),
+    ])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, section,
+                                              key, value, message):
+        """``layer_width = inf`` used to end in an OverflowError traceback
+        from the mesh generator, ``hmax = inf`` meshed at the 8-sector
+        floor, and a non-finite shift failed at stage ``factorization``
+        as a singular shifted pencil."""
+        path = write_config(tmp_path, **{section: {key: value}})
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(path)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_negative_seed_rejected(self, tmp_path):
         path = write_config(tmp_path, solver={"seed": "-1"})
@@ -191,12 +213,16 @@ class TestParseConfig:
 
     def test_misspelt_key_rejected(self, tmp_path, capsys):
         """``krylov_dm`` used to parse, and the run silently took the
-        default basis of 2k+20."""
-        path = write_config(tmp_path, solver={"krylov_dm": "80"})
-        with pytest.raises(ConfigError, match=r"\[solver\] krylov_dm"):
-            parse_config(path)
-        assert main(["check", str(path)]) == EXIT_CONFIG
-        assert "[solver] krylov_dm" in capsys.readouterr().err
+        default basis of 2k+20.  ``refinements`` is no longer a key:
+        ``hmax`` alone sets the mesh size."""
+        for section, key, value in [("solver", "krylov_dm", "80"),
+                                    ("discretization", "refinements", "1")]:
+            path = write_config(tmp_path, **{section: {key: value}})
+            name = f"[{section}] {key}"
+            with pytest.raises(ConfigError, match=re.escape(name)):
+                parse_config(path)
+            assert main(["check", str(path)]) == EXIT_CONFIG
+            assert name in capsys.readouterr().err
 
     def test_key_of_another_profile_kind_rejected(self, tmp_path):
         path = write_config(tmp_path, scaling={"width": "0.7"})
@@ -204,8 +230,9 @@ class TestParseConfig:
             parse_config(path)
 
     def test_default_section_key_counts_as_read_anywhere(self, tmp_path):
-        path = write_config(tmp_path, DEFAULT={"refinements": "1"})
-        assert parse_config(path).refinements == 1
+        path = write_config(tmp_path, drop=[("solver", "stretch")],
+                            DEFAULT={"stretch": "2.0"})
+        assert parse_config(path).stretch == 2.0
         path = write_config(tmp_path, DEFAULT={"colour": "red"})
         with pytest.raises(ConfigError, match=r"\[DEFAULT\] colour"):
             parse_config(path)

@@ -39,8 +39,6 @@ from radpml.media import Medium
 from radpml.mesh import (
     BOUNDARY_OBSTACLE,
     BOUNDARY_OUTER,
-    REGION_INTERIOR,
-    REGION_PML,
     DiskObstacle,
     EllipseObstacle,
     Geometry,
@@ -61,23 +59,28 @@ DISK = Geometry(DiskObstacle(1.0), 1.5, 2.0)
 ELLIPSE = Geometry(EllipseObstacle(0.5, 1.0), 1.5, 2.0)
 
 
+def inside_onset(mesh, r1=1.5):
+    """Triangles whose mapping nodes all lie in |x| <= r1 (to 1e-12);
+    no triangle straddles the onset circle (tests/test_mesh.py)."""
+    radii = np.hypot(mesh.mapping_nodes[..., 0], mesh.mapping_nodes[..., 1])
+    return radii.max(axis=1) <= r1 + 1e-12
+
+
 def assembled(space, profile, medium):
     """The pencil of the solver's element pass (no factorization)."""
     return CondensedShiftSolver(space, profile, medium, SHIFT_SQ).pencil
 
 
 def unit_triangle_mesh(counterclockwise=True):
-    """Single straight P1-ready triangle; geometry field is metadata only."""
+    """Single straight P1-ready triangle."""
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     order = [0, 1, 2] if counterclockwise else [0, 2, 1]
     return Mesh(
-        geometry=DISK, q=1,
+        q=1,
         vertices=vertices,
         triangles=np.array([order]),
-        regions=np.array([REGION_INTERIOR], dtype=np.uint8),
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
         boundary_tags=np.array([BOUNDARY_OBSTACLE] * 3, dtype=np.uint8),
-        interface_edges=np.zeros((0, 2), dtype=np.int64),
         mapping_nodes=vertices[order][None, :, :].copy())
 
 
@@ -307,7 +310,8 @@ class TestAssemble:
     def test_interior_elements_profile_independent_bitwise(self):
         mesh = generate(DISK, hmax=0.8, q=4)
         space = FunctionSpace(mesh, 5)
-        interior = np.where(mesh.regions == REGION_INTERIOR)[0]
+        interior = np.where(inside_onset(mesh))[0]
+        assert 0 < interior.size < mesh.num_triangles
         k_flat, m_flat = element_matrices(space, UNSCALED, ISO, interior)
         k_prof, m_prof = element_matrices(
             space, AffineProfile(r1=1.5, gamma=GAMMA), ISO, interior)
@@ -337,7 +341,7 @@ class TestAssemble:
         mesh = generate(DISK, hmax=0.1, q=6)
         space = FunctionSpace(mesh, 6)
         radii = np.hypot(*mesh.vertices[mesh.triangles].mean(axis=1).T)
-        pml = np.where(mesh.regions == REGION_PML)[0]
+        pml = np.where(~inside_onset(mesh))[0]
         ids = pml[np.argsort(radii[pml])][:16]
         profile = AffineProfile(r1=1.5, gamma=GAMMA)
         k_a, m_a = element_matrices(space, profile, ISO, ids, quad_degree=14)
