@@ -20,12 +20,13 @@ written).
 
 Configuration files are flat INI text with decimal numbers only, and a
 key that no setting reads is a configuration error.  The
-scaling strength is a single complex literal such as ``1+0.5i`` (``8i``
-is accepted for ``0+8i``), or a pair ``c`` / ``omega_dependent = true``
-for the frequency-dependent family, which is evaluated at the solver
-shift's real part (at ``--omega`` for the damping command).  Every
-command is deterministic given a configuration; JSON artifacts embed the
-SHA-256 hash of the exact configuration bytes.
+scaling strength is a single complex literal ``gamma`` such as
+``1+0.5i`` (``8i`` is accepted for ``0+8i``), or ``c`` for the
+frequency-dependent strength 1/(c - i omega), which is evaluated at the
+solver shift's real part (at ``--omega`` for the damping command).  Every
+command is deterministic given a configuration and, for ``solve``, the
+``--seed`` of the Arnoldi start vector; JSON artifacts embed the SHA-256
+hash of the exact configuration bytes.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ EXIT_UNMATCHED = 4
 EXIT_FAILURE = 1
 EXIT_CONFIG = 64
 
-FORMATS = ("csv", "json", "svg")
+#: layer-width factor of the comparison solve behind the spurious filter
+STRETCH = 1.5
 
 _PIPELINE_ERRORS = (ValidationError, DomainError, PreconditionError,
                     GeometryError, GenerationError, AssemblyError,
@@ -94,37 +96,12 @@ _PIPELINE_ERRORS = (ValidationError, DomainError, PreconditionError,
 def parse_complex_literal(text: str) -> complex:
     """Complex literal ``a``, ``bi``, or ``a+bi`` (``j`` also accepted)."""
     s = str(text).strip().replace(" ", "")
-    if not s:
-        raise ConfigError("empty complex literal")
     try:
-        if s[-1] in "ij":
-            body = s[:-1]
-            re_part, im_part = "", body
-            for pos in range(len(body) - 1, 0, -1):
-                if body[pos] in "+-" and body[pos - 1] not in "eE":
-                    re_part, im_part = body[:pos], body[pos:]
-                    break
-            if im_part in ("", "+"):
-                imag = 1.0
-            elif im_part == "-":
-                imag = -1.0
-            else:
-                imag = float(im_part)
-            return complex(float(re_part) if re_part else 0.0, imag)
-        return complex(float(s), 0.0)
+        return complex(s[:-1] + "j" if s.endswith("i") else s)
     except ValueError:
         raise ConfigError(
             f"invalid complex literal {text!r} (expected forms: 1.5, 8i, 1+0.5i)"
         ) from None
-
-
-def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"invalid boolean {text!r}")
 
 
 _REQUIRED = object()
@@ -198,7 +175,6 @@ class RunConfig:
     profile_kind: str
     gamma: complex | None
     c: float | None
-    omega_dependent: bool
     profile_options: tuple
     hmax: float
     p: int
@@ -206,10 +182,7 @@ class RunConfig:
     shift: complex
     k: int
     krylov_dim: int | None
-    stretch: float
-    seed: int
     out_dir: str
-    formats: tuple
     reference_csv: str | None
     ref_box: RangeBox
     ref_max_order: int
@@ -218,7 +191,7 @@ class RunConfig:
         """Scaling profile for this run; frequency-dependent strengths
         are evaluated at ``omega_hint`` (default: the shift's real part)."""
         gamma = self.gamma
-        if self.omega_dependent:
+        if self.c is not None:
             omega = self.shift.real if omega_hint is None else float(omega_hint)
             gamma = gamma_of_omega(self.c, omega)
         cls = PROFILE_KINDS[self.profile_kind]
@@ -268,16 +241,9 @@ def parse_config(path) -> RunConfig:
             f"got {profile_kind!r}")
     has_gamma = reader.has("scaling", "gamma")
     has_c = reader.has("scaling", "c")
-    omega_dependent = reader.get("scaling", "omega_dependent", _parse_bool,
-                                 default=False)
     if has_gamma == has_c:
         raise ConfigError(
             "[scaling] exactly one of 'gamma' and 'c' must be given")
-    if omega_dependent and not has_c:
-        raise ConfigError("[scaling] omega_dependent requires the 'c' key")
-    if has_c and not omega_dependent:
-        raise ConfigError(
-            "[scaling] the 'c' key requires omega_dependent = true")
     gamma = reader.get("scaling", "gamma", parse_complex_literal) \
         if has_gamma else None
     c = reader.get("scaling", "c", float) if has_c else None
@@ -314,21 +280,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(
             f"[solver] krylov_dim must be at least 2k+10 = {2 * k + 10}, "
             f"got {krylov_dim}")
-    stretch = reader.get("solver", "stretch", float, default=1.5)
-    if not 1.0 <= stretch < np.inf:
-        raise ConfigError(
-            f"[solver] stretch must be finite and >= 1, got {stretch:g}")
-    seed = reader.get("solver", "seed", int, default=0)
-    if seed < 0:
-        raise ConfigError(f"[solver] seed must be >= 0, got {seed}")
 
     out_dir = reader.get("output", "directory", str, default="out").strip()
-    raw_formats = reader.get("output", "formats", str, default=",".join(FORMATS))
-    formats = tuple(f.strip().lower() for f in raw_formats.split(",") if f.strip())
-    unknown = [f for f in formats if f not in FORMATS]
-    if unknown:
-        raise ConfigError(
-            f"[output] unknown formats {unknown}; supported: {list(FORMATS)}")
     reference_csv = reader.get("output", "reference", str, default=None)
 
     try:
@@ -351,10 +304,9 @@ def parse_config(path) -> RunConfig:
     config = RunConfig(
         path=str(path), sha256=digest, geometry=geometry, medium=medium,
         profile_kind=profile_kind, gamma=gamma, c=c,
-        omega_dependent=omega_dependent, profile_options=tuple(options),
-        hmax=hmax, p=p, q=q, shift=shift, k=k,
-        krylov_dim=krylov_dim, stretch=stretch, seed=seed, out_dir=out_dir,
-        formats=formats, reference_csv=reference_csv, ref_box=ref_box,
+        profile_options=tuple(options), hmax=hmax, p=p, q=q, shift=shift,
+        k=k, krylov_dim=krylov_dim, out_dir=out_dir,
+        reference_csv=reference_csv, ref_box=ref_box,
         ref_max_order=ref_max_order)
     try:
         config.build_profile()
@@ -616,7 +568,7 @@ def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
 
 def cmd_solve(args) -> int:
     config = parse_config(args.config)
-    if args.seed is not None and args.seed < 0:
+    if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     references = []
     if config.reference_csv:
@@ -628,9 +580,8 @@ def cmd_solve(args) -> int:
                 f"(a relative path is taken from the working directory)") from None
         except ValueError as exc:
             raise ConfigError(f"[output] reference: {exc}") from None
-    seed = config.seed if args.seed is None else args.seed
-    artifacts = dict(zip(config.formats, _outputs(
-        config, args, [f"spectrum.{fmt}" for fmt in config.formats])))
+    csv_path, json_path, svg_path = _outputs(
+        config, args, ["spectrum.csv", "spectrum.json", "spectrum.svg"])
     # The solver's scipy modules are loaded before the first mesh.  Loaded
     # later, between the element pass and the eigensolve, their many small
     # objects split the freed element-pass blocks that the Krylov basis
@@ -644,46 +595,39 @@ def cmd_solve(args) -> int:
         # two problems, and solving it before the base pencil exists
         # keeps the peak footprint to one factorization at a time; only
         # its eigenvalues are kept.
-        stretched = _solve_once(config, seed, layer_scale=config.stretch)[0]
+        stretched = _solve_once(config, args.seed, layer_scale=STRETCH)[0]
         gc.collect()
-        spectrum, mesh, pencil = _solve_once(config, seed)
+        spectrum, mesh, pencil = _solve_once(config, args.seed)
         print(f"solve: {mesh.num_triangles} triangles (q={config.q}), "
               f"{pencil.size} dofs, {len(spectrum)} eigenvalues near "
               f"shift {config.shift:g}")
         with _stage("spurious-filter"):
-            spectrum = spurious_filter(spectrum, stretched, config.stretch)
+            spectrum = spurious_filter(spectrum, stretched, STRETCH)
     except _PIPELINE_ERRORS as exc:
         print(f"solve: error at stage {exc.stage}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     n_spurious = int(np.count_nonzero(spectrum.spurious))
     n_ambiguous = int(np.count_nonzero(spectrum.ambiguous))
-    print(f"solve: spurious filter at stretch {config.stretch:g}: "
+    print(f"solve: spurious filter at stretch {STRETCH:g}: "
           f"{n_spurious} spurious, {n_ambiguous} ambiguous")
 
-    written = []
-    if "csv" in artifacts:
-        with _writing(artifacts["csv"]):
-            write_spectrum_csv(spectrum, artifacts["csv"])
-        written.append(str(artifacts["csv"]))
-    if "json" in artifacts:
-        with _writing(artifacts["json"]):
-            write_spectrum_json(spectrum, artifacts["json"], extra={
-                "command": "solve",
-                "config_sha256": config.sha256,
-                "triangles": int(mesh.num_triangles),
-                "dofs": int(pencil.size),
-                "layer_stretch": config.stretch,
-            })
-        written.append(str(artifacts["json"]))
-    if "svg" in artifacts:
-        title = (f"spectrum near shift {config.shift:g} "
-                 f"({config.profile_kind} scaling)")
-        with _writing(artifacts["svg"]):
-            artifacts["svg"].write_text(
-                render_spectrum_svg(spectrum, references, title=title),
-                encoding="ascii")
-        written.append(str(artifacts["svg"]))
-    print(f"solve: wrote {' '.join(written)}")
+    with _writing(csv_path):
+        write_spectrum_csv(spectrum, csv_path)
+    with _writing(json_path):
+        write_spectrum_json(spectrum, json_path, extra={
+            "command": "solve",
+            "config_sha256": config.sha256,
+            "triangles": int(mesh.num_triangles),
+            "dofs": int(pencil.size),
+            "layer_stretch": STRETCH,
+        })
+    title = (f"spectrum near shift {config.shift:g} "
+             f"({config.profile_kind} scaling)")
+    with _writing(svg_path):
+        svg_path.write_text(
+            render_spectrum_svg(spectrum, references, title=title),
+            encoding="ascii")
+    print(f"solve: wrote {csv_path} {json_path} {svg_path}")
     return EXIT_OK
 
 
@@ -799,8 +743,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the full pipeline")
     p_solve.add_argument("config")
     p_solve.add_argument("--out", help="output directory override")
-    p_solve.add_argument("--seed", type=int, default=None,
-                         help="override the configured solver seed")
+    p_solve.add_argument("--seed", type=int, default=0,
+                         help="seed of the Arnoldi start vector (default 0)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_cmp = sub.add_parser("compare", help="match computed vs reference CSV")

@@ -214,6 +214,9 @@ class RangeBox:
     im_hi: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.re_lo, self.re_hi,
+                                   self.im_lo, self.im_hi])):
+            raise ValidationError("range box bounds must be finite")
         if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
             raise ValidationError("empty range box (lo > hi)")
 

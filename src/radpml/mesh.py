@@ -88,6 +88,8 @@ class Geometry:
     layer_width: float
 
     def __post_init__(self):
+        if not math.isfinite(self.r1):
+            raise GeometryError(f"r1 must be finite, got {self.r1:g}")
         if not self.obstacle.extent < self.r1:
             raise GeometryError(
                 f"obstacle extent {self.obstacle.extent:g} must lie strictly "

@@ -194,5 +194,7 @@ class TestRangeBox:
         assert box.contains(1.0 + 1e-12j, slack=1e-10)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            RangeBox(1.0, 0.0, 0.0, 0.0)
+        for bounds in [(1.0, 0.0, 0.0, 0.0), (np.nan, 1.0, 0.0, 0.0),
+                       (0.0, np.inf, 0.0, 0.0), (0.0, 1.0, -np.inf, 0.0)]:
+            with pytest.raises(ValidationError):
+                RangeBox(*bounds)

@@ -79,6 +79,9 @@ class TestGeometryValidation:
             Geometry(DiskObstacle(1.6), 1.5, 2.0)
         with pytest.raises(GeometryError):
             Geometry(EllipseObstacle(0.5, 1.5), 1.5, 2.0)  # touching is too big
+        for r1 in (np.inf, np.nan):
+            with pytest.raises(GeometryError, match="r1 must be finite"):
+                Geometry(DiskObstacle(1.0), r1, 2.0)
 
     def test_layer_width_positive(self):
         for width in (0.0, np.inf, np.nan):
