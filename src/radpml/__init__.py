@@ -76,7 +76,6 @@ from .fem import (
     FunctionSpace,
     element_matrices,
     rayleigh_residual,
-    scaled_tensor,
 )
 from .eig import (
     Spectrum,

@@ -12,9 +12,11 @@ consists of
   quadratic (1-s^2)/4;
 * (p-1)(p-2)/2 interior bubbles l0 l1 l2 P_i(l1-l0) P_j(2 l2 - 1).
 
-Edge modes are glued conformingly by evaluating the kernel argument in
-the direction of increasing *global* vertex index, passed per edge as an
-orientation sign.
+Each edge mode's kernel argument runs from the edge's first local vertex
+to its second.  L_k and phi_{k-2} have parity (-1)^k, so a triangle that
+runs an edge against its global direction (increasing vertex index)
+multiplies that edge's degree-k mode by (-1)^k (``edge_parity``), and
+neighbouring triangles agree bitwise on the shared trace.
 
 Quadrature on the triangle is a collapsed tensor-product Gauss rule
 (exact for the requested total degree), and curved element geometry uses
@@ -33,6 +35,7 @@ __all__ = [
     "triangle_quadrature",
     "dof_count",
     "reference_basis",
+    "edge_parity",
     "lattice_nodes",
     "lagrange_geometry_basis",
     "LOCAL_EDGES",
@@ -106,16 +109,18 @@ def _edge_kernel_coeffs(p: int):
     return out
 
 
-def reference_basis(p: int, points: np.ndarray, orientations=(1, 1, 1)):
+def edge_parity(p: int) -> np.ndarray:
+    """(-1)^k of the edge modes k = 2..p (see the module docstring)."""
+    return (-1.0) ** np.arange(2, p + 1)
+
+
+def reference_basis(p: int, points: np.ndarray):
     """Hierarchic shape functions and gradients on the reference triangle.
 
     Parameters
     ----------
     p : polynomial order >= 1.
     points : (n, 2) reference coordinates.
-    orientations : three signs; -1 reverses the kernel argument of the
-        corresponding local edge so neighboring triangles agree on the
-        shared trace.
 
     Returns
     -------
@@ -135,9 +140,7 @@ def reference_basis(p: int, points: np.ndarray, orientations=(1, 1, 1)):
     dN[:3] = grad[:, None, :]
     pos = 3
     kernels = _edge_kernel_coeffs(p) if p >= 2 else []
-    for (a, b), sign in zip(LOCAL_EDGES, orientations):
-        if sign < 0:
-            a, b = b, a
+    for a, b in LOCAL_EDGES:
         prod = lam[a] * lam[b]
         dprod = grad[a][None, :] * lam[b][:, None] + lam[a][:, None] * grad[b][None, :]
         s = lam[b] - lam[a]

@@ -38,7 +38,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +120,8 @@ class _Reader:
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read configuration {path!r}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"malformed configuration: {exc}") from None
         self.parser = parser
@@ -248,13 +250,9 @@ def parse_config(path) -> RunConfig:
         if has_gamma else None
     c = reader.get("scaling", "c", float) if has_c else None
 
-    options = []
-    if profile_kind == "constant-after-ramp":
-        options = [("width", reader.get("scaling", "width", float, default=1.0)),
-                   ("amax", reader.get("scaling", "amax", float, default=1.0))]
-    elif profile_kind == "smoothed-polynomial":
-        options = [("exponent", reader.get("scaling", "exponent", float, default=2.0)),
-                   ("amax", reader.get("scaling", "amax", float, default=1.0))]
+    options = [(f.name, reader.get("scaling", f.name, float, default=f.default))
+               for f in fields(PROFILE_KINDS[profile_kind])
+               if f.name not in ("r1", "gamma")]
 
     hmax = reader.get("discretization", "hmax", float)
     if not 0.0 < hmax < np.inf:
@@ -637,13 +635,14 @@ def _read_points_any(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path!r}: {exc}") from None
-    try:
         if header.startswith("re_omega"):
             omegas, _, _, spurious = read_spectrum_csv(path)
             return [complex(w) for w in omegas[~spurious]]
         return [ref.root for ref in read_reference_csv(path)]
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not ASCII text: {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

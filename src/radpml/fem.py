@@ -16,11 +16,12 @@ onset lies beyond the mesh gives the unscaled pencil.
 
 ``CondensedShiftSolver`` is the one route from a function space to a
 pencil and a shift-invert operator: its construction makes the one sweep
-over the elements.  Each chunk's blocks are one GEMM of the coefficient,
-pulled back to the reference triangle, against shape-function products
-tabulated once per pass; the upper triangle is mirrored, and blocks are
-summed in element order into a CSR pattern that K and M share, so both
-are exactly symmetric.  The same chunk's blocks are then condensed onto
+over the elements.  Each chunk is mapped by ``mesh.mapping``; its blocks
+are one GEMM of the coefficient, pulled back to the reference triangle,
+against shape-function products tabulated once per pass, with the edge
+parity signs of :mod:`radpml.basis`.  The upper triangle is mirrored, and
+blocks are summed in element order into a CSR pattern that K and M share,
+so both are exactly symmetric.  The same chunk's blocks are then condensed onto
 the vertex/edge skeleton, and ``factor`` factors what remains.
 """
 
@@ -34,6 +35,7 @@ import numpy as np
 from .basis import (
     LOCAL_EDGES,
     dof_count,
+    edge_parity,
     lagrange_geometry_basis,
     reference_basis,
     triangle_quadrature,
@@ -41,7 +43,8 @@ from .basis import (
 from .errors import (AssemblyError, DomainError, ShiftRejectedError,
                      SingularMatrixError, ValidationError)
 from .media import Medium
-from .mesh import BOUNDARY_OBSTACLE, BOUNDARY_OUTER, Mesh, _global_edges
+from .mesh import (BOUNDARY_OBSTACLE, BOUNDARY_OUTER, Mesh, _global_edges,
+                   mapping)
 from .scaling import ScalingProfile, limits
 
 __all__ = [
@@ -51,7 +54,6 @@ __all__ = [
     "FunctionSpace",
     "AssembledPencil",
     "CondensedShiftSolver",
-    "scaled_tensor",
     "element_matrices",
     "rayleigh_residual",
 ]
@@ -109,15 +111,6 @@ def _tensor_batch(points: np.ndarray, profile: ScalingProfile,
     return tensor, weight
 
 
-def scaled_tensor(x, profile: ScalingProfile, medium: Medium):
-    """Diffusion tensor and mass weight of the scaled form at one point."""
-    if medium.dim != 2:
-        raise ValidationError("the assembled form is two-dimensional")
-    tensor, weight = _tensor_batch(np.asarray(x, dtype=float)[None, :],
-                                   profile, medium)
-    return tensor[0], complex(weight[0])
-
-
 # ---------------------------------------------------------------------------
 # function space
 # ---------------------------------------------------------------------------
@@ -137,7 +130,6 @@ class FunctionSpace:
     num_dofs: int = field(init=False)
     element_dofs: np.ndarray = field(init=False)     # (nt, local) into free dofs, -1 constrained
     orientations: np.ndarray = field(init=False)     # (nt, 3) signs
-    free_of_global: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.p <= 6:
@@ -182,7 +174,6 @@ class FunctionSpace:
         object.__setattr__(self, "num_dofs", int((~constrained).sum()))
         object.__setattr__(self, "element_dofs", free[element_dofs])
         object.__setattr__(self, "orientations", orientations)
-        object.__setattr__(self, "free_of_global", free)
 
 
 @dataclass(frozen=True)
@@ -250,12 +241,8 @@ def _symmetric_blocks(coef, table, pairs, pair_signs):
 
 def _element_blocks(space, profile, medium, ids, tables):
     wq, L, dL, stiffness, mass, pairs = tables
-    nodes = space.mesh.mapping_nodes[ids].transpose(0, 2, 1)  # (t, 2, m)
-    phys = (nodes @ L).transpose(0, 2, 1)                    # (t, n, 2)
-    jac = nodes @ dL.reshape(dL.shape[0], -1)                # (t, 2, 2n)
-    j00, j01 = jac[:, 0, 0::2], jac[:, 0, 1::2]
-    j10, j11 = jac[:, 1, 0::2], jac[:, 1, 1::2]
-    det = j00 * j11 - j01 * j10
+    phys, (j00, j01, j10, j11), det = mapping(space.mesh.mapping_nodes[ids],
+                                              L, dL)
     if np.any(det <= 0.0):
         bad = int(ids[np.argmax(np.any(det <= 0.0, axis=1))])
         raise AssemblyError(f"nonpositive mapping Jacobian in element {bad}")
@@ -270,13 +257,12 @@ def _element_blocks(space, profile, medium, ids, tables):
                      form(j11, -j01, -j10, j00) + form(-j10, j00, j11, -j01),
                      form(-j10, j00, -j10, j00)], axis=-1)
     coef *= (wq / det)[..., None]
-    # Reversing an edge multiplies its degree-k mode by (-1)^k (integrated
-    # Legendre parity), so one reference basis serves every orientation.
+    # one reference basis serves every orientation: the modes of a
+    # reversed edge take its parity signs (basis.edge_parity)
     p = space.p
     signs = np.ones((len(ids), dof_count(p)))
     signs[:, 3:3 * p] = np.where(space.orientations[ids, :, None] < 0,
-                                 (-1.0) ** np.arange(2, p + 1),
-                                 1.0).reshape(len(ids), -1)
+                                 edge_parity(p), 1.0).reshape(len(ids), -1)
     pair_signs = signs[:, pairs[0]] * signs[:, pairs[1]]
     return (_symmetric_blocks(coef, stiffness, pairs, pair_signs),
             _symmetric_blocks(wq * det * weight, mass, pairs, pair_signs))

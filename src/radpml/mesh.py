@@ -132,26 +132,25 @@ class Mesh:
         return self.triangles.shape[0]
 
 
-def mapping(mesh: Mesh, ref_points: np.ndarray):
-    """Physical images and Jacobians of reference points in all triangles.
+def mapping(nodes: np.ndarray, L: np.ndarray, dL: np.ndarray):
+    """The curved element map of a batch of triangles at reference points.
 
-    Returns (phys, jac) with shapes (nt, n, 2) and (nt, n, 2, 2) where
-    jac[t, k, i, j] = d(x_i)/d(xi_j).
+    ``nodes`` (nt, m, 2) are mapping nodes and ``(L, dL)`` the geometry
+    basis at n points (``lagrange_geometry_basis``).  Returns the images
+    (nt, n, 2), the Jacobian entries (j00, j01, j10, j11) with j_ij =
+    d(x_i)/d(xi_j), and det J, each (nt, n).
     """
-    L, dL = lagrange_geometry_basis(mesh.q, ref_points)
-    phys = np.einsum("tmd,mn->tnd", mesh.mapping_nodes, L)
-    jac = np.einsum("tmd,mne->tnde", mesh.mapping_nodes, dL)
-    return phys, jac
-
-
-def _det2(jac: np.ndarray) -> np.ndarray:
-    return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    nodes = nodes.transpose(0, 2, 1)                         # (t, 2, m)
+    phys = (nodes @ L).transpose(0, 2, 1)                    # (t, n, 2)
+    jac = nodes @ dL.reshape(dL.shape[0], -1)                # (t, 2, 2n)
+    j00, j01 = jac[:, 0, 0::2], jac[:, 0, 1::2]
+    j10, j11 = jac[:, 1, 0::2], jac[:, 1, 1::2]
+    return phys, (j00, j01, j10, j11), j00 * j11 - j01 * j10
 
 
 def _check_jacobians(mesh: Mesh):
-    pts, wgt = triangle_quadrature(2 * mesh.q + 2)
-    _, jac = mapping(mesh, pts)
-    det = _det2(jac)
+    pts, _ = triangle_quadrature(2 * mesh.q + 2)
+    _, _, det = mapping(mesh.mapping_nodes, *lagrange_geometry_basis(mesh.q, pts))
     bad = np.where(np.any(det <= 0.0, axis=1))[0]
     if bad.size:
         raise GenerationError(f"inverted mapped element {int(bad[0])}")
@@ -160,8 +159,8 @@ def _check_jacobians(mesh: Mesh):
 def triangle_areas(mesh: Mesh) -> np.ndarray:
     """Curved areas by quadrature of the mapping Jacobian."""
     pts, wgt = triangle_quadrature(2 * mesh.q + 2)
-    _, jac = mapping(mesh, pts)
-    return _det2(jac) @ wgt
+    _, _, det = mapping(mesh.mapping_nodes, *lagrange_geometry_basis(mesh.q, pts))
+    return det @ wgt
 
 
 def max_edge_length(mesh: Mesh) -> float:

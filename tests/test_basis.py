@@ -16,6 +16,7 @@ import pytest
 from radpml.basis import (
     LOCAL_EDGES,
     dof_count,
+    edge_parity,
     lagrange_geometry_basis,
     lattice_nodes,
     reference_basis,
@@ -94,35 +95,37 @@ class TestHierarchicBasis:
         pts = random_reference_points(30)
         h = 1e-6
         for p in (2, 5):
-            _, dn = reference_basis(p, pts, orientations=(1, -1, 1))
+            _, dn = reference_basis(p, pts)
             for axis in range(2):
                 shift = np.zeros(2)
                 shift[axis] = h
-                np_, _ = reference_basis(p, pts + shift, orientations=(1, -1, 1))
-                nm, _ = reference_basis(p, pts - shift, orientations=(1, -1, 1))
+                np_, _ = reference_basis(p, pts + shift)
+                nm, _ = reference_basis(p, pts - shift)
                 fd = (np_ - nm) / (2.0 * h)
                 assert np.max(np.abs(fd - dn[:, :, axis])) < 5e-9
 
     def test_edge_trace_conformity_is_bitwise(self):
-        """Two triangles sharing an edge see it with opposite local
-        orientation; with the orientation signs applied, the shared-edge
-        traces of all matching modes must agree bitwise.  Dyadic edge
+        """Two triangles sharing an edge traverse it in opposite local
+        directions.  With the parity signs the element pass applies to
+        the reversed side, the shared-edge traces of all matching modes
+        agree bitwise, on each of the three local edges.  Dyadic edge
         parameters keep the barycentric arithmetic exact."""
-        s = np.arange(1, 32, dtype=float) / 32.0
-        # triangle A: edge (0,1) traversed forward, orientation +1
-        pts_a = np.stack([s, np.zeros_like(s)], axis=1)
-        # triangle B: same physical edge as its local edge (0,1) but with
-        # the global direction reversed, orientation -1, parameter 1-s
-        pts_b = np.stack([1.0 - s, np.zeros_like(s)], axis=1)
-        for p in range(2, 7):
-            n_a, _ = reference_basis(p, pts_a, orientations=(1, 1, 1))
-            n_b, _ = reference_basis(p, pts_b, orientations=(-1, 1, 1))
-            # vertex modes: A vertex 0 matches B vertex 1 and vice versa
-            assert np.array_equal(n_a[0], n_b[1])
-            assert np.array_equal(n_a[1], n_b[0])
-            # the p-1 modes of the shared edge occupy the same local slots
-            for k in range(p - 1):
-                assert np.array_equal(n_a[3 + k], n_b[3 + k]), (p, k)
+        t = np.arange(1, 32, dtype=float)[:, None] / 32.0
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for e, (a, b) in enumerate(LOCAL_EDGES):
+            # triangle A runs its local edge e from vertex a to b; triangle
+            # B holds the same physical edge as its local edge e, from b to a
+            pts_a = (1.0 - t) * corners[a] + t * corners[b]
+            pts_b = t * corners[a] + (1.0 - t) * corners[b]
+            for p in range(2, 7):
+                n_a, _ = reference_basis(p, pts_a)
+                n_b, _ = reference_basis(p, pts_b)
+                # vertex modes: A's vertex a matches B's vertex b and back
+                assert np.array_equal(n_a[a], n_b[b])
+                assert np.array_equal(n_a[b], n_b[a])
+                modes = slice(3 + e * (p - 1), 3 + (e + 1) * (p - 1))
+                assert np.array_equal(
+                    n_a[modes], n_b[modes] * edge_parity(p)[:, None]), (e, p)
 
     def test_edge_modes_vanish_on_other_edges(self):
         s = np.linspace(0.0, 1.0, 9)

@@ -187,6 +187,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "absent.cfg")
 
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        """A byte that is not UTF-8 used to end ``check`` in a
+        UnicodeDecodeError traceback (exit 1)."""
+        path = write_config(tmp_path)
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8")):
+            parse_config(path)
+        assert main(["check", str(path)]) == EXIT_CONFIG
+        assert f"{path}: not UTF-8" in capsys.readouterr().err
+
     def test_misspelt_key_rejected(self, tmp_path, capsys):
         """``krylov_dm`` used to parse, and the run silently took the
         default basis of 2k+20.  ``refinements`` is no longer a key:
@@ -534,6 +544,19 @@ class TestCompareCommand:
         assert main(["compare", str(ref), str(ref)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "ref.csv: line 3" in err
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_ascii_header_is_config_error(self, tmp_path, capsys,
+                                              position):
+        """A non-ASCII first line used to end ``compare`` in a
+        UnicodeDecodeError traceback (exit 1), in either position."""
+        ref = write_reference_file(tmp_path / "ref.csv", [0.5 - 0.6j])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("re_ω,im_ω\n".encode("utf-8"))
+        files = [str(ref), str(ref)]
+        files[position] = str(bad)
+        assert main(["compare", *files]) == EXIT_CONFIG
+        assert f"{bad}: not ASCII" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
     def test_bad_tolerance_is_config_error(self, tmp_path, capsys, tolerance):

@@ -32,7 +32,6 @@ from radpml.fem import (
     FunctionSpace,
     element_matrices,
     rayleigh_residual,
-    scaled_tensor,
     _tensor_batch,
 )
 from radpml.media import Medium
@@ -84,11 +83,18 @@ def unit_triangle_mesh(counterclockwise=True):
         mapping_nodes=vertices[order][None, :, :].copy())
 
 
+def tensor_at(x, profile, medium):
+    """(tensor, weight) of the scaled form at the one point x."""
+    tensor, weight = _tensor_batch(np.asarray(x, dtype=float)[None, :],
+                                   profile, medium)
+    return tensor[0], weight[0]
+
+
 class TestScaledTensor:
     def test_identity_inside_onset(self):
         profile = AffineProfile(r1=1.5, gamma=GAMMA)
         for medium in (ISO, ANISO):
-            tensor, weight = scaled_tensor(np.array([0.3, -1.2]), profile, medium)
+            tensor, weight = tensor_at(np.array([0.3, -1.2]), profile, medium)
             assert np.array_equal(tensor, medium.sigma)
             assert weight == 1.0 + 0.0j
 
@@ -100,7 +106,7 @@ class TestScaledTensor:
         r = np.hypot(*x)
         dt = complex(profile.d_tilde(r))
         d = complex(profile.d(r))
-        tensor, weight = scaled_tensor(x, profile, ISO)
+        tensor, weight = tensor_at(x, profile, ISO)
         rhat = x / r
         that = np.array([-rhat[1], rhat[0]])
         assert np.max(np.abs(tensor @ rhat - (dt / d) * rhat)) < 1e-13
@@ -119,7 +125,7 @@ class TestScaledTensor:
                 x = rng.uniform(-3.4, 3.4, size=2)
                 if np.hypot(*x) < 0.2:
                     continue
-                tensor, _ = scaled_tensor(x, profile, medium)
+                tensor, _ = tensor_at(x, profile, medium)
                 assert abs(np.linalg.det(tensor) - det_sigma) < 1e-12 * abs(det_sigma)
 
     def test_batch_matches_einsum_sandwich(self):
@@ -146,15 +152,15 @@ class TestScaledTensor:
 
     def test_tensor_symmetric(self):
         profile = AffineProfile(r1=1.5, gamma=GAMMA)
-        tensor, _ = scaled_tensor(np.array([-1.7, 2.4]), profile, ANISO)
+        tensor, _ = tensor_at(np.array([-1.7, 2.4]), profile, ANISO)
         assert np.max(np.abs(tensor - tensor.T)) < 1e-15 * np.max(np.abs(tensor))
 
-    def test_dimension_validation(self):
+    def test_origin_rejected(self):
+        """The polar frame is singular at the origin; a 3-D medium is
+        rejected by the solver (TestAssemble.test_medium_dimension_checked)."""
         profile = AffineProfile(r1=1.5, gamma=GAMMA)
-        with pytest.raises(ValidationError):
-            scaled_tensor(np.array([1.0, 0.0]), profile, Medium.isotropic(3))
         with pytest.raises(DomainError):
-            scaled_tensor(np.array([0.0, 0.0]), profile, ISO)
+            tensor_at(np.array([0.0, 0.0]), profile, ISO)
 
     def test_coefficient_continuity_across_onset(self):
         """d_tilde is continuous at r1 for every profile kind; the full
@@ -171,24 +177,24 @@ class TestScaledTensor:
             assert abs(jump) < 1e-10, profile.kind
 
         ramp = profiles[1]
-        t_lo, w_lo = scaled_tensor(np.array([r1 - delta, 0.0]), ramp, ANISO)
-        t_hi, w_hi = scaled_tensor(np.array([r1 + delta, 0.0]), ramp, ANISO)
+        t_lo, w_lo = tensor_at(np.array([r1 - delta, 0.0]), ramp, ANISO)
+        t_hi, w_hi = tensor_at(np.array([r1 + delta, 0.0]), ramp, ANISO)
         assert np.max(np.abs(t_hi - t_lo)) < 1e-10
         assert abs(w_hi - w_lo) < 1e-10
 
-        _, w_lo = scaled_tensor(np.array([r1 - delta, 0.0]), profiles[0], ISO)
-        _, w_hi = scaled_tensor(np.array([r1 + delta, 0.0]), profiles[0], ISO)
+        _, w_lo = tensor_at(np.array([r1 - delta, 0.0]), profiles[0], ISO)
+        _, w_hi = tensor_at(np.array([r1 + delta, 0.0]), profiles[0], ISO)
         assert abs((w_hi - w_lo) - GAMMA) < 1e-10  # alpha(r1+) = 1
 
         sp = profiles[2]
-        _, w_lo = scaled_tensor(np.array([r1 - delta, 0.0]), sp, ISO)
-        _, w_hi = scaled_tensor(np.array([r1 + delta, 0.0]), sp, ISO)
+        _, w_lo = tensor_at(np.array([r1 - delta, 0.0]), sp, ISO)
+        _, w_hi = tensor_at(np.array([r1 + delta, 0.0]), sp, ISO)
         assert abs((w_hi - w_lo) - GAMMA * 2.0) < 1e-9  # alpha(r1+) = amax * m
 
 
 def _dict_loop_numbering(mesh, p, bc):
-    """(num_dofs, element_dofs, orientations, free_of_global) of a space,
-    with the global edges numbered by a dict loop over the triangles."""
+    """(num_dofs, element_dofs, orientations) of a space, with the global
+    edges numbered by a dict loop over the triangles."""
     tri = mesh.triangles
     nt, nv = mesh.num_triangles, mesh.num_vertices
     edge_index = {}
@@ -218,7 +224,7 @@ def _dict_loop_numbering(mesh, p, bc):
     orientations = np.stack(
         [np.where(tri[:, a] < tri[:, b], 1, -1) for a, b in LOCAL_EDGES],
         axis=1).astype(np.int8)
-    return (int((~constrained).sum()), free[element_dofs], orientations, free)
+    return int((~constrained).sum()), free[element_dofs], orientations
 
 
 class TestFunctionSpace:
@@ -254,12 +260,11 @@ class TestFunctionSpace:
         for p in (1, 2, 4):
             for bc in (DEFAULT_BC, ALL_NEUMANN, dirichlet_both):
                 space = FunctionSpace(mesh, p, bc=bc)
-                num_dofs, element_dofs, orientations, free = \
+                num_dofs, element_dofs, orientations = \
                     _dict_loop_numbering(mesh, p, bc)
                 assert space.num_dofs == num_dofs
                 assert np.array_equal(space.element_dofs, element_dofs)
                 assert np.array_equal(space.orientations, orientations)
-                assert np.array_equal(space.free_of_global, free)
 
     def test_element_dofs_mark_constrained(self):
         mesh = generate(DISK, hmax=10.0, q=1)

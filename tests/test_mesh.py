@@ -13,7 +13,7 @@ with safety margins.
 import numpy as np
 import pytest
 
-from radpml.basis import triangle_quadrature
+from radpml.basis import lagrange_geometry_basis, triangle_quadrature
 from radpml.errors import GenerationError, GeometryError, ValidationError
 from radpml.mesh import (
     BOUNDARY_OBSTACLE,
@@ -130,8 +130,8 @@ class TestGenerate:
     def test_positive_jacobians_at_quadrature_points(self):
         mesh = generate(ELLIPSE, hmax=0.7, q=3)
         pts, _ = triangle_quadrature(2 * mesh.q + 2)
-        _, jac = mapping(mesh, pts)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        _, _, det = mapping(mesh.mapping_nodes,
+                            *lagrange_geometry_basis(mesh.q, pts))
         assert np.all(det > 0.0)
 
     def test_region_tags_partition_annuli(self):
@@ -148,7 +148,8 @@ class TestGenerate:
             assert inside.any() and outside.any()
             assert node_radii(mesh)[outside].max() <= r_out + 1e-12
             pts, _ = triangle_quadrature(2 * q + 2)
-            phys, _ = mapping(mesh, pts)
+            phys, _, _ = mapping(mesh.mapping_nodes,
+                                 *lagrange_geometry_basis(q, pts))
             rad = np.hypot(phys[..., 0], phys[..., 1])
             assert rad[outside].min() >= r1 - 1e-12
             assert rad[outside].max() <= r_out + 1e-12
@@ -229,3 +230,8 @@ class TestGenerate:
     def test_inverted_element_reported_with_index(self):
         with pytest.raises(GenerationError, match="element 0"):
             _check_jacobians(clockwise_triangle_mesh())
+        # a nearly circular ellipse just inside r1, meshed this coarsely
+        # with q = 1, folds its inner annulus
+        geometry = Geometry(EllipseObstacle(0.9, 1.0), 1.001, 1.0)
+        with pytest.raises(GenerationError, match="element 4"):
+            generate(geometry, hmax=2.0, q=1)
