@@ -57,8 +57,6 @@ from .scaling import (
     min_stabilizing_c,
 )
 from .mesh import (
-    BOUNDARY_OBSTACLE,
-    BOUNDARY_OUTER,
     DiskObstacle,
     EllipseObstacle,
     Geometry,
@@ -68,9 +66,6 @@ from .mesh import (
     triangle_areas,
 )
 from .fem import (
-    DEFAULT_BC,
-    DIRICHLET,
-    NEUMANN,
     AssembledPencil,
     CondensedShiftSolver,
     FunctionSpace,

@@ -287,14 +287,13 @@ def d_sigma(x, y, profile: ScalingProfile, medium: Medium) -> complex:
     return complex(root)
 
 
-def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction,
-                 r0: float | None = None, samples: int = 48):
+def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction):
     """Measured vs guaranteed decay rate of the scaled plane kernel.
 
     Fits the slope of -log|e^{i omega d_sigma(x, y)}| = Im(omega d_sigma)
-    for x = r*direction, r in [10 r1, 20 r1], y fixed on the sphere of
-    radius r0 (default: 90% of the largest radius the separation
-    condition allows).
+    at 48 radii x = r*direction, r in [10 r1, 20 r1], with y fixed on the
+    sphere of radius r0 = 0.9 r1 sigma_min/sigma_max, 90% of the largest
+    radius the separation condition allows.
 
     Returns
     -------
@@ -319,11 +318,9 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction,
     if nrm == 0.0 or direction.shape != (medium.dim,):
         raise PreconditionError("direction must be a nonzero vector of the medium dimension")
     direction = direction / nrm
-    if r0 is None:
-        r0 = 0.9 * profile.r1 * medium.sigma_min / medium.sigma_max
     y = np.zeros(medium.dim)
-    y[0] = r0
-    rs = np.linspace(10.0 * profile.r1, 20.0 * profile.r1, samples)
+    y[0] = 0.9 * profile.r1 * medium.sigma_min / medium.sigma_max
+    rs = np.linspace(10.0 * profile.r1, 20.0 * profile.r1, 48)
     log_decay = np.array([
         (omega * d_sigma(r * direction, y, profile, medium)).imag
         for r in rs
@@ -502,7 +499,8 @@ def read_reference_csv(path):
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if header != ["n", "k", "re", "im", "residual"]:
-            raise ValidationError(f"unexpected reference CSV header: {header!r}")
+            raise ValidationError(
+                f"{path}: unexpected reference CSV header: {header!r}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue

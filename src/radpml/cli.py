@@ -200,10 +200,6 @@ class RunConfig:
         return cls(r1=self.geometry.r1, gamma=gamma,
                    **dict(self.profile_options))
 
-    def stretched_geometry(self, scale: float) -> Geometry:
-        return Geometry(self.geometry.obstacle, self.geometry.r1,
-                        self.geometry.layer_width * float(scale))
-
 
 def parse_config(path) -> RunConfig:
     """Read and fully validate a configuration file."""
@@ -548,8 +544,9 @@ def _stage(name):
 
 def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
     with _stage("mesh"):
-        geometry = config.geometry if layer_scale == 1.0 \
-            else config.stretched_geometry(layer_scale)
+        base = config.geometry
+        geometry = Geometry(base.obstacle, base.r1,
+                            base.layer_width * layer_scale)
         mesh = generate(geometry, config.hmax, config.q)
     with _stage("assembly"):
         space = FunctionSpace(mesh, config.p)

@@ -9,9 +9,11 @@ The pencil, the shift and the inverse all come from one factored
 Physical resonances sit in the lower half plane, so omega is reported on
 the Im(omega) <= 0 branch of the square root.
 
-An invariant Krylov subspace (breakdown) ends the basis early; the
-basis reached is used as it stands and its size is recorded.  A fresh
-random start vector would reach the same dimension, the degree of the
+The Krylov basis is one (m + 1) x n complex array in memory: full
+reorthogonalization reads every row written so far twice per step.  An
+invariant Krylov subspace (breakdown) ends the basis early; the basis
+reached is used as it stands and its size is recorded.  A fresh random
+start vector would reach the same dimension, the degree of the
 operator's minimal polynomial, so there is nothing to restart.
 
 Every returned eigenvalue carries the relative residual of its Ritz
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import json
 import math
-import tempfile
 import warnings
 from dataclasses import dataclass, replace
 
@@ -191,23 +192,10 @@ def _lower_branch_sqrt(z: complex) -> complex:
     return -w if w.imag > 0.0 else w
 
 
-# Basis matrices beyond this size are backed by a disk file so the kernel
-# can evict cold rows under memory pressure instead of the OOM killer
-# ending the run; results are bitwise identical either way.
-BASIS_MEMMAP_BYTES = 256 * 2**20
-
-
-def _basis_matrix(m, n):
-    if (m + 1) * n * 16 <= BASIS_MEMMAP_BYTES:
-        return np.empty((m + 1, n), dtype=complex)
-    handle = tempfile.TemporaryFile(prefix="radpml-basis-")
-    return np.memmap(handle, dtype=complex, mode="w+", shape=(m + 1, n))
-
-
 def _arnoldi(apply_op, n, m, rng):
     """Arnoldi basis (rows of v) and Hessenberg h, fully reorthogonalized
     twice per step; returns the basis size reached (< m on breakdown)."""
-    v = _basis_matrix(m, n)
+    v = np.empty((m + 1, n), dtype=complex)
     h = np.zeros((m + 1, m), dtype=complex)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v[0] = start / np.linalg.norm(start)
@@ -408,7 +396,8 @@ def read_spectrum_csv(path):
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "re_omega,im_omega,residual,in_lambda_d0,spurious":
-            raise ValidationError("not a spectrum CSV (unexpected header)")
+            raise ValidationError(
+                f"{path}: not a spectrum CSV (unexpected header {header!r})")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue

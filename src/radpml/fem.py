@@ -1,8 +1,10 @@
 """Assembly of the complex-scaled Helmholtz pencil on curved meshes.
 
 The truncated weak form is  <tensor grad u, grad u'> - omega^2 <w u, u'>
-with the complex-symmetric (unconjugated) pairing.  In 2D the radial
-scaling enters through the polar frame F = (rhat, that):
+with the complex-symmetric (unconjugated) pairing, on H^1 functions that
+vanish on the truncation circle |x| = R (Dirichlet); the obstacle is
+sound-hard (natural Neumann).  In 2D the radial scaling enters through
+the polar frame F = (rhat, that):
 
     tensor(x) = (dt d)^{-1} * A sigma A,   A = dt rhat rhat^T + d that that^T
     w(x) = dt d
@@ -43,27 +45,16 @@ from .basis import (
 from .errors import (AssemblyError, DomainError, ShiftRejectedError,
                      SingularMatrixError, ValidationError)
 from .media import Medium
-from .mesh import (BOUNDARY_OBSTACLE, BOUNDARY_OUTER, Mesh, _global_edges,
-                   mapping)
+from .mesh import Mesh, _global_edges, mapping
 from .scaling import ScalingProfile, limits
 
 __all__ = [
-    "DIRICHLET",
-    "NEUMANN",
-    "DEFAULT_BC",
     "FunctionSpace",
     "AssembledPencil",
     "CondensedShiftSolver",
     "element_matrices",
     "rayleigh_residual",
 ]
-
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
-
-#: default boundary conditions: sound-hard obstacle, truncation by a
-#: homogeneous Dirichlet condition on the outer circle
-DEFAULT_BC = {BOUNDARY_OBSTACLE: NEUMANN, BOUNDARY_OUTER: DIRICHLET}
 
 #: elements per chunk of the element pass
 CHUNK = 512
@@ -120,13 +111,13 @@ class FunctionSpace:
     """Hierarchic H^1 space of order p on a curved mesh.
 
     Global dofs are numbered vertices first, then p-1 modes per global
-    edge, then interior bubbles per triangle.  Dirichlet-tagged boundary
-    dofs are struck from the free numbering.
+    edge, then interior bubbles per triangle.  The dofs on
+    ``mesh.outer_edges`` (Dirichlet on |x| = R) are struck from the free
+    numbering; the obstacle boundary is natural (Neumann).
     """
 
     mesh: Mesh
     p: int
-    bc: dict = field(default_factory=lambda: dict(DEFAULT_BC))
     num_dofs: int = field(init=False)
     element_dofs: np.ndarray = field(init=False)     # (nt, local) into free dofs, -1 constrained
     orientations: np.ndarray = field(init=False)     # (nt, 3) signs
@@ -140,16 +131,14 @@ class FunctionSpace:
         nv = mesh.num_vertices
         p = self.p
 
-        dirichlet_tags = [tag for tag, kind in self.bc.items() if kind == DIRICHLET]
-        ends = mesh.boundary_edges[np.isin(mesh.boundary_tags, dirichlet_tags)]
-        tri_edge, edges, ne = _global_edges(tri, ends, nv)
+        tri_edge, outer, ne = _global_edges(tri, mesh.outer_edges, nv)
         n_edge_modes = p - 1
         n_bubbles = (p - 1) * (p - 2) // 2
         total = nv + ne * n_edge_modes + nt * n_bubbles
 
         constrained = np.zeros(total, dtype=bool)
-        constrained[ends.ravel()] = True
-        constrained[nv + edges[:, None] * n_edge_modes + np.arange(n_edge_modes)] = True
+        constrained[mesh.outer_edges.ravel()] = True
+        constrained[nv + outer[:, None] * n_edge_modes + np.arange(n_edge_modes)] = True
 
         free = np.full(total, -1, dtype=np.int64)
         free[~constrained] = np.arange(int((~constrained).sum()))

@@ -14,6 +14,9 @@ through the *exact* block mapping, so nodes on the obstacle, interface,
 and outer rings lie on those curves to machine precision, and the
 curved geometry is conforming across element edges (shared edges carry
 identical node sets).  ``hmax`` is the one mesh-size parameter.
+
+``outer_edges`` lists the edges of the truncation circle |x| = R, which
+carries the Dirichlet condition; the sound-hard obstacle needs no data.
 """
 
 from __future__ import annotations
@@ -32,16 +35,11 @@ __all__ = [
     "EllipseObstacle",
     "Geometry",
     "Mesh",
-    "BOUNDARY_OBSTACLE",
-    "BOUNDARY_OUTER",
     "generate",
     "mapping",
     "triangle_areas",
     "max_edge_length",
 ]
-
-BOUNDARY_OBSTACLE = 0
-BOUNDARY_OUTER = 1
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ class Geometry:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Curved triangulation with boundary tags.
+    """Curved triangulation with the edges of its truncation circle.
 
     ``mapping_nodes[t]`` holds the physical coordinates of the degree-q
     lattice (see :func:`radpml.basis.lattice_nodes`) of triangle ``t``;
@@ -114,13 +112,11 @@ class Mesh:
     q: int
     vertices: np.ndarray        # (nv, 2) float
     triangles: np.ndarray       # (nt, 3) int, counterclockwise
-    boundary_edges: np.ndarray  # (nb, 2) int
-    boundary_tags: np.ndarray   # (nb,) uint8
+    outer_edges: np.ndarray     # (n_theta, 2) int, |x| = R in ring order
     mapping_nodes: np.ndarray   # (nt, n_lattice, 2) float
 
     def __post_init__(self):
-        for name in ("vertices", "triangles", "boundary_edges",
-                     "boundary_tags", "mapping_nodes"):
+        for name in ("vertices", "triangles", "outer_edges", "mapping_nodes"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -259,21 +255,9 @@ def generate(geometry: Geometry, hmax: float, q: int) -> Mesh:
     polar = rho[..., None] * u
     nodes[:] = np.where(pml_mask[:, None, None], polar, blend)
 
-    b_edges = []
-    b_tags = []
-    for j in range(n_theta):
-        b_edges.append((j, (j + 1) % n_theta))
-        b_tags.append(BOUNDARY_OBSTACLE)
-    outer0 = n_rows * n_theta
-    for j in range(n_theta):
-        b_edges.append((outer0 + j, outer0 + (j + 1) % n_theta))
-        b_tags.append(BOUNDARY_OUTER)
-
-    mesh = Mesh(
-        q=q, vertices=vertices, triangles=triangles,
-        boundary_edges=np.array(b_edges, dtype=np.int64),
-        boundary_tags=np.array(b_tags, dtype=np.uint8),
-        mapping_nodes=nodes)
+    outer = n_rows * n_theta + np.stack([cols, (cols + 1) % n_theta], axis=1)
+    mesh = Mesh(q=q, vertices=vertices, triangles=triangles,
+                outer_edges=outer, mapping_nodes=nodes)
     _check_jacobians(mesh)
     return mesh
 

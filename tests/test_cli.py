@@ -558,6 +558,22 @@ class TestCompareCommand:
         assert main(["compare", *files]) == EXIT_CONFIG
         assert f"{bad}: not ASCII" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["re_omega,im", "n,k,re"])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_bad_header_names_its_file(self, tmp_path, capsys, position,
+                                       header):
+        """A wrong header in the spectrum dialect (``re_omega...``) or the
+        reference dialect used to be reported without saying which of
+        the two files it was in."""
+        ref = write_reference_file(tmp_path / "ref.csv", [0.5 - 0.6j])
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n0.5,-0.6\n", encoding="ascii")
+        files = [str(ref), str(ref)]
+        files[position] = str(bad)
+        assert main(["compare", *files]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and "header" in err
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
     def test_bad_tolerance_is_config_error(self, tmp_path, capsys, tolerance):
         ref = write_reference_file(tmp_path / "ref.csv", [0.5 - 0.6j])

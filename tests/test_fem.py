@@ -15,6 +15,8 @@ reality of the unscaled pencil) assert exact equality by design of the
 assembly path, not approximate closeness.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,9 +26,6 @@ import scipy.sparse.linalg
 from radpml.basis import LOCAL_EDGES
 from radpml.errors import AssemblyError, DomainError, ValidationError
 from radpml.fem import (
-    DEFAULT_BC,
-    DIRICHLET,
-    NEUMANN,
     AssembledPencil,
     CondensedShiftSolver,
     FunctionSpace,
@@ -36,8 +35,6 @@ from radpml.fem import (
 )
 from radpml.media import Medium
 from radpml.mesh import (
-    BOUNDARY_OBSTACLE,
-    BOUNDARY_OUTER,
     DiskObstacle,
     EllipseObstacle,
     Geometry,
@@ -49,7 +46,6 @@ from radpml.scaling import AffineProfile, RampProfile, SmoothedPolynomialProfile
 ISO = Medium.isotropic(2)
 ANISO = Medium.diagonal([0.25, 1.0])
 GAMMA = 8j
-ALL_NEUMANN = {BOUNDARY_OBSTACLE: NEUMANN, BOUNDARY_OUTER: NEUMANN}
 #: onset far beyond every mesh below: the scaling is the identity there
 UNSCALED = AffineProfile(r1=100.0, gamma=GAMMA)
 SHIFT_SQ = (1.5 - 1.0j) ** 2
@@ -70,16 +66,20 @@ def assembled(space, profile, medium):
     return CondensedShiftSolver(space, profile, medium, SHIFT_SQ).pencil
 
 
+def all_neumann(mesh):
+    """``mesh`` without Dirichlet edges: every boundary is natural."""
+    return replace(mesh, outer_edges=np.empty((0, 2), dtype=np.int64))
+
+
 def unit_triangle_mesh(counterclockwise=True):
-    """Single straight P1-ready triangle."""
+    """Single straight P1-ready triangle with no Dirichlet edges."""
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     order = [0, 1, 2] if counterclockwise else [0, 2, 1]
     return Mesh(
         q=1,
         vertices=vertices,
         triangles=np.array([order]),
-        boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
-        boundary_tags=np.array([BOUNDARY_OBSTACLE] * 3, dtype=np.uint8),
+        outer_edges=np.empty((0, 2), dtype=np.int64),
         mapping_nodes=vertices[order][None, :, :].copy())
 
 
@@ -192,7 +192,7 @@ class TestScaledTensor:
         assert abs((w_hi - w_lo) - GAMMA * 2.0) < 1e-9  # alpha(r1+) = amax * m
 
 
-def _dict_loop_numbering(mesh, p, bc):
+def _dict_loop_numbering(mesh, p):
     """(num_dofs, element_dofs, orientations) of a space, with the global
     edges numbered by a dict loop over the triangles."""
     tri = mesh.triangles
@@ -208,9 +208,7 @@ def _dict_loop_numbering(mesh, p, bc):
     n_edge, n_bub = p - 1, (p - 1) * (p - 2) // 2
     total = nv + ne * n_edge + nt * n_bub
     constrained = np.zeros(total, dtype=bool)
-    for (va, vb), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if bc.get(int(tag), NEUMANN) != DIRICHLET:
-            continue
+    for va, vb in mesh.outer_edges:
         constrained[[va, vb]] = True
         start = nv + edge_index[(min(va, vb), max(va, vb))] * n_edge
         constrained[start:start + n_edge] = True
@@ -244,24 +242,22 @@ class TestFunctionSpace:
         for p in (1, 3, 6):
             n_bub = (p - 1) * (p - 2) // 2
             total = nv + ne * (p - 1) + nt * n_bub
-            space = FunctionSpace(mesh, p, bc=ALL_NEUMANN)
+            space = FunctionSpace(all_neumann(mesh), p)
             assert space.num_dofs == total
-            # default: outer circle Dirichlet strikes its 8 vertices and
-            # the p-1 modes of each of its 8 edges
+            # the Dirichlet outer circle strikes its 8 vertices and the
+            # p-1 modes of each of its 8 edges
             space = FunctionSpace(mesh, p)
-            assert space.bc == DEFAULT_BC
             assert space.num_dofs == total - 8 - 8 * (p - 1)
 
     def test_numbering_matches_dict_loop(self):
         """Edges are numbered in order of first appearance, so every
         array of the space is that of a dict loop over the triangles."""
-        mesh = generate(ELLIPSE, hmax=0.2, q=2)
-        dirichlet_both = {BOUNDARY_OBSTACLE: DIRICHLET, BOUNDARY_OUTER: DIRICHLET}
+        dirichlet = generate(ELLIPSE, hmax=0.2, q=2)
         for p in (1, 2, 4):
-            for bc in (DEFAULT_BC, ALL_NEUMANN, dirichlet_both):
-                space = FunctionSpace(mesh, p, bc=bc)
+            for mesh in (dirichlet, all_neumann(dirichlet)):
+                space = FunctionSpace(mesh, p)
                 num_dofs, element_dofs, orientations = \
-                    _dict_loop_numbering(mesh, p, bc)
+                    _dict_loop_numbering(mesh, p)
                 assert space.num_dofs == num_dofs
                 assert np.array_equal(space.element_dofs, element_dofs)
                 assert np.array_equal(space.orientations, orientations)
@@ -277,7 +273,7 @@ class TestFunctionSpace:
 class TestAssemble:
     def test_p1_unit_triangle_matrices(self):
         """Classical P1 element matrices on the unit right triangle."""
-        space = FunctionSpace(unit_triangle_mesh(), 1, bc=ALL_NEUMANN)
+        space = FunctionSpace(unit_triangle_mesh(), 1)
         pencil = assembled(space, UNSCALED, ISO)
         k_exp = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
         m_exp = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
@@ -288,7 +284,7 @@ class TestAssemble:
         """With w = 1 and the P1 partition of unity, sum_ij M_ij is the
         quadrature-exact domain area (anchor 2.1e-13 relative)."""
         mesh = generate(DISK, hmax=0.3, q=6)
-        space = FunctionSpace(mesh, 1, bc=ALL_NEUMANN)
+        space = FunctionSpace(all_neumann(mesh), 1)
         pencil = assembled(space, UNSCALED, ISO)
         exact = np.pi * (3.5**2 - 1.0**2)
         total = pencil.mass.sum()
@@ -387,13 +383,12 @@ class TestAssemble:
         assert np.array_equal(m_a, m_b)
 
     def test_inverted_element_raises_assembly_error(self):
-        space = FunctionSpace(unit_triangle_mesh(counterclockwise=False), 1,
-                              bc=ALL_NEUMANN)
+        space = FunctionSpace(unit_triangle_mesh(counterclockwise=False), 1)
         with pytest.raises(AssemblyError, match="element 0"):
             assembled(space, UNSCALED, ISO)
 
     def test_medium_dimension_checked(self):
-        space = FunctionSpace(unit_triangle_mesh(), 1, bc=ALL_NEUMANN)
+        space = FunctionSpace(unit_triangle_mesh(), 1)
         with pytest.raises(ValidationError):
             assembled(space, UNSCALED, Medium.isotropic(3))
 

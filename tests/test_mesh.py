@@ -16,8 +16,6 @@ import pytest
 from radpml.basis import lagrange_geometry_basis, triangle_quadrature
 from radpml.errors import GenerationError, GeometryError, ValidationError
 from radpml.mesh import (
-    BOUNDARY_OBSTACLE,
-    BOUNDARY_OUTER,
     DiskObstacle,
     EllipseObstacle,
     Geometry,
@@ -62,8 +60,7 @@ def clockwise_triangle_mesh():
         q=1,
         vertices=vertices,
         triangles=np.array([[0, 1, 2]]),
-        boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
-        boundary_tags=np.array([BOUNDARY_OBSTACLE] * 3, dtype=np.uint8),
+        outer_edges=np.empty((0, 2), dtype=np.int64),
         mapping_nodes=vertices[None, :, :].copy())
 
 
@@ -109,9 +106,7 @@ class TestGenerate:
         inside, outside = split_at_onset(mesh, DISK.r1)
         assert np.count_nonzero(inside) == 16
         assert np.count_nonzero(outside) == 16
-        assert len(mesh.boundary_edges) == 16
-        assert np.count_nonzero(mesh.boundary_tags == BOUNDARY_OBSTACLE) == 8
-        assert np.count_nonzero(mesh.boundary_tags == BOUNDARY_OUTER) == 8
+        assert mesh.outer_edges.shape == (8, 2)
         on_ring = np.abs(np.hypot(*mesh.vertices.T) - DISK.r1) < 1e-12
         assert np.count_nonzero(on_ring) == 8
 
@@ -175,15 +170,23 @@ class TestGenerate:
             assert gap.min(axis=1).max() < 1e-12
             assert gap.min(axis=0).max() < 1e-12
 
-    def test_boundary_tags_partition_boundary(self):
+    def test_outer_edges_close_the_truncation_circle(self):
+        """``outer_edges`` is the ring of n_theta edges on |x| = R, in
+        order: each edge starts where the previous one ends, and the last
+        ends where the first starts.  The first n_theta vertices are the
+        obstacle ring, on |x| = 1."""
         mesh = generate(DISK, hmax=0.6, q=2)
-        assert set(np.unique(mesh.boundary_tags)) == {BOUNDARY_OBSTACLE,
-                                                      BOUNDARY_OUTER}
-        obstacle = mesh.boundary_tags == BOUNDARY_OBSTACLE
-        radii = np.hypot(*mesh.vertices[mesh.boundary_edges[obstacle]].T)
-        assert np.max(np.abs(radii - 1.0)) < 1e-12
-        radii = np.hypot(*mesh.vertices[mesh.boundary_edges[~obstacle]].T)
+        outer = mesh.outer_edges
+        n_theta = int(np.count_nonzero(
+            np.abs(np.hypot(*mesh.vertices.T) - 1.0) < 1e-12))
+        assert outer.shape == (n_theta, 2)
+        assert np.array_equal(outer[1:, 0], outer[:-1, 1])
+        assert outer[-1, 1] == outer[0, 0]
+        assert np.unique(outer).size == n_theta
+        radii = np.hypot(*mesh.vertices[outer].T)
         assert np.max(np.abs(radii - 3.5)) < 1e-12
+        radii = np.hypot(*mesh.vertices[:n_theta].T)
+        assert np.max(np.abs(radii - 1.0)) < 1e-12
 
     def test_disk_area(self):
         # anchor measured at 9.0e-11 relative; frozen with margin
