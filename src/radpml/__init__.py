@@ -12,13 +12,11 @@ from .errors import (
     AccuracyWarning,
     AssemblyError,
     ConfigError,
-    DefinitenessError,
     DomainError,
     GenerationError,
     GeometryError,
     IncompleteSearchError,
     PreconditionError,
-    ShiftRejectedError,
     SingularMatrixError,
     ValidationError,
 )
@@ -34,8 +32,6 @@ from .analytic import (
     MAX_ORDER,
     SUPPORTED_RADIUS,
     ResonanceReference,
-    bessel_j,
-    bessel_y,
     d_sigma,
     damping_rate,
     find_disk_neumann_references,
@@ -62,8 +58,6 @@ from .mesh import (
     Geometry,
     Mesh,
     generate,
-    max_edge_length,
-    triangle_areas,
 )
 from .fem import (
     AssembledPencil,

@@ -45,8 +45,6 @@ from .scaling import ScalingProfile, _separation, limits
 __all__ = [
     "SUPPORTED_RADIUS",
     "MAX_ORDER",
-    "bessel_j",
-    "bessel_y",
     "hankel1",
     "hankel1_deriv",
     "d_sigma",
@@ -190,20 +188,6 @@ def _hankel1_orders(orders, z: np.ndarray):
     return [j + 1j * y for j, y in _bessel_j_y(orders, z)]
 
 
-def bessel_j(n: int, z):
-    """Bessel function of the first kind, ascending series."""
-    arr = _check_cylinder_args(n, z)
-    (j, _), = _bessel_j_y((n,), arr)
-    return j if np.ndim(z) else complex(j)
-
-
-def bessel_y(n: int, z):
-    """Bessel function of the second kind, log-plus-series form."""
-    arr = _check_cylinder_args(n, z)
-    (_, y), = _bessel_j_y((n,), arr)
-    return y if np.ndim(z) else complex(y)
-
-
 def hankel1(n: int, z):
     """Hankel function of the first kind H_n^{(1)} = J_n + i Y_n.
 
@@ -270,9 +254,8 @@ def d_sigma(x, y, profile: ScalingProfile, medium: Medium) -> complex:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != (medium.dim,) or y.shape != (medium.dim,):
-        raise PreconditionError(
-            f"points must have {medium.dim} coordinates, as the medium")
+    if x.shape != (2,) or y.shape != (2,):
+        raise PreconditionError("points must have 2 coordinates, as the medium")
     separated, bound = _separation(profile.r1, medium, float(np.linalg.norm(y)))
     if not separated:
         raise PreconditionError(
@@ -292,7 +275,7 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction):
 
     Fits the slope of -log|e^{i omega d_sigma(x, y)}| = Im(omega d_sigma)
     at 48 radii x = r*direction, r in [10 r1, 20 r1], with y fixed on the
-    sphere of radius r0 = 0.9 r1 sigma_min/sigma_max, 90% of the largest
+    circle of radius r0 = 0.9 r1 sigma_min/sigma_max, 90% of the largest
     radius the separation condition allows.
 
     Returns
@@ -315,11 +298,10 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction):
             f"Re(i omega d0) = {re_iwd0:g} >= 0: the scaled kernel need not decay")
     direction = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(direction)
-    if nrm == 0.0 or direction.shape != (medium.dim,):
+    if nrm == 0.0 or direction.shape != (2,):
         raise PreconditionError("direction must be a nonzero vector of the medium dimension")
     direction = direction / nrm
-    y = np.zeros(medium.dim)
-    y[0] = 0.9 * profile.r1 * medium.sigma_min / medium.sigma_max
+    y = np.array([0.9 * profile.r1 * medium.sigma_min / medium.sigma_max, 0.0])
     rs = np.linspace(10.0 * profile.r1, 20.0 * profile.r1, 48)
     log_decay = np.array([
         (omega * d_sigma(r * direction, y, profile, medium)).imag

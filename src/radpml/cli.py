@@ -60,7 +60,6 @@ from .eig import (
 from .errors import (
     AssemblyError,
     ConfigError,
-    DefinitenessError,
     DomainError,
     GenerationError,
     GeometryError,
@@ -170,7 +169,6 @@ class RunConfig:
     """Validated run description; every physical constraint is checked
     at parse time, before any computation starts."""
 
-    path: str
     sha256: str
     geometry: Geometry
     medium: Medium
@@ -229,7 +227,7 @@ def parse_config(path) -> RunConfig:
           reader.get("medium", "sigma_yy", float)]])
     try:
         medium = Medium(sigma)
-    except (ValidationError, DefinitenessError) as exc:
+    except ValidationError as exc:
         raise ConfigError(f"[medium] {exc}") from None
 
     profile_kind = reader.get("scaling", "profile", str).strip().lower()
@@ -296,7 +294,7 @@ def parse_config(path) -> RunConfig:
             f"or not used by this obstacle or profile kind)")
 
     config = RunConfig(
-        path=str(path), sha256=digest, geometry=geometry, medium=medium,
+        sha256=digest, geometry=geometry, medium=medium,
         profile_kind=profile_kind, gamma=gamma, c=c,
         profile_options=tuple(options), hmax=hmax, p=p, q=q, shift=shift,
         k=k, krylov_dim=krylov_dim, out_dir=out_dir,

@@ -391,7 +391,8 @@ def write_spectrum_csv(spectrum: Spectrum, path):
 
 def read_spectrum_csv(path):
     """Arrays (omegas, residuals, in_lambda_d0, spurious) from the CSV,
-    typed complex, float, bool and bool even when there are no rows."""
+    typed complex, float, bool and bool even when there are no rows.
+    A flag is 0 or 1, as the writer writes it."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -403,12 +404,16 @@ def read_spectrum_csv(path):
                 continue
             try:
                 re, im, res, in_lambda, spurious = line.strip().split(",")
-                rows.append((complex(float(re), float(im)), float(res),
-                             bool(int(in_lambda)), bool(int(spurious))))
+                omega, residual = complex(float(re), float(im)), float(res)
             except ValueError:
                 raise ValidationError(
                     f"{path}: line {lineno}: expected five numeric fields, "
                     f"got {line.strip()!r}") from None
+            if not {in_lambda, spurious} <= {"0", "1"}:
+                raise ValidationError(
+                    f"{path}: line {lineno}: flags must be 0 or 1, "
+                    f"got {line.strip()!r}")
+            rows.append((omega, residual, in_lambda == "1", spurious == "1"))
     columns = list(zip(*rows)) or [()] * 4
     return tuple(np.array(col, dtype=dtype)
                  for col, dtype in zip(columns, (complex, float, bool, bool)))

@@ -10,10 +10,6 @@ class ValidationError(ValueError):
     """Invalid input data (non-symmetric matrix, bad config value, ...)."""
 
 
-class DefinitenessError(ValidationError):
-    """A matrix that must be symmetric positive definite is not."""
-
-
 class DomainError(ValueError):
     """Function evaluated outside its supported domain."""
 
@@ -36,12 +32,8 @@ class AssemblyError(RuntimeError):
 
 
 class SingularMatrixError(RuntimeError):
-    """LU factorization hit an exactly singular pivot."""
-
-
-class ShiftRejectedError(SingularMatrixError):
-    """The shifted pencil K - shift^2 * M is singular; the shift is
-    (numerically) an eigenvalue and must be moved."""
+    """LU factorization hit an exactly singular pivot, or the shifted
+    pencil K - shift^2 * M is singular and the shift must be moved."""
 
 
 class IncompleteSearchError(RuntimeError):

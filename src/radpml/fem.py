@@ -42,8 +42,8 @@ from .basis import (
     reference_basis,
     triangle_quadrature,
 )
-from .errors import (AssemblyError, DomainError, ShiftRejectedError,
-                     SingularMatrixError, ValidationError)
+from .errors import (AssemblyError, DomainError, SingularMatrixError,
+                     ValidationError)
 from .media import Medium
 from .mesh import Mesh, _global_edges, mapping
 from .scaling import ScalingProfile, limits
@@ -320,8 +320,6 @@ class CondensedShiftSolver:
 
     def __init__(self, space: FunctionSpace, profile: ScalingProfile,
                  medium: Medium, shift_sq: complex):
-        if medium.dim != 2:
-            raise ValidationError("the assembled form is two-dimensional")
         self.d0 = limits(profile, medium).d0
         p = space.p
         ns_local = 3 * p                      # vertex + edge modes
@@ -361,7 +359,7 @@ class CondensedShiftSolver:
         try:
             bb_inv = np.linalg.inv(a_bb)
         except np.linalg.LinAlgError as exc:
-            raise ShiftRejectedError(
+            raise SingularMatrixError(
                 f"shift_sq {self.shift_sq} hits an element-interior "
                 f"eigenvalue: {exc}") from exc
         gain = a_sb @ bb_inv
@@ -375,7 +373,7 @@ class CondensedShiftSolver:
 
         Raises
         ------
-        ShiftRejectedError
+        SingularMatrixError
             If the skeleton factor is singular (the shift is an
             eigenvalue).
         """
@@ -384,7 +382,7 @@ class CondensedShiftSolver:
         try:
             self.lu = sparse_lu(self._schur_pattern.matrix(self._schur_data))
         except SingularMatrixError as exc:
-            raise ShiftRejectedError(
+            raise SingularMatrixError(
                 f"shifted pencil is singular ({exc}); move the shift") from exc
         self._schur_pattern = self._schur_data = None
         return self

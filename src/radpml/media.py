@@ -1,9 +1,11 @@
 """Anisotropic media and numerical-range bounds for phased SPD matrices.
 
 The wave equation coefficient is a constant symmetric positive definite
-matrix ``sigma`` (2x2 or 3x3).  Radial complex scaling multiplies the
-radial and tangential parts of ``sigma`` by unimodular phases; the key
-quantity controlling coercivity is the numerical range of the
+2x2 matrix ``sigma`` (``Medium``).  ``spd_extremes``, ``b_tau`` and
+``numerical_range_bounds`` also take 3x3 matrices, since the paper's
+bound below holds in both dimensions.  Radial complex scaling multiplies
+the radial and tangential parts of ``sigma`` by unimodular phases; the
+key quantity controlling coercivity is the numerical range of the
 "phased" matrix
 
     B_tau = E B E,   E = diag(e^{i tau/2}, e^{-i tau/2}, ..., e^{-i tau/2}),
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DefinitenessError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "Medium",
@@ -80,19 +82,17 @@ def spd_extremes(mat: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Medium:
-    """Constant SPD material tensor of the exterior problem.
+    """Constant SPD material tensor of the 2-D exterior problem.
 
     Parameters
     ----------
-    sigma : (d, d) array_like
-        Symmetric positive definite matrix, d in {2, 3}.
+    sigma : (2, 2) array_like
+        Symmetric positive definite matrix.
 
     Raises
     ------
     ValidationError
-        Non-square or non-symmetric input.
-    DefinitenessError
-        Symmetric but not positive definite.
+        Input that is not 2x2, not symmetric or not positive definite.
     """
 
     sigma: np.ndarray
@@ -100,30 +100,21 @@ class Medium:
     sigma_max: float = field(init=False)
 
     def __post_init__(self):
+        if np.shape(self.sigma) != (2, 2):
+            raise ValidationError(
+                f"sigma must be a 2x2 tensor, got shape {np.shape(self.sigma)}")
         mat = _check_symmetric(self.sigma)
         lam_min, lam_max = spd_extremes(mat)
         if lam_min <= 0.0:
-            raise DefinitenessError(f"sigma is not positive definite (lambda_min = {lam_min:g})")
+            raise ValidationError(f"sigma is not positive definite (lambda_min = {lam_min:g})")
         mat.flags.writeable = False
         object.__setattr__(self, "sigma", mat)
         object.__setattr__(self, "sigma_min", lam_min)
         object.__setattr__(self, "sigma_max", lam_max)
 
     @property
-    def dim(self) -> int:
-        return self.sigma.shape[0]
-
-    @property
     def inv(self) -> np.ndarray:
         return np.linalg.inv(self.sigma)
-
-    @classmethod
-    def isotropic(cls, dim: int = 2, value: float = 1.0) -> "Medium":
-        return cls(value * np.eye(dim))
-
-    @classmethod
-    def diagonal(cls, entries) -> "Medium":
-        return cls(np.diag(np.asarray(entries, dtype=float)))
 
 
 def anisotropy_degree(medium: Medium) -> float:
@@ -181,14 +172,14 @@ def numerical_range_bounds(mat: np.ndarray, tau: float) -> "RangeBox":
 
     Raises
     ------
-    DefinitenessError
-        If ``mat`` is not positive definite.
+    ValidationError
+        If ``mat`` is not symmetric positive definite.
     DomainError
         If ``|tau| >= pi/2``.
     """
     lam_min, lam_max = spd_extremes(mat)
     if lam_min <= 0.0:
-        raise DefinitenessError(f"matrix is not positive definite (lambda_min = {lam_min:g})")
+        raise ValidationError(f"matrix is not positive definite (lambda_min = {lam_min:g})")
     if not np.isfinite(tau) or abs(tau) >= 0.5 * np.pi:
         raise DomainError(f"phase angle must satisfy |tau| < pi/2, got {tau!r}")
     one_minus_cos = 1.0 - np.cos(tau)
@@ -204,8 +195,8 @@ def numerical_range_bounds(mat: np.ndarray, tau: float) -> "RangeBox":
 class RangeBox:
     """Axis-aligned rectangle in the complex plane.
 
-    ``positive`` tells whether the whole box lies strictly in the right
-    half plane, which is the sufficient coercivity test.
+    ``re_lo > 0`` puts the whole box strictly in the right half plane,
+    which is the sufficient coercivity test.
     """
 
     re_lo: float
@@ -219,10 +210,6 @@ class RangeBox:
             raise ValidationError("range box bounds must be finite")
         if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
             raise ValidationError("empty range box (lo > hi)")
-
-    @property
-    def positive(self) -> bool:
-        return self.re_lo > 0.0
 
     def contains(self, z: complex, slack: float = 0.0) -> bool:
         z = complex(z)

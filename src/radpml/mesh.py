@@ -37,8 +37,6 @@ __all__ = [
     "Mesh",
     "generate",
     "mapping",
-    "triangle_areas",
-    "max_edge_length",
 ]
 
 
@@ -106,22 +104,20 @@ class Mesh:
 
     ``mapping_nodes[t]`` holds the physical coordinates of the degree-q
     lattice (see :func:`radpml.basis.lattice_nodes`) of triangle ``t``;
-    vertices are duplicated inside it by construction.
+    the corners sit at lattice indices 0, q and -1.  These nodes are the
+    one copy of the geometry: ``triangles`` and ``outer_edges`` use the
+    ``num_vertices`` vertex numbers only as labels for the dof numbering.
     """
 
     q: int
-    vertices: np.ndarray        # (nv, 2) float
+    num_vertices: int
     triangles: np.ndarray       # (nt, 3) int, counterclockwise
     outer_edges: np.ndarray     # (n_theta, 2) int, |x| = R in ring order
     mapping_nodes: np.ndarray   # (nt, n_lattice, 2) float
 
     def __post_init__(self):
-        for name in ("vertices", "triangles", "outer_edges", "mapping_nodes"):
+        for name in ("triangles", "outer_edges", "mapping_nodes"):
             getattr(self, name).setflags(write=False)
-
-    @property
-    def num_vertices(self) -> int:
-        return self.vertices.shape[0]
 
     @property
     def num_triangles(self) -> int:
@@ -150,21 +146,6 @@ def _check_jacobians(mesh: Mesh):
     bad = np.where(np.any(det <= 0.0, axis=1))[0]
     if bad.size:
         raise GenerationError(f"inverted mapped element {int(bad[0])}")
-
-
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Curved areas by quadrature of the mapping Jacobian."""
-    pts, wgt = triangle_quadrature(2 * mesh.q + 2)
-    _, _, det = mapping(mesh.mapping_nodes, *lagrange_geometry_basis(mesh.q, pts))
-    return det @ wgt
-
-
-def max_edge_length(mesh: Mesh) -> float:
-    """Longest straight edge chord between triangle corner vertices."""
-    tri = mesh.vertices[mesh.triangles]
-    chords = np.concatenate([
-        tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2]])
-    return float(np.max(np.hypot(chords[:, 0], chords[:, 1])))
 
 
 def _lattice_params(q: int, corner_params: np.ndarray) -> np.ndarray:
@@ -202,16 +183,6 @@ def generate(geometry: Geometry, hmax: float, q: int) -> Mesh:
         r1 - np.linalg.norm(geometry.obstacle.curve(theta_probe), axis=1)))
     n_ri = max(1, int(math.ceil(thickness / step)))
     n_rp = max(1, int(math.ceil(geometry.layer_width / step)))
-
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    rings = []
-    for i in range(n_ri + 1):
-        t = i / n_ri
-        rings.append((1.0 - t) * geometry.obstacle.curve(theta) + t * r1 * unit)
-    for i in range(1, n_rp + 1):
-        rings.append((r1 + geometry.layer_width * i / n_rp) * unit)
-    vertices = np.concatenate(rings)
 
     n_rows = n_ri + n_rp
     rows = np.arange(n_rows)
@@ -256,7 +227,7 @@ def generate(geometry: Geometry, hmax: float, q: int) -> Mesh:
     nodes[:] = np.where(pml_mask[:, None, None], polar, blend)
 
     outer = n_rows * n_theta + np.stack([cols, (cols + 1) % n_theta], axis=1)
-    mesh = Mesh(q=q, vertices=vertices, triangles=triangles,
+    mesh = Mesh(q=q, num_vertices=(n_rows + 1) * n_theta, triangles=triangles,
                 outer_edges=outer, mapping_nodes=nodes)
     _check_jacobians(mesh)
     return mesh

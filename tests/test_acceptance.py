@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from radpml import (
     AffineProfile,
@@ -469,3 +470,52 @@ def test_9_dense_oracle_equivalence():
         info["detail"] = (
             f"{checked} eigenvalues across 3 pencils match to 1e-9, "
             f"{elapsed:.2f}s")
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: the runs of criteria 5 and 6 reproduce the committed spectra
+# ---------------------------------------------------------------------------
+
+def _omegas(doc, keep):
+    return np.array([complex(e["re_omega"], e["im_omega"])
+                     for e in doc["eigenvalues"] if keep(e)])
+
+
+def _graded(entry):
+    return not entry["spurious"] and entry["residual"] < 1e-8
+
+
+def _assert_matches_committed(doc, golden, label):
+    """Pairs with residual below 1e-12 have a partner on the other side
+    within 1e-9 relative, in both directions.  The unflagged pairs with
+    residual below 1e-8 match one-to-one, each within 1e-6 relative."""
+    for source, target, side in ((golden, doc, "committed"),
+                                 (doc, golden, "computed")):
+        others = _omegas(target, lambda e: True)
+        for omega in _omegas(source, lambda e: e["residual"] < 1e-12):
+            rel = np.min(np.abs(others - omega)) / abs(omega) \
+                if others.size else np.inf
+            assert rel <= 1e-9, \
+                f"{label}: {side} {omega} is {rel:.2e} from the other run"
+    want, got = _omegas(golden, _graded), _omegas(doc, _graded)
+    assert want.size == got.size, \
+        f"{label}: {got.size} unflagged pairs below 1e-8, committed {want.size}"
+    rel = np.abs(want[:, None] - got[None, :]) / np.abs(want)[:, None]
+    rows, cols = scipy.optimize.linear_sum_assignment(rel)
+    worst = float(rel[rows, cols].max()) if rows.size else 0.0
+    assert worst <= 1e-6, \
+        f"{label}: unflagged pairs differ by {worst:.2e} relative"
+    return want.size, worst
+
+
+def test_10_committed_spectra(pipeline_out):
+    with criterion(10, "committed spectra") as info:
+        details = []
+        for name in ("disk", "ellipse"):
+            doc, _ = _run_pipeline(f"{name}.cfg", pipeline_out)
+            with open(REPO / "out" / name / "spectrum.json", "r",
+                      encoding="ascii") as fh:
+                golden = json.load(fh)
+            count, worst = _assert_matches_committed(doc, golden, name)
+            details.append(f"{name} {count} unflagged within {worst:.1e}")
+        info["detail"] = "; ".join(details)

@@ -545,6 +545,20 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "ref.csv: line 3" in err
 
+    @pytest.mark.parametrize("flags", ["1,7", "2,0", "1,-1"])
+    def test_flag_other_than_0_or_1_is_config_error(self, tmp_path, capsys,
+                                                     flags):
+        """The writer writes each flag as 0 or 1.  Any other value used to
+        be read as its truth value, so ``spurious = 7`` dropped the row
+        silently; it is an error that names the file and line."""
+        ref = write_reference_file(tmp_path / "ref.csv", [0.5 - 0.6j])
+        path = tmp_path / "spectrum.csv"
+        path.write_text("re_omega,im_omega,residual,in_lambda_d0,spurious\n"
+                        "0.7,-0.6,1e-12,1,0\n"
+                        f"0.5,-0.6,1e-12,{flags}\n", encoding="ascii")
+        assert main(["compare", str(path), str(ref)]) == EXIT_CONFIG
+        assert f"{path}: line 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("position", [0, 1])
     def test_non_ascii_header_is_config_error(self, tmp_path, capsys,
                                               position):

@@ -19,7 +19,6 @@ import scipy.sparse
 
 from radpml.errors import (
     AccuracyWarning,
-    ShiftRejectedError,
     SingularMatrixError,
     ValidationError,
 )
@@ -38,7 +37,7 @@ from radpml.media import Medium
 from radpml.mesh import DiskObstacle, Geometry, generate
 from radpml.scaling import AffineProfile, limits
 
-ISO = Medium.isotropic(2)
+ISO = Medium(np.eye(2))
 PROFILE = AffineProfile(r1=1.5, gamma=8j)
 SHIFT_SQ = (2.5 - 0.8j) ** 2
 COARSEST_DISK = Geometry(DiskObstacle(1.0), 1.5, 2.0)
@@ -278,7 +277,7 @@ class TestShiftInvertArnoldi:
 
     def test_singular_shift_rejected(self, monkeypatch):
         """A singular skeleton factor means the shift is an eigenvalue:
-        ``factor`` says to move it, as a SingularMatrixError subclass."""
+        ``factor`` raises SingularMatrixError that says to move it."""
         import radpml.eig as eig_mod
 
         def singular(mat):
@@ -288,9 +287,8 @@ class TestShiftInvertArnoldi:
         solver = CondensedShiftSolver(FunctionSpace(mesh, 2), PROFILE, ISO,
                                       SHIFT_SQ)
         monkeypatch.setattr(eig_mod, "sparse_lu", singular)
-        with pytest.raises(ShiftRejectedError, match="move the shift"):
+        with pytest.raises(SingularMatrixError, match="move the shift"):
             solver.factor()
-        assert issubclass(ShiftRejectedError, SingularMatrixError)
 
     def test_argument_validation(self):
         solver = diagonal_solver(1.9, 2.0, 5.0)

@@ -43,8 +43,8 @@ from radpml.mesh import (
 )
 from radpml.scaling import AffineProfile, RampProfile, SmoothedPolynomialProfile
 
-ISO = Medium.isotropic(2)
-ANISO = Medium.diagonal([0.25, 1.0])
+ISO = Medium(np.eye(2))
+ANISO = Medium(np.diag([0.25, 1.0]))
 GAMMA = 8j
 #: onset far beyond every mesh below: the scaling is the identity there
 UNSCALED = AffineProfile(r1=100.0, gamma=GAMMA)
@@ -59,6 +59,13 @@ def inside_onset(mesh, r1=1.5):
     no triangle straddles the onset circle (tests/test_mesh.py)."""
     radii = np.hypot(mesh.mapping_nodes[..., 0], mesh.mapping_nodes[..., 1])
     return radii.max(axis=1) <= r1 + 1e-12
+
+
+def corner_radii(mesh):
+    """|x| of the mean of each triangle's corners, the lattice nodes 0, q
+    and -1 of its mapping nodes."""
+    corners = mesh.mapping_nodes[:, [0, mesh.q, -1]]
+    return np.hypot(*corners.mean(axis=1).T)
 
 
 def assembled(space, profile, medium):
@@ -77,7 +84,7 @@ def unit_triangle_mesh(counterclockwise=True):
     order = [0, 1, 2] if counterclockwise else [0, 2, 1]
     return Mesh(
         q=1,
-        vertices=vertices,
+        num_vertices=3,
         triangles=np.array([order]),
         outer_edges=np.empty((0, 2), dtype=np.int64),
         mapping_nodes=vertices[order][None, :, :].copy())
@@ -156,8 +163,9 @@ class TestScaledTensor:
         assert np.max(np.abs(tensor - tensor.T)) < 1e-15 * np.max(np.abs(tensor))
 
     def test_origin_rejected(self):
-        """The polar frame is singular at the origin; a 3-D medium is
-        rejected by the solver (TestAssemble.test_medium_dimension_checked)."""
+        """The polar frame is singular at the origin; a medium that is not
+        2x2 is rejected by ``Medium`` itself
+        (tests/test_media.py::TestMedium::test_medium_dimension_checked)."""
         profile = AffineProfile(r1=1.5, gamma=GAMMA)
         with pytest.raises(DomainError):
             tensor_at(np.array([0.0, 0.0]), profile, ISO)
@@ -325,7 +333,7 @@ class TestAssemble:
         for K and 7.2e-13 for M at this configuration)."""
         mesh = generate(DISK, hmax=0.07, q=4)
         space = FunctionSpace(mesh, 4)
-        radii = np.hypot(*mesh.vertices[mesh.triangles].mean(axis=1).T)
+        radii = corner_radii(mesh)
         ids = np.concatenate([np.argsort(radii)[:16], np.argsort(radii)[-16:]])
         k_a, m_a = element_matrices(space, UNSCALED, ISO, ids, quad_degree=10)
         k_b, m_b = element_matrices(space, UNSCALED, ISO, ids, quad_degree=14)
@@ -341,7 +349,7 @@ class TestAssemble:
         configuration: 4.9e-9 for K, 2.1e-11 for M, frozen with margin."""
         mesh = generate(DISK, hmax=0.1, q=6)
         space = FunctionSpace(mesh, 6)
-        radii = np.hypot(*mesh.vertices[mesh.triangles].mean(axis=1).T)
+        radii = corner_radii(mesh)
         pml = np.where(~inside_onset(mesh))[0]
         ids = pml[np.argsort(radii[pml])][:16]
         profile = AffineProfile(r1=1.5, gamma=GAMMA)
@@ -386,11 +394,6 @@ class TestAssemble:
         space = FunctionSpace(unit_triangle_mesh(counterclockwise=False), 1)
         with pytest.raises(AssemblyError, match="element 0"):
             assembled(space, UNSCALED, ISO)
-
-    def test_medium_dimension_checked(self):
-        space = FunctionSpace(unit_triangle_mesh(), 1)
-        with pytest.raises(ValidationError):
-            assembled(space, UNSCALED, Medium.isotropic(3))
 
 
 class TestElementPass:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from radpml import (
-    DefinitenessError,
     DomainError,
     Medium,
     RangeBox,
@@ -86,27 +85,34 @@ class TestSpdExtremes:
 class TestMedium:
     def test_fields(self):
         med = Medium(np.diag([0.25, 1.0]))
-        assert med.dim == 2
+        assert med.sigma.shape == (2, 2)
         assert med.sigma_min == 0.25
         assert med.sigma_max == 1.0
 
     def test_rejects_indefinite(self):
-        with pytest.raises(DefinitenessError):
+        with pytest.raises(ValidationError, match="not positive definite"):
             Medium(np.diag([1.0, -1.0]))
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValidationError):
             Medium(np.array([[1.0, 0.3], [0.1, 1.0]]))
 
+    def test_medium_dimension_checked(self):
+        """The medium of the 2-D problem is 2x2; ``b_tau`` and the range
+        bounds alone take 3x3 matrices."""
+        for sigma in (np.eye(1), np.eye(3)):
+            with pytest.raises(ValidationError, match="2x2 tensor"):
+                Medium(sigma)
+
     def test_constructors(self):
-        assert Medium.isotropic(3).sigma_max == 1.0
-        assert Medium.diagonal([0.25, 1.0]).sigma_min == 0.25
+        assert Medium(np.eye(2)).sigma_max == 1.0
+        assert Medium(np.diag([0.25, 1.0])).sigma_min == 0.25
 
     def test_anisotropy_degree(self):
-        assert anisotropy_degree(Medium.isotropic(2)) == 0.0
-        assert anisotropy_degree(Medium.diagonal([0.25, 1.0])) == 0.75
+        assert anisotropy_degree(Medium(np.eye(2))) == 0.0
+        assert anisotropy_degree(Medium(np.diag([0.25, 1.0]))) == 0.75
         # scale invariance of the spread
-        assert anisotropy_degree(Medium.diagonal([2.0, 8.0])) == 0.75
+        assert anisotropy_degree(Medium(np.diag([2.0, 8.0]))) == 0.75
 
 
 class TestBTau:
@@ -175,10 +181,10 @@ class TestNumericalRangeBounds:
             lo, hi = spd_extremes(mat)
             tau = rng.uniform(-1.5, 1.5)
             want = np.cos(tau) > 1.0 - lo / hi
-            assert numerical_range_bounds(mat, tau).positive == want
+            assert (numerical_range_bounds(mat, tau).re_lo > 0.0) == want
 
     def test_rejects_indefinite(self):
-        with pytest.raises(DefinitenessError):
+        with pytest.raises(ValidationError, match="not positive definite"):
             numerical_range_bounds(np.diag([1.0, 0.0]), 0.1)
 
     def test_rejects_large_phase(self):

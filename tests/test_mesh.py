@@ -23,8 +23,6 @@ from radpml.mesh import (
     _check_jacobians,
     generate,
     mapping,
-    max_edge_length,
-    triangle_areas,
 )
 
 DISK = Geometry(DiskObstacle(1.0), 1.5, 2.0)
@@ -46,6 +44,34 @@ def node_radii(mesh):
     return np.hypot(mesh.mapping_nodes[..., 0], mesh.mapping_nodes[..., 1])
 
 
+def corners(mesh):
+    """Corner coordinates (nt, 3, 2) of each triangle: the reference
+    corners (0,0), (1,0), (0,1) are lattice nodes 0, q and -1."""
+    return mesh.mapping_nodes[:, [0, mesh.q, -1]]
+
+
+def vertex_coords(mesh):
+    """Coordinates of each vertex number, read off the triangle corners.
+
+    Every vertex number is a corner of some triangle, and every triangle
+    that shares it, the wrap-around column (theta up to 2 pi) included,
+    places it at the same point to 1e-12."""
+    tri_corners = corners(mesh)
+    coords = np.full((mesh.num_vertices, 2), np.nan)
+    coords[mesh.triangles] = tri_corners
+    assert not np.isnan(coords).any()
+    assert np.abs(coords[mesh.triangles] - tri_corners).max() < 1e-12
+    return coords
+
+
+def areas(mesh):
+    """Curved triangle areas: det J of ``mapping`` integrated by the
+    degree-(2q+2) rule."""
+    pts, wgt = triangle_quadrature(2 * mesh.q + 2)
+    _, _, det = mapping(mesh.mapping_nodes, *lagrange_geometry_basis(mesh.q, pts))
+    return det @ wgt
+
+
 def split_at_onset(mesh, r1, tol=1e-12):
     """Masks of the triangles whose mapping nodes all lie inside, and
     all lie outside, the onset circle (to ``tol``)."""
@@ -58,7 +84,7 @@ def clockwise_triangle_mesh():
     vertices = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     return Mesh(
         q=1,
-        vertices=vertices,
+        num_vertices=3,
         triangles=np.array([[0, 1, 2]]),
         outer_edges=np.empty((0, 2), dtype=np.int64),
         mapping_nodes=vertices[None, :, :].copy())
@@ -107,17 +133,28 @@ class TestGenerate:
         assert np.count_nonzero(inside) == 16
         assert np.count_nonzero(outside) == 16
         assert mesh.outer_edges.shape == (8, 2)
-        on_ring = np.abs(np.hypot(*mesh.vertices.T) - DISK.r1) < 1e-12
+        on_ring = np.abs(np.hypot(*vertex_coords(mesh).T) - DISK.r1) < 1e-12
         assert np.count_nonzero(on_ring) == 8
 
     def test_edge_lengths_bounded_by_hmax(self):
+        """Every straight chord between a triangle's corners is at most
+        hmax, the triangles of the wrap-around column (the sector that
+        closes at theta = 2 pi) included."""
         for hmax in (0.9, 0.45):
             mesh = generate(DISK, hmax=hmax, q=2)
-            assert max_edge_length(mesh) <= hmax
+            tri = corners(mesh)
+            chords = tri - np.roll(tri, -1, axis=1)
+            lengths = np.hypot(chords[..., 0], chords[..., 1])
+            n_theta = len(mesh.outer_edges)
+            column = mesh.triangles % n_theta
+            wrap = (column == 0).any(axis=1) & (column == n_theta - 1).any(axis=1)
+            assert np.count_nonzero(wrap) == mesh.num_triangles // n_theta
+            assert lengths.max() <= hmax
+            assert lengths[wrap].max() <= hmax
 
     def test_triangles_counterclockwise(self):
         mesh = generate(ELLIPSE, hmax=0.7, q=2)
-        tri = mesh.vertices[mesh.triangles]
+        tri = corners(mesh)
         e1 = tri[:, 1] - tri[:, 0]
         e2 = tri[:, 2] - tri[:, 0]
         assert np.all(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0.0)
@@ -157,7 +194,7 @@ class TestGenerate:
         for geometry in (DISK, ELLIPSE):
             mesh = generate(geometry, hmax=0.6, q=4)
             r1 = geometry.r1
-            on_ring = np.abs(np.hypot(*mesh.vertices.T) - r1) < 1e-12
+            on_ring = np.abs(np.hypot(*vertex_coords(mesh).T) - r1) < 1e-12
             on_circle = np.abs(node_radii(mesh) - r1) < 1e-12
             two_corner = on_ring[mesh.triangles].sum(axis=1) == 2
             assert np.all(on_circle[two_corner].sum(axis=1) >= mesh.q + 1)
@@ -177,21 +214,22 @@ class TestGenerate:
         obstacle ring, on |x| = 1."""
         mesh = generate(DISK, hmax=0.6, q=2)
         outer = mesh.outer_edges
+        vertices = vertex_coords(mesh)
         n_theta = int(np.count_nonzero(
-            np.abs(np.hypot(*mesh.vertices.T) - 1.0) < 1e-12))
+            np.abs(np.hypot(*vertices.T) - 1.0) < 1e-12))
         assert outer.shape == (n_theta, 2)
         assert np.array_equal(outer[1:, 0], outer[:-1, 1])
         assert outer[-1, 1] == outer[0, 0]
         assert np.unique(outer).size == n_theta
-        radii = np.hypot(*mesh.vertices[outer].T)
+        radii = np.hypot(*vertices[outer].T)
         assert np.max(np.abs(radii - 3.5)) < 1e-12
-        radii = np.hypot(*mesh.vertices[:n_theta].T)
+        radii = np.hypot(*vertices[:n_theta].T)
         assert np.max(np.abs(radii - 1.0)) < 1e-12
 
     def test_disk_area(self):
         # anchor measured at 9.0e-11 relative; frozen with margin
         mesh = generate(DISK, hmax=0.8, q=4)
-        err = abs(triangle_areas(mesh).sum() - exact_area(DISK)) / exact_area(DISK)
+        err = abs(areas(mesh).sum() - exact_area(DISK)) / exact_area(DISK)
         assert err < 5e-10
 
     def test_ellipse_area_within_geometry_tolerance(self):
@@ -201,7 +239,7 @@ class TestGenerate:
         extra order for areas by symmetric error cancellation)."""
         for q in (2, 3):
             mesh = generate(ELLIPSE, hmax=0.1, q=q)
-            err = (abs(triangle_areas(mesh).sum() - exact_area(ELLIPSE))
+            err = (abs(areas(mesh).sum() - exact_area(ELLIPSE))
                    / exact_area(ELLIPSE))
             assert err < 10.0 * 0.1 ** (q + 1), (q, err)
 
@@ -213,7 +251,7 @@ class TestGenerate:
             errs = []
             for hmax in (0.8, 0.4, 0.2):
                 mesh = generate(ELLIPSE, hmax=hmax, q=q)
-                errs.append(abs(triangle_areas(mesh).sum() - exact_area(ELLIPSE))
+                errs.append(abs(areas(mesh).sum() - exact_area(ELLIPSE))
                             / exact_area(ELLIPSE))
             for coarse, fine in zip(errs, errs[1:]):
                 if coarse > 1e-12:
@@ -222,13 +260,14 @@ class TestGenerate:
     def test_deterministic(self):
         a = generate(ELLIPSE, hmax=0.6, q=3)
         b = generate(ELLIPSE, hmax=0.6, q=3)
-        assert np.array_equal(a.vertices, b.vertices)
+        assert a.num_vertices == b.num_vertices
+        assert np.array_equal(a.triangles, b.triangles)
         assert np.array_equal(a.mapping_nodes, b.mapping_nodes)
 
     def test_mesh_arrays_immutable(self):
         mesh = generate(DISK, hmax=2.0, q=1)
         with pytest.raises(ValueError):
-            mesh.vertices[0, 0] = 7.0
+            mesh.mapping_nodes[0, 0, 0] = 7.0
 
     def test_inverted_element_reported_with_index(self):
         with pytest.raises(GenerationError, match="element 0"):

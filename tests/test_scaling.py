@@ -18,8 +18,8 @@ from radpml import (
 
 from radpml.scaling import PROFILE_KINDS
 
-ISO = Medium.isotropic(2)
-PAPER_MEDIUM = Medium.diagonal([0.25, 1.0])
+ISO = Medium(np.eye(2))
+PAPER_MEDIUM = Medium(np.diag([0.25, 1.0]))
 
 
 def profiles():
@@ -246,7 +246,7 @@ class TestMinStabilizingC:
 
     def test_monotone_in_anisotropy(self):
         ratios = np.linspace(0.05, 0.999, 40)
-        cs = [min_stabilizing_c(Medium.diagonal([r, 1.0])) for r in ratios]
+        cs = [min_stabilizing_c(Medium(np.diag([r, 1.0]))) for r in ratios]
         assert np.all(np.diff(cs) < 0.0)
         assert cs[-1] < 1e-3
 
