@@ -17,9 +17,12 @@ start vector would reach the same dimension, the degree of the
 operator's minimal polynomial, so there is nothing to restart.
 
 Every returned eigenvalue carries the relative residual of its Ritz
-vector; pairs worse than 1e-6 are dropped with a warning (Ritz clutter
-near the shift is expected, not an error).  A Ritz vector is formed only
-to measure that residual and is not kept.  Validity against the
+vector on the full pencil; pairs worse than 1e-6 are dropped with a
+warning (Ritz clutter near the shift is expected, not an error).  The
+Arnoldi relation gives every pair's residual from one product with the
+next basis vector, so a pair whose estimate exceeds ten times that gate
+is dropped without forming its Ritz vector; the others are formed only
+to measure the residual and are not kept.  Validity against the
 scaled-resolvent region is flagged per eigenvalue: in_lambda_d0 is False
 exactly when |Re(i omega d0)| <= 1e-10 for the asymptotic direction d0
 that the solver took from its own profile.
@@ -64,6 +67,10 @@ __all__ = [
 
 #: residual level beyond which a Ritz pair is considered unconverged
 RESIDUAL_DROP = 1e-6
+
+#: a pair whose Arnoldi residual estimate exceeds this multiple of
+#: RESIDUAL_DROP is dropped without forming its Ritz vector
+SCREEN_FACTOR = 10.0
 
 #: margin of the in_lambda_d0 flag: |Re(i omega d0)| <= margin is "outside"
 LAMBDA_MARGIN = 1e-10
@@ -215,6 +222,30 @@ def _arnoldi(apply_op, n, m, rng):
     return v, h, m
 
 
+def _ritz_estimates(solver, v, h, mb, theta, y):
+    """Relative residual of every Ritz pair, read off the Arnoldi relation.
+
+    With A = K - shift_sq*M and T = A^{-1} M, the relation
+    T V = V H + beta v+ e_m^T gives, for u = V y and omega^2 =
+    shift_sq + 1/theta,  K u - omega^2 M u = -(beta y_m / theta) A v+,
+    so one product with the next basis vector v+ prices every candidate.
+    After a breakdown (mb below the requested size) the basis is
+    invariant, the remainder is zero and v+ was never written.
+    """
+    if mb < h.shape[1]:
+        return np.zeros(theta.shape)
+    pencil = solver.pencil
+    tail = v[mb]
+    remainder = abs(h[mb, mb - 1]) * np.linalg.norm(
+        pencil.stiffness @ tail - solver.shift_sq * (pencil.mass @ tail))
+    k_norm, m_norm = pencil.frobenius_norms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega_sq = solver.shift_sq + 1.0 / theta
+        return (remainder * np.abs(y[-1])
+                / (np.abs(theta) * np.linalg.norm(y, axis=0)
+                   * (k_norm + np.abs(omega_sq) * m_norm)))
+
+
 def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
                          seed: int = 0) -> Spectrum:
     """Up to k eigenvalues of K u = omega^2 M u nearest the solver's shift.
@@ -254,6 +285,7 @@ def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
     v, h, mb = _arnoldi(apply_op, n, m, np.random.default_rng(seed))
     theta, y = scipy.linalg.eig(h[:mb, :mb])
     order = np.argsort(-np.abs(theta), kind="stable")
+    estimates = _ritz_estimates(solver, v, h, mb, theta, y)
 
     shift = _lower_branch_sqrt(shift_sq)
     kept_omega = []
@@ -265,8 +297,10 @@ def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
         th = theta[idx]
         if abs(th) < 1e-300:
             continue
-        omega_sq = shift_sq + 1.0 / th
-        omega = _lower_branch_sqrt(omega_sq)
+        if estimates[idx] > SCREEN_FACTOR * RESIDUAL_DROP:
+            dropped += 1
+            continue
+        omega = _lower_branch_sqrt(shift_sq + 1.0 / th)
         res = rayleigh_residual(pencil, omega, v[:mb].T @ y[:, idx])
         if res > RESIDUAL_DROP:
             dropped += 1

@@ -24,7 +24,10 @@ against shape-function products tabulated once per pass, with the edge
 parity signs of :mod:`radpml.basis`.  The upper triangle is mirrored, and
 blocks are summed in element order into a CSR pattern that K and M share,
 so both are exactly symmetric.  The same chunk's blocks are then condensed onto
-the vertex/edge skeleton, and ``factor`` factors what remains.
+the vertex/edge skeleton, and ``factor`` factors what remains.  Element-pair
+keys are sorted once per pass, for the skeleton pattern; the pencil's
+pattern appends each element's bubbles to it, and without bubbles it is
+the skeleton pattern itself.
 """
 
 from __future__ import annotations
@@ -258,22 +261,88 @@ def _element_blocks(space, profile, medium, ids, tables):
 
 
 class _Pattern:
-    """Fixed CSR pattern of element blocks over ``dofs`` (nt, local), -1
-    marking a constrained dof; entry (dofs[t, i], dofs[t, j]) sits at
-    data[slot[t, i, j]].  Blocks are summed in element order, so symmetric
-    blocks give an exactly symmetric matrix."""
+    """Fixed CSR pattern of element blocks: entry (dofs[t, i], dofs[t, j])
+    sits at data[slot[t, i, j]], -1 where either dof is constrained.
+    Blocks are summed in element order, so symmetric blocks give an
+    exactly symmetric matrix."""
 
-    def __init__(self, dofs, n):
+    def __init__(self, n, indptr, indices, slot):
+        self.n = n
+        self.indptr = indptr
+        self.indices = indices
+        self.slot = slot
+        self.nnz = indices.size
+
+    @classmethod
+    def of_blocks(cls, dofs, n):
+        """The pattern of blocks over ``dofs`` (nt, local), -1 marking a
+        constrained dof, from one sort of every element-pair key."""
         valid = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
         keys = dofs[:, :, None] * n + dofs[:, None, :]
         unique, inverse = np.unique(keys[valid], return_inverse=True)
         del keys
-        self.slot = np.full(valid.shape, -1, dtype=np.int32)
-        self.slot[valid] = inverse
-        self.n = n
-        self.indptr = np.searchsorted(unique, np.arange(n + 1) * n)
-        self.indices = (unique % n).astype(np.int32)
-        self.nnz = unique.size
+        slot = np.full(valid.shape, -1, dtype=np.int32)
+        slot[valid] = inverse
+        return cls(n, np.searchsorted(unique, np.arange(n + 1) * n),
+                   (unique % n).astype(np.int32), slot)
+
+    def with_bubbles(self, skel, nb):
+        """The pattern over ``skel``, this pattern's element dofs, followed
+        by ``nb`` bubbles per element, numbered n + t*nb + b; equal to
+        ``of_blocks`` over those dofs, with no sort of the keys.
+
+        A bubble couples to its own element only, so each skeleton row is
+        this pattern's row followed by the bubbles of the elements that
+        touch it, in ascending element order, and each bubble row is its
+        element's valid skeleton dofs, sorted, followed by its own
+        bubbles.  Without bubbles this pattern serves as it stands.
+        """
+        if not nb:
+            return self
+        nt, ns_local = skel.shape
+        ns = self.n
+        valid = skel >= 0
+        rows = skel[valid]                             # element-major
+        touching = np.bincount(rows, minlength=ns)
+        row_len = np.diff(self.indptr)
+        n_valid = valid.sum(axis=1)
+        indptr = np.zeros(ns + nt * nb + 1, dtype=self.indptr.dtype)
+        np.cumsum(np.concatenate([row_len + nb * touching,
+                                  np.repeat(n_valid + nb, nb)]),
+                  out=indptr[1:])
+        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        slot = np.full((nt, ns_local + nb, ns_local + nb), -1, dtype=np.int32)
+        bubbles = ns + np.arange(nt * nb).reshape(nt, nb)
+        own = np.arange(nb)
+
+        # skeleton x skeleton: each row moves by the bubbles of the rows
+        # before it
+        shift = np.repeat(nb * (np.cumsum(touching) - touching), row_len)
+        moved = np.arange(self.nnz) + shift
+        indices[moved] = self.indices
+        slot[:, :ns_local, :ns_local] = np.where(self.slot >= 0,
+                                                 moved[self.slot], -1)
+        # skeleton x bubble: the q-th (row, element) incidence in row
+        # order starts nb*q past the end of its row's skeleton entries
+        order = np.argsort(rows, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        start = self.indptr[rows + 1] + nb * rank
+        cols = start[:, None] + own
+        indices[cols] = np.repeat(bubbles, n_valid, axis=0)
+        slot[:, :ns_local, ns_local:][valid] = cols
+        # bubble x skeleton, then bubble x bubble
+        row_start = indptr[ns:-1].reshape(nt, nb)
+        by_dof = np.argsort(np.argsort(np.where(valid, skel, ns), axis=1),
+                            axis=1)
+        cols = row_start[:, :, None] + by_dof[:, None, :]
+        mask = np.broadcast_to(valid[:, None, :], cols.shape)
+        indices[cols[mask]] = np.broadcast_to(skel[:, None, :], cols.shape)[mask]
+        slot[:, ns_local:, :ns_local][mask] = cols[mask]
+        cols = (row_start + n_valid[:, None])[:, :, None] + own
+        indices[cols] = bubbles[:, None, :]
+        slot[:, ns_local:, ns_local:] = cols
+        return _Pattern(ns + nt * nb, indptr, indices, slot)
 
     def add(self, data, ids, blocks):
         slot = self.slot[ids]
@@ -334,11 +403,11 @@ class CondensedShiftSolver:
         self.skel = space.element_dofs[:, :ns_local]
         self.gain = np.empty((nt, ns_local, nb_local), dtype=complex)
         self.bb_inv = np.empty((nt, nb_local, nb_local), dtype=complex)
-        self._schur_pattern = _Pattern(self.skel, self.skeleton_size)
+        self._schur_pattern = _Pattern.of_blocks(self.skel, self.skeleton_size)
         self._schur_data = np.zeros(self._schur_pattern.nnz, dtype=complex)
         self.lu = None
         tables = _reference_tables(space)
-        pattern = _Pattern(space.element_dofs, self.n)
+        pattern = self._schur_pattern.with_bubbles(self.skel, nb_local)
         k_data, m_data = np.zeros((2, pattern.nnz), dtype=complex)
         for start in range(0, nt, CHUNK):
             ids = np.arange(start, min(start + CHUNK, nt))

@@ -22,9 +22,12 @@ from radpml.errors import (
     SingularMatrixError,
     ValidationError,
 )
+import radpml.eig as eig_module
 from radpml.eig import (
     Spectrum,
     _arnoldi,
+    _lower_branch_sqrt,
+    _ritz_estimates,
     read_spectrum_csv,
     shift_invert_arnoldi,
     sparse_lu,
@@ -32,7 +35,8 @@ from radpml.eig import (
     write_spectrum_csv,
     write_spectrum_json,
 )
-from radpml.fem import AssembledPencil, CondensedShiftSolver, FunctionSpace
+from radpml.fem import (AssembledPencil, CondensedShiftSolver, FunctionSpace,
+                        rayleigh_residual)
 from radpml.media import Medium
 from radpml.mesh import DiskObstacle, Geometry, generate
 from radpml.scaling import AffineProfile, limits
@@ -106,6 +110,43 @@ def coarse_solver():
     mesh = generate(COARSEST_DISK, hmax=10.0, q=1)
     space = FunctionSpace(mesh, 2)
     return CondensedShiftSolver(space, PROFILE, ISO, SHIFT_SQ).factor()
+
+
+@pytest.fixture(scope="module")
+def condensed_solver():
+    """Factored p = 3 solver on the coarsest disk (144 dofs, bubbles
+    condensed out of the factor) at the shift (2.5 - 0.8i)^2."""
+    mesh = generate(COARSEST_DISK, hmax=10.0, q=2)
+    return CondensedShiftSolver(FunctionSpace(mesh, 3), PROFILE, ISO,
+                                SHIFT_SQ).factor()
+
+
+def explicit_ritz_stage(solver, k, krylov_dim, seed):
+    """The Ritz stage with the explicit residual of every candidate, as
+    the oracle of the screened one.  Returns the sorted (omegas,
+    residuals), the dropped count, the residuals computed to reach k
+    pairs, and (explicit residual, estimate) of every candidate."""
+    mass = solver.pencil.mass
+    v, h, mb = _arnoldi(lambda x: solver.solve(mass @ x), solver.n,
+                        krylov_dim, np.random.default_rng(seed))
+    theta, y = scipy.linalg.eig(h[:mb, :mb])
+    estimates = _ritz_estimates(solver, v, h, mb, theta, y)
+    kept, dropped, calls, pairs = [], 0, 0, []
+    for idx in np.argsort(-np.abs(theta), kind="stable"):
+        omega = _lower_branch_sqrt(solver.shift_sq + 1.0 / theta[idx])
+        res = rayleigh_residual(solver.pencil, omega, v[:mb].T @ y[:, idx])
+        pairs.append((res, estimates[idx]))
+        if len(kept) == k:
+            continue
+        calls += 1
+        if res > eig_module.RESIDUAL_DROP:
+            dropped += 1
+        else:
+            kept.append((omega, res))
+    omegas, residuals = (np.array(col) for col in zip(*kept))
+    shift = _lower_branch_sqrt(solver.shift_sq)
+    sort = np.argsort(np.abs(omegas - shift), kind="stable")
+    return omegas[sort], residuals[sort], dropped, calls, np.array(pairs)
 
 
 class TestSparseLU:
@@ -264,16 +305,62 @@ class TestShiftInvertArnoldi:
         assert flags[np.round(on_ray, 8)] == False  # noqa: E712
         assert flags[np.round(off_ray, 8)] == True  # noqa: E712
 
-    def test_breakdown_uses_invariant_basis(self):
+    def test_breakdown_uses_invariant_basis(self, monkeypatch):
         """On K = M = I every start vector spans an invariant subspace;
         the solver keeps the one-vector basis and still returns the exact
-        eigenvalue omega = 1."""
+        eigenvalue omega = 1.  The next basis row was never written, and
+        the residual screen must not read it: the basis handed over here
+        ends at the invariant subspace, so a read raises IndexError."""
+        def truncated(*args):
+            v, h, mb = _arnoldi(*args)
+            return v[:mb], h, mb
+
+        monkeypatch.setattr(eig_module, "_arnoldi", truncated)
         eye = scipy.sparse.identity(30, dtype=complex, format="csr")
         solver = DirectSolver(AssembledPencil(stiffness=eye, mass=eye.copy()),
                               0.5)
         spectrum = shift_invert_arnoldi(solver, k=1)
         assert abs(spectrum.omegas[0] - 1.0) < 1e-13
         assert spectrum.provenance["basis_size"] == 1
+
+    @pytest.mark.parametrize("fixture", ["coarse_solver", "condensed_solver"])
+    def test_screening_matches_explicit_oracle(self, fixture, request,
+                                               monkeypatch):
+        """Dropping a pair on its Arnoldi residual estimate keeps the
+        spectrum, its residuals and the dropped count bit for bit, and
+        forms fewer Ritz vectors."""
+        solver = request.getfixturevalue(fixture)
+        omegas, residuals, dropped, calls, _ = explicit_ritz_stage(
+            solver, k=8, krylov_dim=40, seed=0)
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return rayleigh_residual(*args)
+
+        monkeypatch.setattr(eig_module, "rayleigh_residual", counting)
+        with pytest.warns(AccuracyWarning):
+            spectrum = shift_invert_arnoldi(solver, k=8, krylov_dim=40, seed=0)
+        assert np.array_equal(spectrum.omegas, omegas)
+        assert np.array_equal(spectrum.residuals, residuals)
+        assert spectrum.provenance["dropped"] == dropped > 0
+        assert len(counted) < calls
+
+    @pytest.mark.parametrize("fixture", ["coarse_solver", "condensed_solver"])
+    def test_residual_estimate_matches_explicit(self, fixture, request):
+        """Above roundoff the estimate is the explicit residual, and no
+        pair that passes the gate is screened out."""
+        solver = request.getfixturevalue(fixture)
+        pairs = explicit_ritz_stage(solver, k=8, krylov_dim=40, seed=0)[-1]
+        explicit, estimate = pairs.T
+        above = explicit > 1e-8
+        assert above.sum() >= 10
+        assert np.all(np.abs(estimate[above] - explicit[above])
+                      <= 1e-6 * explicit[above])
+        screened = estimate > (eig_module.SCREEN_FACTOR
+                               * eig_module.RESIDUAL_DROP)
+        assert screened.any()
+        assert np.all(explicit[screened] > eig_module.RESIDUAL_DROP)
 
     def test_singular_shift_rejected(self, monkeypatch):
         """A singular skeleton factor means the shift is an eigenvalue:

@@ -31,6 +31,7 @@ from radpml.fem import (
     FunctionSpace,
     element_matrices,
     rayleigh_residual,
+    _Pattern,
     _tensor_batch,
 )
 from radpml.media import Medium
@@ -487,6 +488,68 @@ k = 4
         monkeypatch.setattr(fem_module, "_element_blocks", counting)
         _, mesh, _ = _solve_once(parse_config(config_path), seed=0)
         assert sorted(seen) == list(range(mesh.num_triangles))
+
+
+def sorted_key_pattern(dofs, n):
+    """(indptr, indices, slot) of the element-pair pattern over ``dofs``
+    from one sort of every key, the construction the derived pattern
+    replaces; kept here as its oracle."""
+    valid = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
+    keys = dofs[:, :, None] * n + dofs[:, None, :]
+    unique, inverse = np.unique(keys[valid], return_inverse=True)
+    slot = np.full(valid.shape, -1, dtype=np.int32)
+    slot[valid] = inverse
+    return (np.searchsorted(unique, np.arange(n + 1) * n),
+            (unique % n).astype(np.int32), slot)
+
+
+class TestPattern:
+    """The full pencil's pattern is the skeleton's with the bubbles
+    appended, not a second sort of every element-pair key."""
+
+    @pytest.mark.parametrize("geometry", [DISK, ELLIPSE], ids=["disk", "ellipse"])
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_derived_pattern_matches_sorted_keys(self, geometry, p):
+        mesh = generate(geometry, hmax=0.8, q=2)
+        assert len(mesh.outer_edges)
+        space = FunctionSpace(mesh, p)
+        nb = (p - 1) * (p - 2) // 2
+        skel = space.element_dofs[:, :3 * p]
+        skeleton = _Pattern.of_blocks(
+            skel, space.num_dofs - mesh.num_triangles * nb)
+        full = skeleton.with_bubbles(skel, nb)
+        indptr, indices, slot = sorted_key_pattern(space.element_dofs,
+                                                   space.num_dofs)
+        assert full.n == space.num_dofs and full.nnz == indices.size
+        assert full.indptr.dtype == indptr.dtype
+        assert np.array_equal(full.indptr, indptr)
+        assert np.array_equal(full.indices, indices)
+        assert np.array_equal(full.slot, slot)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_sort_per_pass(self, monkeypatch, p):
+        """The keys are sorted once, for the skeleton; without bubbles
+        the same pattern object builds the pencil and the factor."""
+        sorts, built = [], []
+        of_blocks, matrix = _Pattern.of_blocks.__func__, _Pattern.matrix
+
+        def counting_sort(cls, dofs, n):
+            sorts.append(n)
+            return of_blocks(cls, dofs, n)
+
+        def recording_matrix(pattern, data):
+            built.append(pattern)
+            return matrix(pattern, data)
+
+        monkeypatch.setattr(_Pattern, "of_blocks", classmethod(counting_sort))
+        monkeypatch.setattr(_Pattern, "matrix", recording_matrix)
+        space = FunctionSpace(generate(DISK, hmax=0.8, q=2), p)
+        solver = CondensedShiftSolver(space, AffineProfile(r1=1.5, gamma=GAMMA),
+                                      ISO, SHIFT_SQ).factor()
+        assert sorts == [solver.skeleton_size]
+        stiffness, mass, schur = built
+        assert stiffness is mass
+        assert (stiffness is schur) == (p <= 2)
 
 
 class TestRayleighResidual:
