@@ -10,13 +10,8 @@ scaled kernel, Hankel-root references) needed to validate the runs.
 
 from .errors import (
     AccuracyWarning,
-    AssemblyError,
     ConfigError,
-    DomainError,
-    GenerationError,
-    GeometryError,
     IncompleteSearchError,
-    PreconditionError,
     SingularMatrixError,
     ValidationError,
 )

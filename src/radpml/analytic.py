@@ -33,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    IncompleteSearchError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import IncompleteSearchError, ValidationError
 from .media import Medium, RangeBox
 from .scaling import ScalingProfile, _separation, limits
 
@@ -79,14 +74,14 @@ _POLISH_SWEEPS = 20
 
 def _check_cylinder_args(n, z):
     if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"order must be a non-negative integer, got {n!r}")
+        raise ValidationError(f"order must be a non-negative integer, got {n!r}")
     if n > MAX_ORDER:
-        raise DomainError(f"order {n} exceeds the supported maximum {MAX_ORDER}")
+        raise ValidationError(f"order {n} exceeds the supported maximum {MAX_ORDER}")
     arr = np.asarray(z, dtype=complex)
     if np.any(arr == 0.0):
-        raise DomainError("cylinder functions are singular at z = 0")
+        raise ValidationError("cylinder functions are singular at z = 0")
     if arr.size and np.max(np.abs(arr)) > SUPPORTED_RADIUS:
-        raise DomainError(
+        raise ValidationError(
             f"|z| exceeds the supported radius {SUPPORTED_RADIUS:g}; "
             "no asymptotic fallback is provided")
     return arr
@@ -200,7 +195,7 @@ def hankel1(n: int, z):
 
     Raises
     ------
-    DomainError
+    ValidationError
         For z = 0, |z| beyond the supported radius, or unsupported order.
     """
     arr = _check_cylinder_args(n, z)
@@ -249,16 +244,16 @@ def d_sigma(x, y, profile: ScalingProfile, medium: Medium) -> complex:
 
     Raises
     ------
-    PreconditionError
+    ValidationError
         If r1 <= (sigma_max/sigma_min) * |y|.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (2,) or y.shape != (2,):
-        raise PreconditionError("points must have 2 coordinates, as the medium")
+        raise ValidationError("points must have 2 coordinates, as the medium")
     separated, bound = _separation(profile.r1, medium, float(np.linalg.norm(y)))
     if not separated:
-        raise PreconditionError(
+        raise ValidationError(
             f"onset radius r1 = {profile.r1:g} must exceed "
             f"(sigma_max/sigma_min) * |y| = {bound:g}")
     scaled_x = profile.d_tilde(float(np.linalg.norm(x))) * x
@@ -285,21 +280,20 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction):
 
     Raises
     ------
-    PreconditionError
-        If Re(i omega d0) >= 0 (no damping guaranteed).
     ValidationError
-        If the profile fails the sampled profile-assumption checks.
+        If Re(i omega d0) >= 0 (no damping guaranteed), or the profile
+        fails the sampled profile-assumption checks.
     """
     lim = limits(profile, medium)
     omega = complex(omega)
     re_iwd0 = (1j * omega * lim.d0).real
     if re_iwd0 >= 0.0:
-        raise PreconditionError(
+        raise ValidationError(
             f"Re(i omega d0) = {re_iwd0:g} >= 0: the scaled kernel need not decay")
     direction = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(direction)
     if nrm == 0.0 or direction.shape != (2,):
-        raise PreconditionError("direction must be a nonzero vector of the medium dimension")
+        raise ValidationError("direction must be a nonzero vector of the medium dimension")
     direction = direction / nrm
     y = np.array([0.9 * profile.r1 * medium.sigma_min / medium.sigma_max, 0.0])
     rs = np.linspace(10.0 * profile.r1, 20.0 * profile.r1, 48)
@@ -433,7 +427,7 @@ def find_disk_neumann_references(n_max: int, box: RangeBox):
 
     Raises
     ------
-    DomainError
+    ValidationError
         If the box touches the left half-plane (the series branch cut and
         the singularity at 0 live there) or n_max exceeds MAX_ORDER.
     IncompleteSearchError
@@ -441,12 +435,12 @@ def find_disk_neumann_references(n_max: int, box: RangeBox):
         moments of an order form a singular pencil.
     """
     if n_max > MAX_ORDER or n_max < 0:
-        raise DomainError(f"n_max must lie in [0, {MAX_ORDER}]")
+        raise ValidationError(f"n_max must lie in [0, {MAX_ORDER}]")
     if box.re_lo <= 0.0:
-        raise DomainError("search box must lie strictly in the right half-plane")
+        raise ValidationError("search box must lie strictly in the right half-plane")
     if np.hypot(max(abs(box.re_lo), abs(box.re_hi)),
                 max(abs(box.im_lo), abs(box.im_hi))) > SUPPORTED_RADIUS:
-        raise DomainError("search box exceeds the supported series radius")
+        raise ValidationError("search box exceeds the supported series radius")
     refs = []
     for n in range(n_max + 1):
         count, nodes, terms = _argument_principle_count(n, box)

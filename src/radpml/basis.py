@@ -31,6 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = [
     "triangle_quadrature",
     "dof_count",
@@ -59,7 +61,7 @@ def triangle_quadrature(degree: int):
     Returns (points (n, 2), weights (n,)) with weights summing to 1/2.
     """
     if degree < 0:
-        raise ValueError("quadrature degree must be non-negative")
+        raise ValidationError("quadrature degree must be non-negative")
     n_u = degree // 2 + 1
     n_v = degree // 2 + 2  # one extra point for the collapse factor (1-v)
     xu, wu = np.polynomial.legendre.leggauss(n_u)
@@ -128,7 +130,7 @@ def reference_basis(p: int, points: np.ndarray):
     vertices, then p-1 modes per local edge, then bubbles.
     """
     if p < 1:
-        raise ValueError("polynomial order must be >= 1")
+        raise ValidationError("polynomial order must be >= 1")
     pts = np.asarray(points, dtype=float)
     lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
     grad = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -179,7 +181,7 @@ def reference_basis(p: int, points: np.ndarray):
 def lattice_nodes(q: int) -> np.ndarray:
     """Uniform degree-q lattice (i/q, j/q), j-major then i, as (n, 2)."""
     if q < 1:
-        raise ValueError("mapping order must be >= 1")
+        raise ValidationError("mapping order must be >= 1")
     nodes = [(i / q, j / q) for j in range(q + 1) for i in range(q + 1 - j)]
     return np.array(nodes)
 

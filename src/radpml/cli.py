@@ -58,13 +58,8 @@ from .eig import (
     write_spectrum_json,
 )
 from .errors import (
-    AssemblyError,
     ConfigError,
-    DomainError,
-    GenerationError,
-    GeometryError,
     IncompleteSearchError,
-    PreconditionError,
     SingularMatrixError,
     ValidationError,
 )
@@ -83,9 +78,7 @@ EXIT_CONFIG = 64
 #: layer-width factor of the comparison solve behind the spurious filter
 STRETCH = 1.5
 
-_PIPELINE_ERRORS = (ValidationError, DomainError, PreconditionError,
-                    GeometryError, GenerationError, AssemblyError,
-                    SingularMatrixError)
+_PIPELINE_ERRORS = (ValidationError, SingularMatrixError)
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +198,20 @@ def parse_config(path) -> RunConfig:
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
     kind = reader.get("geometry", "obstacle", str).strip().lower()
-    if kind == "disk":
-        obstacle = DiskObstacle(reader.get("geometry", "radius", float))
-    elif kind == "ellipse":
-        obstacle = EllipseObstacle(reader.get("geometry", "semi_axis_x", float),
-                                   reader.get("geometry", "semi_axis_y", float))
-    else:
-        raise ConfigError(
-            f"[geometry] obstacle must be 'disk' or 'ellipse', got {kind!r}")
     try:
+        if kind == "disk":
+            obstacle = DiskObstacle(reader.get("geometry", "radius", float))
+        elif kind == "ellipse":
+            obstacle = EllipseObstacle(
+                reader.get("geometry", "semi_axis_x", float),
+                reader.get("geometry", "semi_axis_y", float))
+        else:
+            raise ConfigError(
+                f"[geometry] obstacle must be 'disk' or 'ellipse', got {kind!r}")
         geometry = Geometry(obstacle,
                             reader.get("geometry", "r1", float),
                             reader.get("geometry", "layer_width", float))
-    except GeometryError as exc:
+    except ValidationError as exc:
         raise ConfigError(f"[geometry] {exc}") from None
 
     sigma = np.array(
@@ -302,7 +296,7 @@ def parse_config(path) -> RunConfig:
         ref_max_order=ref_max_order)
     try:
         config.build_profile()
-    except (ValidationError, DomainError) as exc:
+    except ValidationError as exc:
         raise ConfigError(f"[scaling] {exc}") from None
     return config
 
@@ -511,7 +505,7 @@ def cmd_reference(args) -> int:
     except IncompleteSearchError as exc:
         print(f"reference: incomplete search: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
-    except DomainError as exc:
+    except ValidationError as exc:
         print(f"config error: [reference] {exc}", file=sys.stderr)
         return EXIT_CONFIG
     with _writing(path):
@@ -683,9 +677,9 @@ def cmd_damping(args) -> int:
     if rays < 0:
         raise ConfigError(f"--rays must be >= 0, got {rays}")
     path, = _outputs(config, args, ["damping.json"])
-    profile = config.build_profile(omega_hint=omega)
     rows = []
     try:
+        profile = config.build_profile(omega_hint=omega)
         for i in range(rays):
             angle = 2.0 * np.pi * i / rays
             direction = (float(np.cos(angle)), float(np.sin(angle)))
@@ -694,8 +688,7 @@ def cmd_damping(args) -> int:
             rows.append({"angle": angle, "measured": measured, "bound": bound})
             print(f"damping: angle {np.degrees(angle):7.2f} deg  "
                   f"measured {measured:.6f}  bound {bound:.6f}")
-    except (PreconditionError, ValidationError) as exc:
-        # ValidationError: the profile fails the sampled assumption checks
+    except ValidationError as exc:
         print(f"damping: hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_CONDITION
     _write_json(path, {

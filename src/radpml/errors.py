@@ -1,34 +1,38 @@
 """Exception types shared across the package.
 
-Everything user-facing derives from ValueError or RuntimeError so that
-callers who do not care about the fine distinctions can catch the
-built-in types.
+Five types, one per way a run can go wrong:
+
+* ``ValidationError`` (ValueError): the arguments are wrong — a
+  malformed value, an argument outside the supported domain, an unmet
+  precondition, an impossible geometry or an inverted element.
+* ``ConfigError`` (ValueError): the configuration file or the command
+  line is wrong.  It is not a ``ValidationError``, so code that turns a
+  ``ValidationError`` into a ``ConfigError`` never catches its own.
+* ``SingularMatrixError`` (RuntimeError): a factorization hit a singular
+  pencil.
+* ``IncompleteSearchError`` (RuntimeError): a root search did not
+  locate the roots it certified.
+* ``AccuracyWarning`` (UserWarning): a result is returned with a
+  self-check that suggests reduced accuracy.
+
+The CLI maps each type to an exit code in one place per command:
+``ConfigError`` exits 64 from every command; ``solve`` reports a
+``ValidationError`` or ``SingularMatrixError`` raised in the pipeline
+as a failure of its stage (exit 1); ``reference`` reports a
+``ValidationError`` as a ``[reference]`` config error (exit 64) and an
+``IncompleteSearchError`` as an incomplete search (exit 3); ``damping``
+reports a ``ValidationError`` as a hypothesis violation (exit 2).
 """
 
 
 class ValidationError(ValueError):
-    """Invalid input data (non-symmetric matrix, bad config value, ...)."""
+    """Invalid arguments: a malformed value, a value outside the
+    supported domain, an unmet precondition, an impossible geometry or
+    an inverted element."""
 
 
-class DomainError(ValueError):
-    """Function evaluated outside its supported domain."""
-
-
-class PreconditionError(ValueError):
-    """A documented precondition of an operation does not hold."""
-
-
-class GeometryError(ValueError):
-    """Inconsistent geometric description (obstacle not inside the
-    scaling radius, non-positive layer width, ...)."""
-
-
-class GenerationError(RuntimeError):
-    """Mesh generation produced an invalid element."""
-
-
-class AssemblyError(RuntimeError):
-    """Finite element assembly failed (non-positive Jacobian, ...)."""
+class ConfigError(ValueError):
+    """Malformed or inconsistent run configuration or command line."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -39,10 +43,6 @@ class SingularMatrixError(RuntimeError):
 class IncompleteSearchError(RuntimeError):
     """Root search found fewer (or more) roots than the argument
     principle certifies for the region."""
-
-
-class ConfigError(ValidationError):
-    """Malformed or inconsistent run configuration file."""
 
 
 class AccuracyWarning(UserWarning):

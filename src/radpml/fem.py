@@ -45,8 +45,7 @@ from .basis import (
     reference_basis,
     triangle_quadrature,
 )
-from .errors import (AssemblyError, DomainError, SingularMatrixError,
-                     ValidationError)
+from .errors import SingularMatrixError, ValidationError
 from .media import Medium
 from .mesh import Mesh, _global_edges, mapping
 from .scaling import ScalingProfile, limits
@@ -73,7 +72,7 @@ def _tensor_batch(points: np.ndarray, profile: ScalingProfile,
     pts = np.asarray(points, dtype=float)
     radii = np.hypot(pts[..., 0], pts[..., 1])
     if np.any(radii == 0.0):
-        raise DomainError("the polar coefficient frame is singular at the origin")
+        raise ValidationError("the polar coefficient frame is singular at the origin")
     dt, d = profile.d_tilde(radii), profile.d(radii)
     sigma = medium.sigma
     tensor = np.empty(pts.shape[:-1] + (2, 2), dtype=complex)
@@ -237,7 +236,7 @@ def _element_blocks(space, profile, medium, ids, tables):
                                               L, dL)
     if np.any(det <= 0.0):
         bad = int(ids[np.argmax(np.any(det <= 0.0, axis=1))])
-        raise AssemblyError(f"nonpositive mapping Jacobian in element {bad}")
+        raise ValidationError(f"nonpositive mapping Jacobian in element {bad}")
     tensor, weight = _tensor_batch(phys, profile, medium)
     # w det J^-1 T J^-T, the coefficient pulled back to the reference
     # triangle; the rows of det J^-1 are (j11, -j01) and (-j10, j00)

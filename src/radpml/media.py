@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "Medium",
@@ -145,7 +145,7 @@ def b_tau(mat: np.ndarray, tau: float) -> np.ndarray:
     """
     mat = _check_symmetric(mat)
     if not np.isfinite(tau) or abs(tau) >= 0.5 * np.pi:
-        raise DomainError(f"phase angle must satisfy |tau| < pi/2, got {tau!r}")
+        raise ValidationError(f"phase angle must satisfy |tau| < pi/2, got {tau!r}")
     out = np.array(mat, dtype=complex)
     out[0, 0] *= np.exp(1j * tau)
     out[1:, 1:] *= np.exp(-1j * tau)
@@ -173,15 +173,14 @@ def numerical_range_bounds(mat: np.ndarray, tau: float) -> "RangeBox":
     Raises
     ------
     ValidationError
-        If ``mat`` is not symmetric positive definite.
-    DomainError
-        If ``|tau| >= pi/2``.
+        If ``mat`` is not symmetric positive definite, or
+        ``|tau| >= pi/2``.
     """
     lam_min, lam_max = spd_extremes(mat)
     if lam_min <= 0.0:
         raise ValidationError(f"matrix is not positive definite (lambda_min = {lam_min:g})")
     if not np.isfinite(tau) or abs(tau) >= 0.5 * np.pi:
-        raise DomainError(f"phase angle must satisfy |tau| < pi/2, got {tau!r}")
+        raise ValidationError(f"phase angle must satisfy |tau| < pi/2, got {tau!r}")
     one_minus_cos = 1.0 - np.cos(tau)
     return RangeBox(
         re_lo=lam_min - one_minus_cos * lam_max,

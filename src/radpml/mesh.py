@@ -28,7 +28,7 @@ import numpy as np
 
 from .basis import (LOCAL_EDGES, lagrange_geometry_basis, lattice_nodes,
                     triangle_quadrature)
-from .errors import GenerationError, GeometryError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "DiskObstacle",
@@ -46,7 +46,7 @@ class DiskObstacle:
 
     def __post_init__(self):
         if not self.radius > 0.0:
-            raise GeometryError("disk radius must be positive")
+            raise ValidationError("disk radius must be positive")
 
     @property
     def extent(self) -> float:
@@ -64,7 +64,7 @@ class EllipseObstacle:
 
     def __post_init__(self):
         if not (self.a1 > 0.0 and self.a2 > 0.0):
-            raise GeometryError("ellipse semi-axes must be positive")
+            raise ValidationError("ellipse semi-axes must be positive")
 
     @property
     def extent(self) -> float:
@@ -85,13 +85,13 @@ class Geometry:
 
     def __post_init__(self):
         if not math.isfinite(self.r1):
-            raise GeometryError(f"r1 must be finite, got {self.r1:g}")
+            raise ValidationError(f"r1 must be finite, got {self.r1:g}")
         if not self.obstacle.extent < self.r1:
-            raise GeometryError(
+            raise ValidationError(
                 f"obstacle extent {self.obstacle.extent:g} must lie strictly "
                 f"inside the onset circle r1 = {self.r1:g}")
         if not 0.0 < self.layer_width < math.inf:
-            raise GeometryError("layer width must be positive and finite")
+            raise ValidationError("layer width must be positive and finite")
 
     @property
     def truncation_radius(self) -> float:
@@ -145,7 +145,7 @@ def _check_jacobians(mesh: Mesh):
     _, _, det = mapping(mesh.mapping_nodes, *lagrange_geometry_basis(mesh.q, pts))
     bad = np.where(np.any(det <= 0.0, axis=1))[0]
     if bad.size:
-        raise GenerationError(f"inverted mapped element {int(bad[0])}")
+        raise ValidationError(f"inverted mapped element {int(bad[0])}")
 
 
 def _lattice_params(q: int, corner_params: np.ndarray) -> np.ndarray:
@@ -167,7 +167,7 @@ def generate(geometry: Geometry, hmax: float, q: int) -> Mesh:
 
     Raises
     ------
-    GenerationError
+    ValidationError
         If a mapped element has a nonpositive Jacobian somewhere.
     """
     if not 0.0 < hmax < math.inf:

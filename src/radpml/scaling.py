@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .media import Medium, anisotropy_degree
 
 __all__ = [
@@ -50,7 +50,7 @@ _SUP_SAMPLES = 2048
 def _as_radius_array(r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("radius must be finite and non-negative")
+        raise ValidationError("radius must be finite and non-negative")
     return arr
 
 
@@ -484,11 +484,11 @@ def gamma_of_omega(c: float, omega: float) -> complex:
 
     Raises
     ------
-    DomainError
+    ValidationError
         If c <= 0.
     """
     if not (np.isfinite(c) and c > 0.0):
-        raise DomainError(f"c must be positive, got {c!r}")
+        raise ValidationError(f"c must be positive, got {c!r}")
     return 1.0 / (c - 1j * float(omega))
 
 

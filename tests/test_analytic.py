@@ -21,12 +21,7 @@ from radpml.analytic import (
     write_reference_csv,
 )
 from radpml.cli import parse_config
-from radpml.errors import (
-    DomainError,
-    IncompleteSearchError,
-    PreconditionError,
-    ValidationError,
-)
+from radpml.errors import IncompleteSearchError, ValidationError
 from radpml.media import Medium, RangeBox
 from radpml.scaling import AffineProfile, RampProfile, limits
 
@@ -178,19 +173,21 @@ class TestHankel:
             assert np.all(np.abs(val - ref) <= 1e-10 * scale)
 
     def test_rejects_origin(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="singular at z = 0"):
             hankel1(0, 0.0)
 
     def test_rejects_beyond_supported_radius(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError,
+                           match="exceeds the supported radius"):
             hankel1(0, SUPPORTED_RADIUS + 0.5)
 
     def test_rejects_bad_orders(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError,
+                           match="exceeds the supported maximum"):
             hankel1(MAX_ORDER + 1, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="non-negative integer"):
             hankel1(-1, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="non-negative integer"):
             hankel1(0.5, 1.0)
 
 
@@ -361,10 +358,11 @@ class TestComplexDistance:
 
     def test_separation_precondition(self):
         y = np.array([2.5, 0.0])
-        with pytest.raises(PreconditionError):
+        separation = r"must exceed \(sigma_max/sigma_min\) \* \|y\|"
+        with pytest.raises(ValidationError, match=separation):
             d_sigma(np.array([3.0, 0.0]), y, self.PROF, self.MED)
         # anisotropic: ratio 4 shrinks the admissible ball
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValidationError, match=separation):
             d_sigma(np.array([3.0, 0.0]), np.array([0.6, 0.0]),
                     self.PROF, self.ANISO)
 
@@ -389,7 +387,8 @@ class TestDampingRate:
     def test_rejects_wrong_sign_frequency(self):
         med = Medium(np.eye(2))
         prof = AffineProfile(r1=1.5, gamma=8j)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValidationError,
+                           match="the scaled kernel need not decay"):
             damping_rate(-1.0, prof, med, np.array([1.0, 0.0]))
 
 
@@ -448,11 +447,13 @@ class TestDiskReferences:
             find_disk_neumann_references(1, bad)
 
     def test_box_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError,
+                           match="strictly in the right half-plane"):
             find_disk_neumann_references(2, RangeBox(-1.0, 3.0, -2.0, 0.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError,
+                           match="exceeds the supported series radius"):
             find_disk_neumann_references(2, RangeBox(0.1, 20.0, -2.0, 0.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="n_max must lie in"):
             find_disk_neumann_references(MAX_ORDER + 1, REFERENCE_BOX)
 
     def test_reproduces_committed_reference_csv(self, refs):

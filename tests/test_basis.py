@@ -22,6 +22,7 @@ from radpml.basis import (
     reference_basis,
     triangle_quadrature,
 )
+from radpml.errors import ValidationError
 
 RNG = np.random.default_rng(20260817)
 
@@ -61,7 +62,7 @@ class TestTriangleQuadrature:
         assert triangle_quadrature(6) is triangle_quadrature(6)
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="must be non-negative"):
             triangle_quadrature(-1)
 
 
@@ -143,7 +144,8 @@ class TestHierarchicBasis:
                 assert np.max(np.abs(block)) < 1e-14
 
     def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError,
+                           match="polynomial order must be >= 1"):
             reference_basis(0, np.zeros((1, 2)))
 
 
@@ -179,5 +181,5 @@ class TestLagrangeGeometry:
                     assert np.max(np.abs(grad[:, 1] - dfy)) < 1e-10
 
     def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="mapping order must be >= 1"):
             lattice_nodes(0)

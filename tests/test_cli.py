@@ -29,7 +29,7 @@ from radpml.cli import (
     render_spectrum_svg,
 )
 from radpml.eig import Spectrum, read_spectrum_csv
-from radpml.errors import ConfigError, GenerationError, SingularMatrixError
+from radpml.errors import ConfigError, SingularMatrixError, ValidationError
 from radpml.fem import CondensedShiftSolver
 
 REPO = Path(__file__).resolve().parent.parent
@@ -183,6 +183,29 @@ class TestParseConfig:
         assert main(["solve", str(path)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "reference", "solve",
+                                         "damping"])
+    @pytest.mark.parametrize("geometry, message", [
+        ({"radius": "-1"}, "disk radius must be positive"),
+        ({"radius": "0"}, "disk radius must be positive"),
+        ({"radius": "nan"}, "disk radius must be positive"),
+        ({"obstacle": "ellipse", "semi_axis_x": "-1", "semi_axis_y": "1"},
+         "ellipse semi-axes must be positive"),
+        ({"obstacle": "ellipse", "semi_axis_x": "0.5", "semi_axis_y": "nan"},
+         "ellipse semi-axes must be positive"),
+    ], ids=["radius-negative", "radius-zero", "radius-nan",
+            "semi-axis-x-negative", "semi-axis-y-nan"])
+    def test_bad_obstacle_size_is_config_error(self, tmp_path, capsys,
+                                               command, geometry, message):
+        """The obstacle used to be built outside the ``[geometry]``
+        conversion, so each of these ended every command in a
+        traceback (exit 1)."""
+        drop = [("geometry", "radius")] if "obstacle" in geometry else []
+        path = write_config(tmp_path, drop=drop, geometry=geometry)
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert f"config error: [geometry] {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "absent.cfg")
@@ -308,6 +331,14 @@ class TestReferenceCommand:
         assert "config error: [reference] range box bounds must be finite" \
             in capsys.readouterr().err
 
+    def test_non_numeric_box_names_its_section_once(self, tmp_path, capsys):
+        """The range-box conversion used to catch the reader's own
+        ConfigError and prefix ``[reference]`` a second time."""
+        path = write_config(tmp_path, reference={"re_lo": "x"})
+        assert main(["reference", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: [reference] re_lo = 'x': not a valid float\n"
+
     def test_out_override(self, tmp_path):
         path = write_config(tmp_path, reference={"max_order": "0"})
         override = tmp_path / "elsewhere"
@@ -358,13 +389,27 @@ class TestSolveCommand:
         path = write_config(tmp_path)
 
         def broken(*args, **kwargs):
-            raise GenerationError("synthetic mesh failure")
+            raise ValidationError("synthetic mesh failure")
 
         monkeypatch.setattr(cli_module, "generate", broken)
         assert main(["solve", str(path)]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert "error at stage mesh" in err
         assert "synthetic mesh failure" in err
+
+    def test_folding_mesh_fails_at_stage_mesh(self, tmp_path, capsys):
+        """A nearly circular ellipse just inside r1, meshed this coarsely
+        with q = 1, folds its inner annulus; no monkeypatching."""
+        path = write_config(
+            tmp_path, drop=[("geometry", "radius")],
+            geometry={"obstacle": "ellipse", "semi_axis_x": "0.9",
+                      "semi_axis_y": "1.0", "r1": "1.001",
+                      "layer_width": "1.0"},
+            discretization={"hmax": "2", "p": "1", "q": "1"})
+        assert main(["solve", str(path)]) == EXIT_FAILURE
+        assert "solve: error at stage mesh: inverted mapped element 4" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out" / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("owner, name, stage", [
         ("cli", "FunctionSpace", "assembly"),
@@ -613,6 +658,20 @@ class TestDampingCommand:
         assert code == EXIT_CONDITION
         assert "hypothesis violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("omega, gamma", [("-1", "(0.4-0.8j)"),
+                                              ("0", "(2+0j)")])
+    def test_frequency_dependent_wrong_halfplane(self, tmp_path, capsys,
+                                                 omega, gamma):
+        """gamma(omega) = 1/(c - i omega) has Im <= 0 for omega <= 0; the
+        profile built from it used to end ``damping`` in a traceback."""
+        path = write_config(tmp_path, drop=[("scaling", "gamma")],
+                            scaling={"c": "0.5"})
+        assert main(["damping", str(path), f"--omega={omega}"]) == \
+            EXIT_CONDITION
+        assert "damping: hypothesis violation: gamma must satisfy Re >= 0 " \
+            f"and Im > 0, got {gamma}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "damping.json").exists()
+
     def test_zero_rays(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["damping", str(path), "--rays", "0"]) == EXIT_OK
@@ -828,6 +887,23 @@ class TestReadme:
 
 
 class TestPublicNames:
+    def test_five_error_types(self):
+        """One type per outcome; ``ConfigError`` stands outside the
+        ``ValidationError`` tree, so a section's conversion never
+        re-prefixes the reader's own errors."""
+        import radpml.cli as cli_module
+        import radpml.errors as errors
+        names = sorted(name for name, value in vars(errors).items()
+                       if isinstance(value, type)
+                       and issubclass(value, Exception))
+        assert names == ["AccuracyWarning", "ConfigError",
+                         "IncompleteSearchError", "SingularMatrixError",
+                         "ValidationError"]
+        assert issubclass(ConfigError, ValueError)
+        assert not issubclass(ConfigError, ValidationError)
+        assert cli_module._PIPELINE_ERRORS == (ValidationError,
+                                               SingularMatrixError)
+
     def test_exports_resolve(self):
         """Every name in a module's ``__all__`` exists, and every name the
         package re-exports is the submodule's object and listed in its

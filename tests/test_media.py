@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from radpml import (
-    DomainError,
     Medium,
     RangeBox,
     ValidationError,
@@ -140,9 +139,9 @@ class TestBTau:
         assert out[0, 1] == 1.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match=r"\|tau\| < pi/2"):
             b_tau(np.eye(2), np.pi / 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match=r"\|tau\| < pi/2"):
             b_tau(np.eye(2), -2.0)
 
 
@@ -188,7 +187,7 @@ class TestNumericalRangeBounds:
             numerical_range_bounds(np.diag([1.0, 0.0]), 0.1)
 
     def test_rejects_large_phase(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match=r"\|tau\| < pi/2"):
             numerical_range_bounds(np.eye(2), 1.5708)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from radpml.basis import lagrange_geometry_basis, triangle_quadrature
-from radpml.errors import GenerationError, GeometryError, ValidationError
+from radpml.errors import ValidationError
 from radpml.mesh import (
     DiskObstacle,
     EllipseObstacle,
@@ -92,23 +92,26 @@ def clockwise_triangle_mesh():
 
 class TestGeometryValidation:
     def test_positive_obstacle_dimensions(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValidationError, match="disk radius must be positive"):
             DiskObstacle(0.0)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValidationError,
+                           match="ellipse semi-axes must be positive"):
             EllipseObstacle(0.5, -1.0)
 
     def test_obstacle_must_fit_inside_onset_circle(self):
-        with pytest.raises(GeometryError):
+        inside = "must lie strictly inside the onset circle"
+        with pytest.raises(ValidationError, match=inside):
             Geometry(DiskObstacle(1.6), 1.5, 2.0)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValidationError, match=inside):
             Geometry(EllipseObstacle(0.5, 1.5), 1.5, 2.0)  # touching is too big
         for r1 in (np.inf, np.nan):
-            with pytest.raises(GeometryError, match="r1 must be finite"):
+            with pytest.raises(ValidationError, match="r1 must be finite"):
                 Geometry(DiskObstacle(1.0), r1, 2.0)
 
     def test_layer_width_positive(self):
         for width in (0.0, np.inf, np.nan):
-            with pytest.raises(GeometryError):
+            with pytest.raises(ValidationError,
+                               match="layer width must be positive and finite"):
                 Geometry(DiskObstacle(1.0), 1.5, width)
 
     def test_truncation_radius(self):
@@ -270,10 +273,10 @@ class TestGenerate:
             mesh.mapping_nodes[0, 0, 0] = 7.0
 
     def test_inverted_element_reported_with_index(self):
-        with pytest.raises(GenerationError, match="element 0"):
+        with pytest.raises(ValidationError, match="inverted mapped element 0"):
             _check_jacobians(clockwise_triangle_mesh())
         # a nearly circular ellipse just inside r1, meshed this coarsely
         # with q = 1, folds its inner annulus
         geometry = Geometry(EllipseObstacle(0.9, 1.0), 1.001, 1.0)
-        with pytest.raises(GenerationError, match="element 4"):
+        with pytest.raises(ValidationError, match="inverted mapped element 4"):
             generate(geometry, hmax=2.0, q=1)

@@ -5,7 +5,6 @@ import pytest
 
 from radpml import (
     AffineProfile,
-    DomainError,
     Medium,
     RampProfile,
     SmoothedPolynomialProfile,
@@ -64,7 +63,8 @@ class TestEval:
         assert np.allclose(d[tail], p.d_tilde(r)[tail])
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError,
+                           match="radius must be finite and non-negative"):
             AffineProfile(r1=1.0, gamma=1j).alpha_tilde(-0.5)
 
 
@@ -208,9 +208,9 @@ class TestGammaOfOmega:
         assert gamma_of_omega(2.0, 3.0) == pytest.approx((2.0 + 3.0j) / 13.0, abs=1e-15)
 
     def test_rejects_nonpositive_c(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="c must be positive"):
             gamma_of_omega(0.0, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="c must be positive"):
             gamma_of_omega(-1.0, 1.0)
 
     def test_phase_bound_uniform_in_omega(self):
