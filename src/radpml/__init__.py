@@ -39,12 +39,10 @@ from .scaling import (
     AdmissibilityReport,
     AffineProfile,
     RampProfile,
-    ScalingLimits,
     ScalingProfile,
     SmoothedPolynomialProfile,
     admissible,
     gamma_of_omega,
-    limits,
     min_stabilizing_c,
 )
 from .mesh import (
@@ -59,10 +57,10 @@ from .fem import (
     CondensedShiftSolver,
     FunctionSpace,
     element_matrices,
-    rayleigh_residual,
 )
 from .eig import (
     Spectrum,
+    rayleigh_residual,
     read_spectrum_csv,
     shift_invert_arnoldi,
     sparse_lu,

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import IncompleteSearchError, ValidationError
 from .media import Medium, RangeBox
-from .scaling import ScalingProfile, _separation, limits
+from .scaling import ScalingProfile, _separation
 
 __all__ = [
     "SUPPORTED_RADIUS",
@@ -281,12 +281,13 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction):
     Raises
     ------
     ValidationError
-        If Re(i omega d0) >= 0 (no damping guaranteed), or the profile
-        fails the sampled profile-assumption checks.
+        If the profile fails its sampled assumption checks, or
+        Re(i omega d0) >= 0 (no damping guaranteed).  The checks run once
+        per profile object, however many rays share it.
     """
-    lim = limits(profile, medium)
+    profile.check_assumptions()
     omega = complex(omega)
-    re_iwd0 = (1j * omega * lim.d0).real
+    re_iwd0 = (1j * omega * profile.d0).real
     if re_iwd0 >= 0.0:
         raise ValidationError(
             f"Re(i omega d0) = {re_iwd0:g} >= 0: the scaled kernel need not decay")
@@ -302,7 +303,7 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction):
         for r in rs
     ])
     measured = float(np.polyfit(rs, log_decay, 1)[0])
-    bound = -re_iwd0 * abs(lim.d_inf) / medium.sigma_max
+    bound = -re_iwd0 * abs(profile.d_inf) / medium.sigma_max
     return measured, bound
 
 

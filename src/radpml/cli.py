@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
+    MAX_ORDER,
     damping_rate,
     find_disk_neumann_references,
     read_reference_csv,
@@ -66,7 +67,7 @@ from .errors import (
 from .fem import CondensedShiftSolver, FunctionSpace
 from .media import Medium, RangeBox
 from .mesh import DiskObstacle, EllipseObstacle, Geometry, generate
-from .scaling import PROFILE_KINDS, _separation, admissible, gamma_of_omega
+from .scaling import PROFILE_KINDS, ScalingProfile, admissible, gamma_of_omega
 
 EXIT_OK = 0
 EXIT_CONDITION = 2
@@ -159,8 +160,10 @@ class _Reader:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; every physical constraint is checked
-    at parse time, before any computation starts."""
+    """Validated run description.  Every constraint on a single value is
+    checked at parse time, before any computation starts; the sampled
+    profile-assumption checks run where the profile is used: at
+    ``solve``'s assembly stage, in ``damping`` and in ``check``'s report."""
 
     sha256: str
     geometry: Geometry
@@ -278,9 +281,9 @@ def parse_config(path) -> RunConfig:
     except ValidationError as exc:
         raise ConfigError(f"[reference] {exc}") from None
     ref_max_order = reader.get("reference", "max_order", int, default=6)
-    if ref_max_order < 0:
-        raise ConfigError(
-            f"[reference] max_order must be >= 0, got {ref_max_order}")
+    if not 0 <= ref_max_order <= MAX_ORDER:
+        raise ConfigError(f"[reference] max_order must lie in "
+                          f"[0, {MAX_ORDER}], got {ref_max_order}")
     unread = reader.unread()
     if unread:
         raise ConfigError(
@@ -462,11 +465,11 @@ def cmd_check(args) -> int:
     profile = config.build_profile()
     r0 = config.geometry.obstacle.extent
     report = admissible(profile, config.medium, r0)
-    _, bound = _separation(profile.r1, config.medium, r0)
     flags = [
         ("profile-assumptions", report.profile_ok, ""),
         ("separation", report.separation_ok,
-         f"(r1 = {config.geometry.r1:g}, required > {bound:g})"),
+         f"(r1 = {config.geometry.r1:g}, "
+         f"required > {report.separation_bound:g})"),
         ("coercivity", report.coercivity_ok,
          f"(cos(tau*) = {report.cos_tau_star:.6g}, threshold = {report.threshold:.6g})"),
         ("far-field-decay", report.far_field_ok, ""),
@@ -534,7 +537,8 @@ def _stage(name):
         raise
 
 
-def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
+def _solve_once(config: RunConfig, profile: ScalingProfile, seed: int,
+                layer_scale: float = 1.0):
     with _stage("mesh"):
         base = config.geometry
         geometry = Geometry(base.obstacle, base.r1,
@@ -543,8 +547,8 @@ def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
     with _stage("assembly"):
         space = FunctionSpace(mesh, config.p)
         # one element pass assembles the pencil and condenses the bubbles
-        solver = CondensedShiftSolver(space, config.build_profile(),
-                                      config.medium, config.shift ** 2)
+        solver = CondensedShiftSolver(space, profile, config.medium,
+                                      config.shift ** 2)
     with _stage("factorization"):
         solver.factor()
     with _stage("eigensolve"):
@@ -577,14 +581,17 @@ def cmd_solve(args) -> int:
     import scipy.linalg  # noqa: F401
     import scipy.sparse.linalg  # noqa: F401
 
+    # one profile for both solves, so its sampled checks run once
+    profile = config.build_profile()
     try:
         # The stretched comparison runs first: it is the larger of the
         # two problems, and solving it before the base pencil exists
         # keeps the peak footprint to one factorization at a time; only
         # its eigenvalues are kept.
-        stretched = _solve_once(config, args.seed, layer_scale=STRETCH)[0]
+        stretched = _solve_once(config, profile, args.seed,
+                                layer_scale=STRETCH)[0]
         gc.collect()
-        spectrum, mesh, pencil = _solve_once(config, args.seed)
+        spectrum, mesh, pencil = _solve_once(config, profile, args.seed)
         print(f"solve: {mesh.num_triangles} triangles (q={config.q}), "
               f"{pencil.size} dofs, {len(spectrum)} eigenvalues near "
               f"shift {config.shift:g}")

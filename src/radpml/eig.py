@@ -17,15 +17,15 @@ start vector would reach the same dimension, the degree of the
 operator's minimal polynomial, so there is nothing to restart.
 
 Every returned eigenvalue carries the relative residual of its Ritz
-vector on the full pencil; pairs worse than 1e-6 are dropped with a
-warning (Ritz clutter near the shift is expected, not an error).  The
-Arnoldi relation gives every pair's residual from one product with the
-next basis vector, so a pair whose estimate exceeds ten times that gate
-is dropped without forming its Ritz vector; the others are formed only
-to measure the residual and are not kept.  Validity against the
-scaled-resolvent region is flagged per eigenvalue: in_lambda_d0 is False
-exactly when |Re(i omega d0)| <= 1e-10 for the asymptotic direction d0
-that the solver took from its own profile.
+vector on the full pencil (``rayleigh_residual``); pairs worse than 1e-6
+are dropped with a warning (Ritz clutter near the shift is expected, not
+an error).  The Arnoldi relation gives every pair's residual from one
+product with the next basis vector, so a pair whose estimate exceeds ten
+times that gate is dropped without forming its Ritz vector; the others
+are formed only to measure the residual and are not kept.  Validity
+against the scaled-resolvent region is flagged per eigenvalue:
+in_lambda_d0 is False exactly when |Re(i omega d0)| <= 1e-10 for the
+asymptotic direction d0 that the solver took from its own profile.
 
 Spurious-mode detection compares the spectrum with that of the same
 problem with the damping layer widened by a stretch factor, matching the
@@ -53,10 +53,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AccuracyWarning, SingularMatrixError, ValidationError
-from .fem import rayleigh_residual
 
 __all__ = [
     "sparse_lu",
+    "rayleigh_residual",
     "Spectrum",
     "shift_invert_arnoldi",
     "spurious_filter",
@@ -220,6 +220,19 @@ def _arnoldi(apply_op, n, m, rng):
         h[j + 1, j] = norm_w
         v[j + 1] = w / norm_w
     return v, h, m
+
+
+def rayleigh_residual(pencil, omega: complex, u: np.ndarray) -> float:
+    """|| K u - omega^2 M u || / (||u|| (||K||_F + |omega^2| ||M||_F))
+    on a ``fem.AssembledPencil``."""
+    u = np.asarray(u)
+    nrm = np.linalg.norm(u)
+    if nrm == 0.0:
+        raise ValidationError("eigenvector must be nonzero")
+    omega_sq = complex(omega) ** 2
+    resid = np.linalg.norm(pencil.stiffness @ u - omega_sq * (pencil.mass @ u))
+    k_norm, m_norm = pencil.frobenius_norms
+    return float(resid / (nrm * (k_norm + abs(omega_sq) * m_norm)))
 
 
 def _ritz_estimates(solver, v, h, mb, theta, y):

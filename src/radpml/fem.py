@@ -48,14 +48,13 @@ from .basis import (
 from .errors import SingularMatrixError, ValidationError
 from .media import Medium
 from .mesh import Mesh, _global_edges, mapping
-from .scaling import ScalingProfile, limits
+from .scaling import ScalingProfile
 
 __all__ = [
     "FunctionSpace",
     "AssembledPencil",
     "CondensedShiftSolver",
     "element_matrices",
-    "rayleigh_residual",
 ]
 
 #: elements per chunk of the element pass
@@ -356,19 +355,6 @@ class _Pattern:
                                        shape=(self.n, self.n))
 
 
-def rayleigh_residual(pencil: AssembledPencil, omega: complex,
-                      u: np.ndarray) -> float:
-    """|| K u - omega^2 M u || / (||u|| (||K||_F + |omega^2| ||M||_F))."""
-    u = np.asarray(u)
-    nrm = np.linalg.norm(u)
-    if nrm == 0.0:
-        raise ValidationError("eigenvector must be nonzero")
-    omega_sq = complex(omega) ** 2
-    resid = np.linalg.norm(pencil.stiffness @ u - omega_sq * (pencil.mass @ u))
-    k_norm, m_norm = pencil.frobenius_norms
-    return float(resid / (nrm * (k_norm + abs(omega_sq) * m_norm)))
-
-
 class CondensedShiftSolver:
     """Direct solver for K - shift_sq*M with element-interior elimination.
 
@@ -383,12 +369,14 @@ class CondensedShiftSolver:
     Construction is the one element pass of a solve: each chunk's K and
     M blocks are scattered into the pencil (``pencil``) and condensed in
     the same sweep.  ``solve`` needs ``factor`` to have run.  ``d0``, the
-    profile's asymptotic direction, comes from ``limits`` before the pass.
+    profile's asymptotic direction, is read after the profile passes its
+    sampled assumption checks, before the pass.
     """
 
     def __init__(self, space: FunctionSpace, profile: ScalingProfile,
                  medium: Medium, shift_sq: complex):
-        self.d0 = limits(profile, medium).d0
+        profile.check_assumptions()
+        self.d0 = profile.d0
         p = space.p
         ns_local = 3 * p                      # vertex + edge modes
         nb_local = (p - 1) * (p - 2) // 2     # interior bubbles

@@ -17,12 +17,17 @@ eigenvalue extremes ``s_min <= s_max`` the sufficient coercivity test is
 
     cos(tau_star) > 1 - s_min/s_max .
 
-All profile evaluation methods accept scalars or numpy arrays.
+The data that depend on the scaling alone (``d_inf``, ``d0``,
+``tau_star`` and the sampled assumption checks) are properties of the
+profile, computed once per profile object on first use; ``admissible``
+combines them with the medium.  All profile evaluation methods accept
+scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -35,9 +40,7 @@ __all__ = [
     "AffineProfile",
     "RampProfile",
     "SmoothedPolynomialProfile",
-    "ScalingLimits",
     "AdmissibilityReport",
-    "limits",
     "admissible",
     "gamma_of_omega",
     "min_stabilizing_c",
@@ -92,16 +95,55 @@ class ScalingProfile:
 
     def alpha_tilde_limit(self) -> float:
         """Limit of alpha_tilde at infinity (bounded by Assumption 1);
-        every kind defines it, and ``limits`` forms d_inf from it."""
+        every kind defines it, and ``d_inf`` is formed from it."""
         raise NotImplementedError
-
-    def tau_star_closed(self):
-        """Closed-form sup |arg(d_tilde/d)| if the kind admits one."""
-        return None
 
     def _extra_sample_points(self) -> np.ndarray:
         """Kind-specific radii that a geometric grid may undersample."""
         return np.empty(0)
+
+    # -- asymptotic data, computed once per profile ----------------------
+
+    @cached_property
+    def d_inf(self) -> complex:
+        """d_inf = 1 + gamma * alpha_tilde(inf), from the closed-form limit."""
+        return complex(1.0 + self.gamma * self.alpha_tilde_limit())
+
+    @cached_property
+    def d0(self) -> complex:
+        """Asymptotic direction d_inf/|d_inf|: discrete eigenvalues are
+        valid in the region Lambda_d0 it bounds."""
+        return complex(self.d_inf / abs(self.d_inf))
+
+    @cached_property
+    def tau_star(self) -> float:
+        """sup over r > r1 of |tau(r)|: dense geometric sampling of
+        (r1, 1e3*r1], then bounded Brent refinement around the sampled
+        maximum."""
+        # imported here: loading scipy.optimize with the package would slow
+        # the start-up of every command
+        import scipy.optimize
+
+        grid = _tail_grid(self, 1.0 + 1e-9)
+        vals = np.abs(self.tau(grid))
+        i = int(np.argmax(vals))
+        lo = grid[max(i - 1, 0)]
+        hi = grid[min(i + 1, grid.size - 1)]
+        refined = scipy.optimize.minimize_scalar(
+            lambda r: -abs(self.tau(r)), bounds=(lo, hi), method="bounded",
+            options={"xatol": 1e-12})
+        return float(max(vals[i], -refined.fun))
+
+    @cached_property
+    def assumption_violations(self) -> tuple:
+        """The sampled profile-assumption checks that fail; empty if clean."""
+        return tuple(_assumption1_violations(self))
+
+    def check_assumptions(self):
+        """Raise ValidationError if any sampled assumption check fails."""
+        if self.assumption_violations:
+            raise ValidationError("profile violates scaling assumptions: "
+                                  + "; ".join(self.assumption_violations))
 
     # -- pointwise quantities -------------------------------------------
 
@@ -163,8 +205,10 @@ class AffineProfile(ScalingProfile):
     def alpha_tilde_limit(self):
         return 1.0
 
-    def tau_star_closed(self):
-        return float(np.angle(1.0 + self.gamma))
+    @cached_property
+    def tau_star(self) -> float:
+        """Closed form arg(1 + gamma), the limit r -> r1+."""
+        return abs(float(np.angle(1.0 + self.gamma)))
 
 
 @dataclass(frozen=True)
@@ -239,32 +283,13 @@ class SmoothedPolynomialProfile(ScalingProfile):
         return self.amax
 
 
-PROFILE_KINDS = {
-    "affine": AffineProfile,
-    "constant-after-ramp": RampProfile,
-    "smoothed-polynomial": SmoothedPolynomialProfile,
-}
+PROFILE_KINDS = {cls.kind: cls for cls in (
+    AffineProfile, RampProfile, SmoothedPolynomialProfile)}
 
 
 # ---------------------------------------------------------------------------
-# asymptotic data
+# sampled profile checks
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalingLimits:
-    """Asymptotic data of a profile/medium pair.
-
-    ``psi_flagged`` is True when the Theorem-type coercivity condition
-    fails, i.e. psi is the argument of a number with non-positive real
-    part; psi_star is still reported in that case.
-    """
-
-    d0: complex
-    d_inf: complex
-    tau_star: float
-    psi_star: float
-    psi_flagged: bool
-
 
 def _tail_grid(profile: ScalingProfile, start: float) -> np.ndarray:
     """Geometric radii from start*r1 to 1e3*r1, with the kind's extra points."""
@@ -310,69 +335,15 @@ def _assumption1_violations(profile: ScalingProfile) -> list:
     return bad
 
 
-def _sup_abs_tau(profile: ScalingProfile) -> float:
-    """sup over r > r1 of |arg(d_tilde/d)| by sampling plus refinement."""
-    closed = profile.tau_star_closed()
-    if closed is not None:
-        return abs(closed)
-    # imported here: loading scipy.optimize with the package would slow
-    # the start-up of every command
-    import scipy.optimize
-
-    grid = _tail_grid(profile, 1.0 + 1e-9)
-    vals = np.abs(profile.tau(grid))
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    refined = scipy.optimize.minimize_scalar(
-        lambda r: -abs(profile.tau(r)), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12})
-    return float(max(vals[i], -refined.fun))
-
-
-def _limits(profile: ScalingProfile, medium: Medium) -> ScalingLimits:
-    """``limits`` without the profile-assumption checks."""
-    d_inf = 1.0 + profile.gamma * profile.alpha_tilde_limit()
-    tau_star = _sup_abs_tau(profile)
-    a = medium.sigma_min - (1.0 - np.cos(tau_star)) * medium.sigma_max
-    return ScalingLimits(
-        d0=complex(d_inf / abs(d_inf)),
-        d_inf=complex(d_inf),
-        tau_star=float(tau_star),
-        psi_star=float(np.arctan2(medium.sigma_max * np.sin(tau_star), a)),
-        psi_flagged=bool(a <= 0.0),
-    )
-
+# ---------------------------------------------------------------------------
+# admissibility reporting
+# ---------------------------------------------------------------------------
 
 def _separation(r1: float, medium: Medium, r0: float):
     """(holds, bound) of the separation rule r1 > bound = (s_max/s_min) * r0."""
     bound = medium.sigma_max / medium.sigma_min * r0
     return r1 > bound, bound
 
-
-def limits(profile: ScalingProfile, medium: Medium) -> ScalingLimits:
-    """Asymptotic scaling data: d0, d_inf, tau_star and psi_star.
-
-    d_inf comes from the profile's closed-form alpha_tilde limit, which
-    every kind defines.  tau_star uses the affine closed form or dense
-    geometric sampling with bounded Brent refinement.  psi follows from
-    tau_star because |sin tau(r)| is maximized exactly where |tau| is
-    (tau has one sign).
-
-    Raises
-    ------
-    ValidationError
-        If the profile fails the sampled profile-assumption checks.
-    """
-    bad = _assumption1_violations(profile)
-    if bad:
-        raise ValidationError("profile violates scaling assumptions: " + "; ".join(bad))
-    return _limits(profile, medium)
-
-
-# ---------------------------------------------------------------------------
-# admissibility reporting
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -386,6 +357,7 @@ class AdmissibilityReport:
     separation_ok: bool                 # (b) r1 > (s_max/s_min) * r0
     coercivity_ok: bool                 # (c) cos tau_star > 1 - s_min/s_max
     far_field_ok: bool                  # tau and symbol derivative decay
+    separation_bound: float             # (s_max/s_min) * r0
     tau_star: float
     psi_star: float
     cos_tau_star: float
@@ -415,20 +387,19 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
         Flags (a) profile assumptions, (b) obstacle/onset separation
         r1 > (s_max/s_min)*r0, (c) coercivity cos tau_star > threshold,
         and the far-field decay checks, plus the numbers behind them.
+        psi_star follows from tau_star because |sin tau(r)| is maximized
+        exactly where |tau| is (tau has one sign).
     """
-    msgs = []
-    bad = _assumption1_violations(profile)
-    profile_ok = not bad
-    msgs.extend(bad)
+    msgs = list(profile.assumption_violations)
 
     separation_ok, bound = _separation(profile.r1, medium, r0)
     if not separation_ok:
         msgs.append(
             f"separation fails: r1 = {profile.r1:g} <= (s_max/s_min)*r0 = {bound:g}")
 
-    lim = _limits(profile, medium)
+    tau_star = profile.tau_star
     threshold = anisotropy_degree(medium)
-    cos_tau_star = float(np.cos(lim.tau_star))
+    cos_tau_star = float(np.cos(tau_star))
     coercivity_ok = cos_tau_star > threshold
     if not coercivity_ok:
         msgs.append(
@@ -454,16 +425,20 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
             f"far-field decay not observed: |tau({r_far:g})| = {tau_far:.2e}, "
             f"unit-stretch slope {s_mid:.2e} -> {s_far:.2e}")
 
-    if lim.psi_flagged:
+    # psi_star is still reported when a <= 0, where the coercivity
+    # condition of the theorem fails
+    a = medium.sigma_min - (1.0 - np.cos(tau_star)) * medium.sigma_max
+    if a <= 0.0:
         msgs.append("psi_star is the argument of a number with non-positive real part")
 
     return AdmissibilityReport(
-        profile_ok=profile_ok,
+        profile_ok=not profile.assumption_violations,
         separation_ok=bool(separation_ok),
         coercivity_ok=bool(coercivity_ok),
         far_field_ok=bool(far_field_ok),
-        tau_star=lim.tau_star,
-        psi_star=lim.psi_star,
+        separation_bound=float(bound),
+        tau_star=tau_star,
+        psi_star=float(np.arctan2(medium.sigma_max * np.sin(tau_star), a)),
         cos_tau_star=cos_tau_star,
         threshold=float(threshold),
         min_c=min_stabilizing_c(medium),

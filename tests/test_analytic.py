@@ -23,7 +23,7 @@ from radpml.analytic import (
 from radpml.cli import parse_config
 from radpml.errors import IncompleteSearchError, ValidationError
 from radpml.media import Medium, RangeBox
-from radpml.scaling import AffineProfile, RampProfile, limits
+from radpml.scaling import AffineProfile
 
 # Roots of (H_n^{(1)})' in Re in (0.1, 8), Im in (-3, 0), keyed by
 # (order, index).  Golden values from an independent extended-precision

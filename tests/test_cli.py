@@ -206,6 +206,19 @@ class TestParseConfig:
         assert f"config error: [geometry] {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["check", "reference", "solve",
+                                         "damping"])
+    def test_max_order_above_supported_is_config_error(self, tmp_path,
+                                                       capsys, command):
+        """``max_order = 25`` used to pass parsing: ``reference`` then
+        reported it as the API's ``n_max``, and the other commands
+        accepted the file."""
+        path = write_config(tmp_path, reference={"max_order": "25"})
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert "config error: [reference] max_order must lie in [0, 20], " \
+            "got 25" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "absent.cfg")
@@ -433,8 +446,9 @@ class TestSolveCommand:
 
     def test_profile_failing_assumptions_stops_at_assembly(self, tmp_path,
                                                            capsys):
-        """The solver takes d0 from ``limits`` before its element pass, so
-        the failing profile is reported after the first mesh."""
+        """The solver checks the profile and reads its d0 before the
+        element pass, so the failing profile is reported after the first
+        mesh."""
         path = write_config(
             tmp_path, discretization={"hmax": "0.8"},
             scaling={"profile": "constant-after-ramp", "width": "1e-9"})
@@ -836,12 +850,16 @@ class TestImportBudget:
             == "[]"
 
     @pytest.mark.parametrize("command", ["reference", "check", "damping",
-                                         "compare"])
+                                         "damping-ramp", "compare"])
     def test_commands_other_than_solve_leave_scipy_unloaded(self, tmp_path,
                                                             command):
-        # the default config's affine profile has a closed-form tau*, so
-        # check and damping need no scipy.optimize either
+        # check sees the default config's affine profile, whose tau* has a
+        # closed form, so it needs no scipy.optimize either; damping reads
+        # d0 and d_inf alone, so even a sampled profile's tau* search,
+        # which loads scipy.optimize, never runs there
         config = write_config(tmp_path)
+        ramp = write_config(tmp_path, name="ramp.cfg",
+                            scaling={"profile": "constant-after-ramp"})
         out = ["--out", tmp_path / "out"]
         spectrum = tmp_path / "spectrum.csv"
         spectrum.write_text("re_omega,im_omega,residual,in_lambda_d0,spurious\n"
@@ -850,6 +868,7 @@ class TestImportBudget:
             "reference": ["reference", REPO / "configs" / "disk.cfg", *out],
             "check": ["check", config, *out],
             "damping": ["damping", config, *out],
+            "damping-ramp": ["damping", ramp, *out],
             "compare": ["compare", spectrum,
                         write_reference_file(tmp_path / "ref.csv",
                                              [0.5 - 0.6j])],
@@ -857,6 +876,28 @@ class TestImportBudget:
         script = ("import sys; from radpml.cli import main; "
                   f"code = main(sys.argv[1:]); print(code, {SCIPY_MODULES})")
         assert run_python(script, *argv).splitlines()[-1] == f"{EXIT_OK} []"
+
+    @pytest.mark.parametrize("argv", [["damping", "--rays", "8"], ["solve"]],
+                             ids=["damping", "solve"])
+    def test_sampled_checks_run_once_per_command(self, tmp_path, monkeypatch,
+                                                 argv):
+        """One profile serves every ray of ``damping`` and both solves of
+        ``solve``, so its sampled assumption checks run once."""
+        import radpml.scaling as scaling_module
+
+        calls = []
+        checks = scaling_module._assumption1_violations
+
+        def counting(profile):
+            calls.append(profile)
+            return checks(profile)
+
+        monkeypatch.setattr(scaling_module, "_assumption1_violations",
+                            counting)
+        config = write_config(tmp_path, discretization={"hmax": "0.8"},
+                              scaling={"profile": "constant-after-ramp"})
+        assert main([argv[0], str(config), *argv[1:]]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_solve_loads_solver_modules_before_the_mesh(self, tmp_path):
         """Loaded mid-solve, scipy's objects split the freed element-pass

@@ -24,13 +24,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from radpml.basis import LOCAL_EDGES
+from radpml.eig import rayleigh_residual
 from radpml.errors import ValidationError
 from radpml.fem import (
     AssembledPencil,
     CondensedShiftSolver,
     FunctionSpace,
     element_matrices,
-    rayleigh_residual,
     _Pattern,
     _tensor_batch,
 )
@@ -487,7 +487,8 @@ k = 4
             return blocks(space, profile, medium, ids, tables)
 
         monkeypatch.setattr(fem_module, "_element_blocks", counting)
-        _, mesh, _ = _solve_once(parse_config(config_path), seed=0)
+        config = parse_config(config_path)
+        _, mesh, _ = _solve_once(config, config.build_profile(), seed=0)
         assert sorted(seen) == list(range(mesh.num_triangles))
 
 

@@ -11,7 +11,6 @@ from radpml import (
     ValidationError,
     admissible,
     gamma_of_omega,
-    limits,
     min_stabilizing_c,
 )
 
@@ -19,6 +18,7 @@ from radpml.scaling import PROFILE_KINDS
 
 ISO = Medium(np.eye(2))
 PAPER_MEDIUM = Medium(np.diag([0.25, 1.0]))
+PSI_FLAG = "psi_star is the argument of a number with non-positive real part"
 
 
 def profiles():
@@ -116,58 +116,56 @@ class TestDerivativeIdentity:
 
 
 class TestLimits:
-    def test_affine_tau_star_closed_form(self):
-        lim = limits(AffineProfile(r1=1.5, gamma=8j), ISO)
-        assert abs(lim.tau_star - np.arctan(8.0)) < 1e-12
+    def test_affine_tau_star_is_arg_of_d_inf(self):
+        profile = AffineProfile(r1=1.5, gamma=8j)
+        assert abs(profile.tau_star - np.arctan(8.0)) < 1e-12
 
-    def test_affine_d_limits(self):
-        lim = limits(AffineProfile(r1=1.5, gamma=8j), ISO)
-        assert lim.d_inf == 1.0 + 8.0j
-        assert abs(abs(lim.d_inf) - np.sqrt(65.0)) < 1e-14
-        assert abs(lim.d0 - (1.0 + 8.0j) / np.sqrt(65.0)) < 1e-15
+    def test_affine_d_inf_and_d0(self):
+        profile = AffineProfile(r1=1.5, gamma=8j)
+        assert profile.d_inf == 1.0 + 8.0j
+        assert abs(abs(profile.d_inf) - np.sqrt(65.0)) < 1e-14
+        assert abs(profile.d0 - (1.0 + 8.0j) / np.sqrt(65.0)) < 1e-15
 
     def test_sampled_route_matches_closed_form(self):
         # exponent-1 smoothed profile is the affine profile in disguise;
         # its tau_star goes through the sampling/refinement path
         smooth = SmoothedPolynomialProfile(r1=1.5, gamma=8j, exponent=1.0)
-        lim = limits(smooth, ISO)
-        assert abs(lim.tau_star - np.arctan(8.0)) < 1e-8
+        assert abs(smooth.tau_star - np.arctan(8.0)) < 1e-8
 
     def test_isotropic_psi_star_equals_tau_star(self):
-        lim = limits(AffineProfile(r1=1.5, gamma=1j), ISO)
-        assert abs(lim.psi_star - lim.tau_star) < 1e-12
-        assert not lim.psi_flagged
+        rep = admissible(AffineProfile(r1=1.5, gamma=1j), ISO, r0=1.0)
+        assert abs(rep.psi_star - rep.tau_star) < 1e-12
+        assert PSI_FLAG not in rep.messages
         # isotropic threshold is tau_star < pi/2
-        assert lim.tau_star < np.pi / 2
+        assert rep.tau_star < np.pi / 2
 
-    def test_ramp_limits(self):
+    def test_ramp_asymptotics(self):
         p = RampProfile(r1=2.0, gamma=0.5 + 2j, width=0.75, amax=1.5)
-        lim = limits(p, ISO)
-        assert lim.d_inf == pytest.approx(1.0 + 1.5 * (0.5 + 2j), abs=1e-14)
+        assert p.d_inf == pytest.approx(1.0 + 1.5 * (0.5 + 2j), abs=1e-14)
         # sup property of the sampled tau_star
         r = np.geomspace(2.0 * (1 + 1e-7), 2000.0, 4000)
         taus = np.abs(p.tau(r))
-        assert np.all(taus <= lim.tau_star + 1e-10)
+        assert np.all(taus <= p.tau_star + 1e-10)
         # densify around the sampled argmax: the sup must be attained there
         peak = r[np.argmax(taus)]
         local = np.abs(p.tau(np.linspace(0.99 * peak, 1.01 * peak, 20_001)))
-        assert np.max(local) > lim.tau_star - 1e-9
-        assert np.all(local <= lim.tau_star + 1e-10)
+        assert np.max(local) > p.tau_star - 1e-9
+        assert np.all(local <= p.tau_star + 1e-10)
 
     def test_paper_medium_flags_psi(self):
-        lim = limits(AffineProfile(r1=1.5, gamma=8j), PAPER_MEDIUM)
+        rep = admissible(AffineProfile(r1=1.5, gamma=8j), PAPER_MEDIUM, r0=1.2)
         # cos(arctan 8) ~ 0.124 < 0.75: psi loses its positive real part
-        assert lim.psi_flagged
-        assert lim.psi_star > np.pi / 2
+        assert PSI_FLAG in rep.messages
+        assert rep.psi_star > np.pi / 2
 
     @pytest.mark.parametrize("cls", PROFILE_KINDS.values(),
                              ids=PROFILE_KINDS.keys())
     def test_every_kind_has_closed_form_limit(self, cls):
-        """limits forms d_inf from alpha_tilde_limit alone, so every kind
+        """d_inf is formed from alpha_tilde_limit alone, so every kind
         must define it."""
         profile = cls(r1=1.5, gamma=0.5 + 2j)
         assert np.isfinite(profile.alpha_tilde_limit())
-        assert limits(profile, ISO).d_inf == \
+        assert profile.d_inf == \
             1.0 + profile.gamma * profile.alpha_tilde_limit()
 
     def test_rejects_decreasing_profile(self):
@@ -178,8 +176,9 @@ class TestLimits:
             def _tail_dalpha_tilde(self, r):
                 return -np.exp(-(r - self.r1)) - 1e-3
 
-        with pytest.raises(ValidationError):
-            limits(Decreasing(r1=1.0, gamma=1j), ISO)
+        with pytest.raises(ValidationError,
+                           match="profile violates scaling assumptions"):
+            Decreasing(r1=1.0, gamma=1j).check_assumptions()
 
 
 class TestModuli:
@@ -192,12 +191,11 @@ class TestModuli:
 
     def test_tau_bounded_by_tau_star_and_decays(self):
         p = AffineProfile(r1=1.5, gamma=8j)
-        lim = limits(p, ISO)
         r = np.geomspace(1.5 * (1 + 1e-9), 1500.0, 2048)
         taus = np.abs(p.tau(r))
-        assert np.all(taus <= lim.tau_star + 1e-12)
+        assert np.all(taus <= p.tau_star + 1e-12)
         # sup approached at the onset, decay in the far field
-        assert taus[0] > lim.tau_star - 1e-6
+        assert taus[0] > p.tau_star - 1e-6
         assert abs(p.tau(1500.0)) < 1e-3
 
 
