@@ -37,8 +37,9 @@ import gc
 import hashlib
 import json
 import sys
+import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from .analytic import (
     write_reference_csv,
 )
 from .eig import (
+    RESIDUAL_DROP,
     Spectrum,
     read_spectrum_csv,
     shift_invert_arnoldi,
@@ -59,6 +61,7 @@ from .eig import (
     write_spectrum_json,
 )
 from .errors import (
+    AccuracyWarning,
     ConfigError,
     IncompleteSearchError,
     SingularMatrixError,
@@ -160,18 +163,17 @@ class _Reader:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description.  Every constraint on a single value is
-    checked at parse time, before any computation starts; the sampled
-    profile-assumption checks run where the profile is used: at
-    ``solve``'s assembly stage, in ``damping`` and in ``check``'s report."""
+    """Validated run description, its scaling profile built once.  Every
+    constraint on a single value is checked at parse time, before any
+    computation starts; the sampled profile-assumption checks run where
+    the profile is used: at ``solve``'s assembly stage, in ``damping``
+    and in ``check``'s report."""
 
     sha256: str
     geometry: Geometry
     medium: Medium
-    profile_kind: str
-    gamma: complex | None
+    profile: ScalingProfile
     c: float | None
-    profile_options: tuple
     hmax: float
     p: int
     q: int
@@ -184,15 +186,12 @@ class RunConfig:
     ref_max_order: int
 
     def build_profile(self, omega_hint=None):
-        """Scaling profile for this run; frequency-dependent strengths
-        are evaluated at ``omega_hint`` (default: the shift's real part)."""
-        gamma = self.gamma
-        if self.c is not None:
-            omega = self.shift.real if omega_hint is None else float(omega_hint)
-            gamma = gamma_of_omega(self.c, omega)
-        cls = PROFILE_KINDS[self.profile_kind]
-        return cls(r1=self.geometry.r1, gamma=gamma,
-                   **dict(self.profile_options))
+        """``profile``, whose ``c`` strength is taken at the shift's real
+        part; with an ``omega_hint``, a copy with it taken there."""
+        if self.c is None or omega_hint is None:
+            return self.profile
+        return replace(self.profile,
+                       gamma=gamma_of_omega(self.c, float(omega_hint)))
 
 
 def parse_config(path) -> RunConfig:
@@ -241,9 +240,10 @@ def parse_config(path) -> RunConfig:
         if has_gamma else None
     c = reader.get("scaling", "c", float) if has_c else None
 
-    options = [(f.name, reader.get("scaling", f.name, float, default=f.default))
-               for f in fields(PROFILE_KINDS[profile_kind])
-               if f.name not in ("r1", "gamma")]
+    profile_cls = PROFILE_KINDS[profile_kind]
+    options = {f.name: reader.get("scaling", f.name, float, default=f.default)
+               for f in fields(profile_cls)
+               if f.init and f.name not in ("r1", "gamma")}
 
     hmax = reader.get("discretization", "hmax", float)
     if not 0.0 < hmax < np.inf:
@@ -290,18 +290,17 @@ def parse_config(path) -> RunConfig:
             f"{reader.path}: unknown key(s) {', '.join(unread)} (misspelt, "
             f"or not used by this obstacle or profile kind)")
 
-    config = RunConfig(
-        sha256=digest, geometry=geometry, medium=medium,
-        profile_kind=profile_kind, gamma=gamma, c=c,
-        profile_options=tuple(options), hmax=hmax, p=p, q=q, shift=shift,
-        k=k, krylov_dim=krylov_dim, out_dir=out_dir,
-        reference_csv=reference_csv, ref_box=ref_box,
-        ref_max_order=ref_max_order)
     try:
-        config.build_profile()
+        if c is not None:
+            gamma = gamma_of_omega(c, shift.real)
+        profile = profile_cls(r1=geometry.r1, gamma=gamma, **options)
     except ValidationError as exc:
         raise ConfigError(f"[scaling] {exc}") from None
-    return config
+    return RunConfig(
+        sha256=digest, geometry=geometry, medium=medium, profile=profile,
+        c=c, hmax=hmax, p=p, q=q, shift=shift, k=k, krylov_dim=krylov_dim,
+        out_dir=out_dir, reference_csv=reference_csv, ref_box=ref_box,
+        ref_max_order=ref_max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +461,8 @@ def _write_json(path: Path, document: dict):
 def cmd_check(args) -> int:
     config = parse_config(args.config)
     path, = _outputs(config, args, ["check.json"])
-    profile = config.build_profile()
     r0 = config.geometry.obstacle.extent
-    report = admissible(profile, config.medium, r0)
+    report = admissible(config.profile, config.medium, r0)
     flags = [
         ("profile-assumptions", report.profile_ok, ""),
         ("separation", report.separation_ok,
@@ -537,8 +535,7 @@ def _stage(name):
         raise
 
 
-def _solve_once(config: RunConfig, profile: ScalingProfile, seed: int,
-                layer_scale: float = 1.0):
+def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
     with _stage("mesh"):
         base = config.geometry
         geometry = Geometry(base.obstacle, base.r1,
@@ -547,13 +544,18 @@ def _solve_once(config: RunConfig, profile: ScalingProfile, seed: int,
     with _stage("assembly"):
         space = FunctionSpace(mesh, config.p)
         # one element pass assembles the pencil and condenses the bubbles
-        solver = CondensedShiftSolver(space, profile, config.medium,
+        solver = CondensedShiftSolver(space, config.profile, config.medium,
                                       config.shift ** 2)
     with _stage("factorization"):
         solver.factor()
-    with _stage("eigensolve"):
+    with _stage("eigensolve"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)  # reported below
         spectrum = shift_invert_arnoldi(
             solver, config.k, krylov_dim=config.krylov_dim, seed=seed)
+    dropped = spectrum.provenance["dropped"]
+    if dropped:
+        print(f"solve: dropped {dropped} Ritz pair(s) with residual > "
+              f"{RESIDUAL_DROP:g}", file=sys.stderr)
     return spectrum, mesh, solver.pencil
 
 
@@ -581,17 +583,14 @@ def cmd_solve(args) -> int:
     import scipy.linalg  # noqa: F401
     import scipy.sparse.linalg  # noqa: F401
 
-    # one profile for both solves, so its sampled checks run once
-    profile = config.build_profile()
     try:
         # The stretched comparison runs first: it is the larger of the
         # two problems, and solving it before the base pencil exists
         # keeps the peak footprint to one factorization at a time; only
-        # its eigenvalues are kept.
-        stretched = _solve_once(config, profile, args.seed,
-                                layer_scale=STRETCH)[0]
+        # its eigenvalues are kept.  The profile's checks run once.
+        stretched = _solve_once(config, args.seed, layer_scale=STRETCH)[0]
         gc.collect()
-        spectrum, mesh, pencil = _solve_once(config, profile, args.seed)
+        spectrum, mesh, pencil = _solve_once(config, args.seed)
         print(f"solve: {mesh.num_triangles} triangles (q={config.q}), "
               f"{pencil.size} dofs, {len(spectrum)} eigenvalues near "
               f"shift {config.shift:g}")
@@ -616,7 +615,7 @@ def cmd_solve(args) -> int:
             "layer_stretch": STRETCH,
         })
     title = (f"spectrum near shift {config.shift:g} "
-             f"({config.profile_kind} scaling)")
+             f"({config.profile.kind} scaling)")
     with _writing(svg_path):
         svg_path.write_text(
             render_spectrum_svg(spectrum, references, title=title),

@@ -376,20 +376,17 @@ def spurious_filter(base: Spectrum, stretched: Spectrum,
     ambiguous = np.zeros(n, dtype=bool)
     matched = np.zeros(n, dtype=bool)
     movement = np.full(n, np.nan)
-    if len(stretched):
-        dist = np.abs(base.omegas[:, None] - stretched.omegas[None, :])
-        for i in range(n):
-            inside = np.sort(dist[i][dist[i] < MATCH_RADIUS])
-            if inside.size == 0:
-                spurious[i] = True
-                continue
-            movement[i] = inside[0]
-            if inside.size >= 2 and inside[1] <= 2.0 * inside[0]:
-                ambiguous[i] = True
-            else:
-                matched[i] = True
-    else:
-        spurious[:] = True
+    dist = np.abs(base.omegas[:, None] - stretched.omegas[None, :])
+    for i in range(n):
+        inside = np.sort(dist[i][dist[i] < MATCH_RADIUS])
+        if inside.size == 0:
+            spurious[i] = True
+            continue
+        movement[i] = inside[0]
+        if inside.size >= 2 and inside[1] <= 2.0 * inside[0]:
+            ambiguous[i] = True
+        else:
+            matched[i] = True
     threshold = np.nan
     median = None
     floor = FLOOR_FRAC * MATCH_RADIUS

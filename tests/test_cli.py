@@ -116,7 +116,7 @@ class TestParseConfig:
     def test_full_roundtrip(self, tmp_path):
         path = write_config(tmp_path)
         config = parse_config(path)
-        assert config.gamma == 8j
+        assert config.profile.gamma == 8j
         assert config.p == 3 and config.q == 2
         assert config.shift == 1.5 - 1.0j
         assert config.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
@@ -254,9 +254,13 @@ class TestParseConfig:
             assert name in capsys.readouterr().err
 
     def test_key_of_another_profile_kind_rejected(self, tmp_path):
-        path = write_config(tmp_path, scaling={"width": "0.7"})
-        with pytest.raises(ConfigError, match=r"\[scaling\] width"):
-            parse_config(path)
+        """The affine profile fixes the family's ``exponent`` and
+        ``amax``, so, like the ramp's ``width``, they are unknown keys."""
+        for key, value in [("width", "0.7"), ("exponent", "1.0"),
+                           ("amax", "1.0")]:
+            path = write_config(tmp_path, scaling={key: value})
+            with pytest.raises(ConfigError, match=rf"\[scaling\] {key}"):
+                parse_config(path)
 
     def test_default_section_key_counts_as_read_anywhere(self, tmp_path):
         path = write_config(tmp_path, DEFAULT={"krylov_dim": "40"})
@@ -385,6 +389,25 @@ class TestSolveCommand:
             assert set(record) == {"re_omega", "im_omega", "residual",
                                    "in_lambda_d0", "spurious", "ambiguous"}
             assert record["residual"] < 1e-6
+
+    def test_dropped_pairs_reported_without_source_location(self, tmp_path):
+        """Each solve that drops Ritz pairs says so in one ``solve:`` line,
+        not as a Python warning that carries the install path and a line
+        number, so identical runs from two checkouts print the same."""
+        path = write_config(tmp_path)
+        result = subprocess.run(
+            [sys.executable, "-m", "radpml.cli", "solve", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert result.returncode == EXIT_OK
+        lines = result.stderr.splitlines()
+        document = json.loads((tmp_path / "out" / "spectrum.json").read_text())
+        dropped = document["provenance"]["dropped"]
+        assert dropped > 0
+        assert f"solve: dropped {dropped} Ritz pair(s) with residual > 1e-06" \
+            in lines
+        assert not [line for line in lines
+                    if ".py:" in line or "AccuracyWarning" in line]
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
         path = write_config(tmp_path)
@@ -849,15 +872,19 @@ class TestImportBudget:
         assert run_python(f"import sys, {module}; print({SCIPY_MODULES})") \
             == "[]"
 
-    @pytest.mark.parametrize("command", ["reference", "check", "damping",
+    @pytest.mark.parametrize("command", ["reference", "check",
+                                         "check-smoothed", "damping",
                                          "damping-ramp", "compare"])
     def test_commands_other_than_solve_leave_scipy_unloaded(self, tmp_path,
                                                             command):
-        # check sees the default config's affine profile, whose tau* has a
-        # closed form, so it needs no scipy.optimize either; damping reads
-        # d0 and d_inf alone, so even a sampled profile's tau* search,
+        # check sees affine and smoothed-polynomial profiles, whose tau*
+        # has a closed form, so it needs no scipy.optimize either; damping
+        # reads d0 and d_inf alone, so even the ramp's sampled tau* search,
         # which loads scipy.optimize, never runs there
         config = write_config(tmp_path)
+        smoothed = write_config(tmp_path, name="smoothed.cfg",
+                                scaling={"profile": "smoothed-polynomial",
+                                         "exponent": "3", "amax": "0.8"})
         ramp = write_config(tmp_path, name="ramp.cfg",
                             scaling={"profile": "constant-after-ramp"})
         out = ["--out", tmp_path / "out"]
@@ -867,6 +894,7 @@ class TestImportBudget:
         argv = {
             "reference": ["reference", REPO / "configs" / "disk.cfg", *out],
             "check": ["check", config, *out],
+            "check-smoothed": ["check", smoothed, *out],
             "damping": ["damping", config, *out],
             "damping-ramp": ["damping", ramp, *out],
             "compare": ["compare", spectrum,

@@ -401,6 +401,15 @@ class TestSpuriousFilter:
         result = spurious_filter(base, stretched, stretch=1.5)
         assert list(result.spurious) == [False, False, True]
 
+    def test_empty_stretched_spectrum_flags_everything(self):
+        base = make_spectrum([1.0 - 0.1j, 2.0 - 0.2j, 5.0 - 3.0j])
+        result = spurious_filter(base, make_spectrum([]), stretch=1.5)
+        assert result.spurious.all()
+        assert not result.ambiguous.any()
+        assert result.provenance["movements"] == [None, None, None]
+        assert result.provenance["median_movement"] is None
+        assert np.isnan(result.provenance["move_threshold"])
+
     def test_ambiguous_match_not_spurious(self):
         base = make_spectrum([1.0 - 0.1j, 4.0 - 0.5j])
         stretched = make_spectrum([0.9 - 0.1j, 1.1 - 0.1j, 4.0 - 0.5j])

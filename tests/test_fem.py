@@ -488,7 +488,7 @@ k = 4
 
         monkeypatch.setattr(fem_module, "_element_blocks", counting)
         config = parse_config(config_path)
-        _, mesh, _ = _solve_once(config, config.build_profile(), seed=0)
+        _, mesh, _ = _solve_once(config, seed=0)
         assert sorted(seen) == list(range(mesh.num_triangles))
 
 

@@ -14,7 +14,7 @@ from radpml import (
     min_stabilizing_c,
 )
 
-from radpml.scaling import PROFILE_KINDS
+from radpml.scaling import PROFILE_KINDS, ScalingProfile
 
 ISO = Medium(np.eye(2))
 PAPER_MEDIUM = Medium(np.diag([0.25, 1.0]))
@@ -51,6 +51,14 @@ class TestEval:
         assert p.d_tilde(3.0) == pytest.approx(1.0 + 4.0j, abs=1e-14)
         assert p.d(3.0) == pytest.approx(1.0 + 8.0j, abs=1e-13)
         assert p.r_tilde(3.0) == pytest.approx(3.0 + 12.0j, abs=1e-13)
+
+    def test_affine_is_bitwise_its_own_formula(self):
+        """The family's (r1/r)**1.0 and r**2.0 must round as r1/r and
+        r**2 do, or every affine artifact would move in its last bits."""
+        p = AffineProfile(r1=1.5, gamma=8j)
+        r = np.geomspace(1.5001, 1500.0, 10_001)
+        assert np.array_equal(p.alpha_tilde(r), 1.0 - 1.5 / r)
+        assert np.array_equal(p.dalpha_tilde(r), 1.5 / r**2)
 
     def test_array_evaluation(self):
         p = RampProfile(r1=1.0, gamma=1j, width=0.5)
@@ -127,10 +135,30 @@ class TestLimits:
         assert abs(profile.d0 - (1.0 + 8.0j) / np.sqrt(65.0)) < 1e-15
 
     def test_sampled_route_matches_closed_form(self):
-        # exponent-1 smoothed profile is the affine profile in disguise;
-        # its tau_star goes through the sampling/refinement path
+        # the base class's sampling/refinement route, called explicitly
+        # on profiles whose own tau_star is the closed form
+        sampled = ScalingProfile.tau_star.func
         smooth = SmoothedPolynomialProfile(r1=1.5, gamma=8j, exponent=1.0)
-        assert abs(smooth.tau_star - np.arctan(8.0)) < 1e-8
+        assert abs(sampled(smooth) - np.arctan(8.0)) < 1e-8
+        # the onset jump of a steep profile: sampling stays just below it
+        steep = SmoothedPolynomialProfile(r1=1.5, gamma=8j, exponent=3.0,
+                                          amax=0.8)
+        exact = np.arctan(8.0 * 0.8 * 3.0)
+        assert exact - 1e-7 < sampled(steep) <= exact
+
+    @pytest.mark.parametrize("exponent,amax", [(1.0, 1.0), (2.0, 1.0),
+                                               (3.0, 0.8), (1.5, 2.5)])
+    def test_polynomial_tau_star_is_onset_limit(self, exponent, amax):
+        """tau_star = |arg(1 + gamma amax m)|: the sup of |tau|, reached
+        as r -> r1+."""
+        p = SmoothedPolynomialProfile(r1=1.5, gamma=0.5 + 2j,
+                                      exponent=exponent, amax=amax)
+        assert abs(p.tau_star
+                   - abs(np.angle(1.0 + p.gamma * amax * exponent))) < 1e-15
+        r = np.geomspace(1.5 * (1 + 1e-12), 1500.0, 20_001)
+        taus = np.abs(p.tau(r))
+        assert np.all(taus <= p.tau_star + 1e-15)
+        assert taus[0] > p.tau_star - 1e-10
 
     def test_isotropic_psi_star_equals_tau_star(self):
         rep = admissible(AffineProfile(r1=1.5, gamma=1j), ISO, r0=1.0)
