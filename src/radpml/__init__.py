@@ -9,7 +9,6 @@ scaled kernel, Hankel-root references) needed to validate the runs.
 """
 
 from .errors import (
-    AccuracyWarning,
     ConfigError,
     IncompleteSearchError,
     SingularMatrixError,

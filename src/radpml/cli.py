@@ -37,7 +37,6 @@ import gc
 import hashlib
 import json
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -61,7 +60,6 @@ from .eig import (
     write_spectrum_json,
 )
 from .errors import (
-    AccuracyWarning,
     ConfigError,
     IncompleteSearchError,
     SingularMatrixError,
@@ -507,8 +505,7 @@ def cmd_reference(args) -> int:
         print(f"reference: incomplete search: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
     except ValidationError as exc:
-        print(f"config error: [reference] {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"[reference] {exc}") from None
     with _writing(path):
         write_reference_csv(refs, path)
     _write_json(json_path, {
@@ -548,8 +545,7 @@ def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
                                       config.shift ** 2)
     with _stage("factorization"):
         solver.factor()
-    with _stage("eigensolve"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", AccuracyWarning)  # reported below
+    with _stage("eigensolve"):
         spectrum = shift_invert_arnoldi(
             solver, config.k, krylov_dim=config.krylov_dim, seed=seed)
     dropped = spectrum.provenance["dropped"]

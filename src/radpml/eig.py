@@ -18,14 +18,15 @@ operator's minimal polynomial, so there is nothing to restart.
 
 Every returned eigenvalue carries the relative residual of its Ritz
 vector on the full pencil (``rayleigh_residual``); pairs worse than 1e-6
-are dropped with a warning (Ritz clutter near the shift is expected, not
-an error).  The Arnoldi relation gives every pair's residual from one
-product with the next basis vector, so a pair whose estimate exceeds ten
-times that gate is dropped without forming its Ritz vector; the others
-are formed only to measure the residual and are not kept.  Validity
-against the scaled-resolvent region is flagged per eigenvalue:
-in_lambda_d0 is False exactly when |Re(i omega d0)| <= 1e-10 for the
-asymptotic direction d0 that the solver took from its own profile.
+are dropped and counted in ``provenance["dropped"]`` (Ritz clutter near
+the shift is expected, not an error).  The Arnoldi relation gives every
+pair's residual from one product with the next basis vector, so a pair
+whose estimate exceeds ten times that gate is dropped without forming
+its Ritz vector; the others are formed only to measure the residual and
+are not kept.  Validity against the scaled-resolvent region is flagged
+per eigenvalue: in_lambda_d0 is False exactly when |Re(i omega d0)| <=
+1e-10 for the asymptotic direction d0 that the solver took from its own
+profile.
 
 Spurious-mode detection compares the spectrum with that of the same
 problem with the damping layer widened by a stretch factor, matching the
@@ -47,12 +48,11 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AccuracyWarning, SingularMatrixError, ValidationError
+from .errors import SingularMatrixError, ValidationError
 
 __all__ = [
     "sparse_lu",
@@ -320,10 +320,6 @@ def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
             continue
         kept_omega.append(omega)
         kept_res.append(res)
-    if dropped:
-        warnings.warn(
-            f"dropped {dropped} Ritz pair(s) with residual > {RESIDUAL_DROP:g}",
-            AccuracyWarning, stacklevel=2)
 
     omegas = np.array(kept_omega, dtype=complex)
     residuals = np.array(kept_res, dtype=float)

@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-Five types, one per way a run can go wrong:
+Four types, one per way a run can go wrong:
 
 * ``ValidationError`` (ValueError): the arguments are wrong — a
   malformed value, an argument outside the supported domain, an unmet
@@ -12,8 +12,6 @@ Five types, one per way a run can go wrong:
   pencil.
 * ``IncompleteSearchError`` (RuntimeError): a root search did not
   locate the roots it certified.
-* ``AccuracyWarning`` (UserWarning): a result is returned with a
-  self-check that suggests reduced accuracy.
 
 The CLI maps each type to an exit code in one place per command:
 ``ConfigError`` exits 64 from every command; ``solve`` reports a
@@ -43,8 +41,3 @@ class SingularMatrixError(RuntimeError):
 class IncompleteSearchError(RuntimeError):
     """Root search found fewer (or more) roots than the argument
     principle certifies for the region."""
-
-
-class AccuracyWarning(UserWarning):
-    """Result is returned but an internal self-check suggests reduced
-    accuracy."""

@@ -233,7 +233,10 @@ class SmoothedPolynomialProfile(ScalingProfile):
 
     ``m = 1, amax = 1`` is the affine profile; larger exponents steepen
     the onset (alpha jumps to m*amax at r1+) while keeping both
-    alpha_tilde and alpha bounded.
+    alpha_tilde and alpha bounded.  The slope is evaluated as
+    amax m r1^m / r^(m+1); an exponent for which that overflows or
+    underflows already at r1 is rejected, and beyond r1 an overflowing
+    r^(m+1) gives the slope's limit 0.
     """
 
     exponent: float = 2.0
@@ -247,13 +250,22 @@ class SmoothedPolynomialProfile(ScalingProfile):
             raise ValidationError(f"exponent must be >= 1, got {self.exponent!r}")
         if not (np.isfinite(self.amax) and self.amax > 0.0):
             raise ValidationError(f"amax must be positive, got {self.amax!r}")
+        with np.errstate(all="ignore"):  # the family's own formula at r1
+            onset_slope = SmoothedPolynomialProfile._tail_dalpha_tilde(
+                self, np.float64(self.r1))
+        if not (np.isfinite(onset_slope) and onset_slope > 0.0):
+            raise ValidationError(
+                f"exponent {self.exponent:g} is too large for r1 = "
+                f"{self.r1:g}: amax*m*r1^m / r1^(m+1) is not representable "
+                f"in double precision")
 
     def _tail_alpha_tilde(self, r):
         return self.amax * (1.0 - (self.r1 / r) ** self.exponent)
 
     def _tail_dalpha_tilde(self, r):
         m = self.exponent
-        return self.amax * m * self.r1**m / r ** (m + 1.0)
+        with np.errstate(over="ignore"):
+            return self.amax * m * np.float64(self.r1) ** m / r ** (m + 1.0)
 
     def alpha_tilde_limit(self):
         return self.amax

@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -335,7 +336,9 @@ class TestReferenceCommand:
     def test_bad_box_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, reference={"re_lo": "-0.5"})
         assert main(["reference", str(path)]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: [reference] search box must lie strictly in the "
+            "right half-plane\n")
 
     @pytest.mark.parametrize("key, value", [("re_lo", "nan"),
                                             ("im_lo", "-inf")])
@@ -735,6 +738,32 @@ class TestDampingCommand:
         assert not (tmp_path / "out" / "damping.json").exists()
 
 
+class TestLargeExponent:
+    """On r1 = 1.5, exponent 97 overflows r^(m+1) on the sampled radii,
+    and exponent 1751 overflows r1^m itself: every command runs the
+    first without a numpy warning and rejects the second as a
+    ``[scaling]`` config error instead of an OverflowError traceback."""
+
+    @pytest.mark.parametrize("command", ["check", "damping", "solve"])
+    def test_overflowing_power_is_silent(self, tmp_path, command):
+        path = write_config(tmp_path, scaling={
+            "profile": "smoothed-polynomial", "exponent": "97"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["check", "damping", "solve"])
+    def test_unrepresentable_slope_is_config_error(self, tmp_path, capsys,
+                                                   command):
+        path = write_config(tmp_path, scaling={
+            "profile": "smoothed-polynomial", "exponent": "1751"})
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [scaling] exponent 1751 is too large for r1 = "
+            "1.5: amax*m*r1^m / r1^(m+1) is not representable in double "
+            "precision\n")
+
+
 class TestOutputPaths:
     """An output directory or artifact path that cannot be made or written
     is a config error naming the path, raised before any computation."""
@@ -956,7 +985,7 @@ class TestReadme:
 
 
 class TestPublicNames:
-    def test_five_error_types(self):
+    def test_four_error_types(self):
         """One type per outcome; ``ConfigError`` stands outside the
         ``ValidationError`` tree, so a section's conversion never
         re-prefixes the reader's own errors."""
@@ -965,9 +994,8 @@ class TestPublicNames:
         names = sorted(name for name, value in vars(errors).items()
                        if isinstance(value, type)
                        and issubclass(value, Exception))
-        assert names == ["AccuracyWarning", "ConfigError",
-                         "IncompleteSearchError", "SingularMatrixError",
-                         "ValidationError"]
+        assert names == ["ConfigError", "IncompleteSearchError",
+                         "SingularMatrixError", "ValidationError"]
         assert issubclass(ConfigError, ValueError)
         assert not issubclass(ConfigError, ValidationError)
         assert cli_module._PIPELINE_ERRORS == (ValidationError,

@@ -94,6 +94,15 @@ class TestValidation:
             SmoothedPolynomialProfile(r1=1.0, gamma=1j, exponent=0.5)
         with pytest.raises(ValidationError):
             RampProfile(r1=1.0, gamma=1j, width=1.0, amax=-1.0)
+        # amax is checked before it enters amax*m*r1^m, whose overflow
+        # (r1 > 1) or underflow (r1 < 1) rejects the exponent
+        with pytest.raises(ValidationError, match="amax must be positive"):
+            SmoothedPolynomialProfile(r1=1.5, gamma=1j, exponent=1751.0,
+                                      amax=float("nan"))
+        for r1, exponent in [(1.5, 1733.0), (1e-3, 200.0)]:
+            with pytest.raises(ValidationError, match="too large"):
+                SmoothedPolynomialProfile(r1=r1, gamma=1j, exponent=exponent)
+        SmoothedPolynomialProfile(r1=1.5, gamma=1j, exponent=1732.0)
 
 
 class TestDerivativeIdentity:
