@@ -281,11 +281,8 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction):
     Raises
     ------
     ValidationError
-        If the profile fails its sampled assumption checks, or
-        Re(i omega d0) >= 0 (no damping guaranteed).  The checks run once
-        per profile object, however many rays share it.
+        If Re(i omega d0) >= 0 (no damping guaranteed).
     """
-    profile.check_assumptions()
     omega = complex(omega)
     re_iwd0 = (1j * omega * profile.d0).real
     if re_iwd0 >= 0.0:

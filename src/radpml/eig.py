@@ -32,8 +32,8 @@ Spurious-mode detection compares the spectrum with that of the same
 problem with the damping layer widened by a stretch factor, matching the
 two by nearest neighbor: genuine resonances are insensitive to the
 layer, discretization artifacts either lose their partner or travel
-far.  Matches with two candidates inside the search radius are flagged
-ambiguous instead of spurious.
+far.  A match whose runner-up candidate lies within twice the nearest
+distance is flagged ambiguous instead of spurious.
 
 Every factorization goes through SuperLU with its minimum-degree
 ordering on A^T + A, in symmetric mode with diagonal pivoting.  A solve

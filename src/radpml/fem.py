@@ -368,14 +368,12 @@ class CondensedShiftSolver:
 
     Construction is the one element pass of a solve: each chunk's K and
     M blocks are scattered into the pencil (``pencil``) and condensed in
-    the same sweep.  ``solve`` needs ``factor`` to have run.  ``d0``, the
-    profile's asymptotic direction, is read after the profile passes its
-    sampled assumption checks, before the pass.
+    the same sweep.  ``solve`` needs ``factor`` to have run.  ``d0`` is
+    the profile's asymptotic direction.
     """
 
     def __init__(self, space: FunctionSpace, profile: ScalingProfile,
                  medium: Medium, shift_sq: complex):
-        profile.check_assumptions()
         self.d0 = profile.d0
         p = space.p
         ns_local = 3 * p                      # vertex + edge modes

@@ -17,11 +17,13 @@ eigenvalue extremes ``s_min <= s_max`` the sufficient coercivity test is
 
     cos(tau_star) > 1 - s_min/s_max .
 
-The data that depend on the scaling alone (``d_inf``, ``d0``,
-``tau_star`` and the sampled assumption checks) are properties of the
-profile, computed once per profile object on first use; ``admissible``
-combines them with the medium.  All profile evaluation methods accept
-scalars or numpy arrays.
+A constructor runs the kind's parameter checks, then sampled checks of
+the assumptions (alpha_tilde vanishes up to r1, is non-decreasing and
+bounded), and raises ``ValidationError`` if one fails: every profile
+object is valid.  ``d_inf``, ``d0`` and the exact ``tau_star`` depend on
+the scaling alone and are computed once per profile object;
+``admissible`` combines them with the medium.  All profile evaluation
+methods accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ __all__ = [
     "min_stabilizing_c",
 ]
 
-#: number of sample points for supremum searches over (r1, 1e3*r1]
+#: number of geometric sample points of the assumption checks over (r1, 1e3*r1]
 _SUP_SAMPLES = 2048
 
 
@@ -59,7 +61,8 @@ def _as_radius_array(r):
 
 @dataclass(frozen=True)
 class ScalingProfile:
-    """Base class for radial scaling profiles.
+    """Base class for radial scaling profiles; construction raises
+    ``ValidationError`` unless the profile meets the scaling assumptions.
 
     Parameters
     ----------
@@ -84,6 +87,11 @@ class ScalingProfile:
             raise ValidationError(
                 f"gamma must satisfy Re >= 0 and Im > 0, got {g!r}")
         object.__setattr__(self, "gamma", g)
+        self._check_parameters()
+        violations = _assumption1_violations(self)
+        if violations:
+            raise ValidationError("profile violates scaling assumptions: "
+                                  + "; ".join(violations))
 
     # -- hooks implemented by concrete kinds (r strictly beyond r1) ------
 
@@ -98,11 +106,22 @@ class ScalingProfile:
         every kind defines it, and ``d_inf`` is formed from it."""
         raise NotImplementedError
 
+    def _check_parameters(self):
+        """The kind's parameter checks, run before the sampled ones."""
+
     def _extra_sample_points(self) -> np.ndarray:
         """Kind-specific radii that a geometric grid may undersample."""
         return np.empty(0)
 
+    def _transition_end(self) -> float:
+        """Radius beyond which the far-field checks probe the profile."""
+        return self.r1
+
+    #: k with tau_star = |arg(1 + gamma k)| for all gamma; None if no such k
+    phase_gain = None
+
     # -- asymptotic data, computed once per profile ----------------------
+    # (each kind defines tau_star = sup over r > r1 of |tau(r)| exactly)
 
     @cached_property
     def d_inf(self) -> complex:
@@ -114,37 +133,6 @@ class ScalingProfile:
         """Asymptotic direction d_inf/|d_inf|: discrete eigenvalues are
         valid in the region Lambda_d0 it bounds."""
         return complex(self.d_inf / abs(self.d_inf))
-
-    @cached_property
-    def tau_star(self) -> float:
-        """sup over r > r1 of |tau(r)|: dense geometric sampling of
-        (r1, 1e3*r1], then bounded Brent refinement around the sampled
-        maximum.  The polynomial family overrides it with its closed
-        form, so only the ramp searches."""
-        # imported here: loading scipy.optimize with the package would slow
-        # the start-up of every command
-        import scipy.optimize
-
-        grid = _tail_grid(self, 1.0 + 1e-9)
-        vals = np.abs(self.tau(grid))
-        i = int(np.argmax(vals))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, grid.size - 1)]
-        refined = scipy.optimize.minimize_scalar(
-            lambda r: -abs(self.tau(r)), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12})
-        return float(max(vals[i], -refined.fun))
-
-    @cached_property
-    def assumption_violations(self) -> tuple:
-        """The sampled profile-assumption checks that fail; empty if clean."""
-        return tuple(_assumption1_violations(self))
-
-    def check_assumptions(self):
-        """Raise ValidationError if any sampled assumption check fails."""
-        if self.assumption_violations:
-            raise ValidationError("profile violates scaling assumptions: "
-                                  + "; ".join(self.assumption_violations))
 
     # -- pointwise quantities -------------------------------------------
 
@@ -201,8 +189,7 @@ class RampProfile(ScalingProfile):
 
     kind: ClassVar[str] = "constant-after-ramp"
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_parameters(self):
         if not (np.isfinite(self.width) and self.width > 0.0):
             raise ValidationError(f"ramp width must be positive, got {self.width!r}")
         if not (np.isfinite(self.amax) and self.amax > 0.0):
@@ -226,6 +213,29 @@ class RampProfile(ScalingProfile):
     def _extra_sample_points(self):
         return self.r1 + self.width * np.linspace(1.0e-6, 1.0, 512)
 
+    def _transition_end(self):
+        return self.r1 + self.width
+
+    @cached_property
+    def tau_star(self) -> float:
+        """max |tau| over the ramp, beyond which tau vanishes.  With
+        x1 = alpha_tilde and x2 = alpha polynomials in t = (r - r1)/width,
+        tau' = Im(gamma) (x1'/|1 + gamma x1|^2 - x2'/|1 + gamma x2|^2), so
+        |tau| peaks at a real root in (0, 1) of the degree-14 numerator.
+        Every root's real part is tried, clipped to [0, 1]: no point of
+        the ramp overestimates the maximum."""
+        poly = np.polynomial.Polynomial
+        smooth = poly([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
+        x1 = self.amax * smooth
+        x2 = self.amax * (poly([self.r1 / self.width, 1.0]) * smooth.deriv()
+                          + smooth)
+        g = self.gamma
+        mod1, mod2 = (1.0 + 2.0 * g.real * x + abs(g) ** 2 * x * x
+                      for x in (x1, x2))
+        roots = (x1.deriv() * mod2 - x2.deriv() * mod1).roots()
+        t = np.clip(roots.real, 0.0, 1.0)
+        return float(np.max(np.abs(self.tau(self.r1 + self.width * t))))
+
 
 @dataclass(frozen=True)
 class SmoothedPolynomialProfile(ScalingProfile):
@@ -244,8 +254,7 @@ class SmoothedPolynomialProfile(ScalingProfile):
 
     kind: ClassVar[str] = "smoothed-polynomial"
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_parameters(self):
         if not (np.isfinite(self.exponent) and self.exponent >= 1.0):
             raise ValidationError(f"exponent must be >= 1, got {self.exponent!r}")
         if not (np.isfinite(self.amax) and self.amax > 0.0):
@@ -270,13 +279,17 @@ class SmoothedPolynomialProfile(ScalingProfile):
     def alpha_tilde_limit(self):
         return self.amax
 
+    @property
+    def phase_gain(self) -> float:
+        """amax m, the limit of alpha as r -> r1+."""
+        return self.amax * self.exponent
+
     @cached_property
     def tau_star(self) -> float:
         """Closed form arg(1 + gamma amax m): arg(1 + gamma x) increases
         with x >= 0, and as r -> r1+ alpha_tilde >= 0 is smallest (0) and
         alpha = amax (1 + (m - 1)(r1/r)^m) largest (amax m)."""
-        k = self.amax * self.exponent
-        return abs(float(np.angle(1.0 + self.gamma * k)))
+        return abs(float(np.angle(1.0 + self.gamma * self.phase_gain)))
 
 
 @dataclass(frozen=True)
@@ -303,17 +316,9 @@ PROFILE_KINDS = {cls.kind: cls for cls in (
 # sampled profile checks
 # ---------------------------------------------------------------------------
 
-def _tail_grid(profile: ScalingProfile, start: float) -> np.ndarray:
-    """Geometric radii from start*r1 to 1e3*r1, with the kind's extra points."""
-    grid = profile.r1 * np.geomspace(start, 1e3, _SUP_SAMPLES)
-    extra = profile._extra_sample_points()
-    if extra.size:
-        grid = np.sort(np.concatenate([grid, extra]))
-    return grid
-
-
 def _assumption1_violations(profile: ScalingProfile) -> list:
-    """Sampled checks of the profile assumptions; empty list if clean."""
+    """Sampled checks of the profile assumptions, run by the constructor;
+    empty list if clean."""
     r1 = profile.r1
     bad = []
     below = np.linspace(0.0, r1, 33)
@@ -321,7 +326,10 @@ def _assumption1_violations(profile: ScalingProfile) -> list:
         bad.append("alpha_tilde does not vanish on [0, r1]")
     if abs(profile.alpha_tilde(r1 * (1.0 + 1e-12))) > 1e-9:
         bad.append("alpha_tilde is not continuous at r1")
-    grid = _tail_grid(profile, 1.0 + 1e-6)
+    # geometric radii from r1 to 1e3*r1, with the kind's extra points
+    grid = np.sort(np.concatenate([
+        r1 * np.geomspace(1.0 + 1e-6, 1e3, _SUP_SAMPLES),
+        profile._extra_sample_points()]))
     at = profile.alpha_tilde(grid)
     a = profile.alpha(grid)
     if not (np.all(np.isfinite(at)) and np.all(np.isfinite(a))):
@@ -365,7 +373,6 @@ class AdmissibilityReport:
     sufficient only, and configurations that fail it are still solvable.
     """
 
-    profile_ok: bool                    # (a) sampled profile assumptions
     separation_ok: bool                 # (b) r1 > (s_max/s_min) * r0
     coercivity_ok: bool                 # (c) cos tau_star > 1 - s_min/s_max
     far_field_ok: bool                  # tau and symbol derivative decay
@@ -374,13 +381,12 @@ class AdmissibilityReport:
     psi_star: float
     cos_tau_star: float
     threshold: float                    # anisotropy degree 1 - s_min/s_max
-    min_c: float
+    min_c: float | None                 # None: no bound known
     messages: tuple = field(default_factory=tuple)
 
     @property
     def all_ok(self) -> bool:
-        return (self.profile_ok and self.separation_ok
-                and self.coercivity_ok and self.far_field_ok)
+        return self.separation_ok and self.coercivity_ok and self.far_field_ok
 
 
 def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> AdmissibilityReport:
@@ -396,45 +402,32 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
     Returns
     -------
     AdmissibilityReport
-        Flags (a) profile assumptions, (b) obstacle/onset separation
-        r1 > (s_max/s_min)*r0, (c) coercivity cos tau_star > threshold,
-        and the far-field decay checks, plus the numbers behind them.
-        psi_star follows from tau_star because |sin tau(r)| is maximized
-        exactly where |tau| is (tau has one sign).
+        Flags (b) obstacle/onset separation r1 > (s_max/s_min)*r0,
+        (c) coercivity cos tau_star > threshold, and the far-field decay
+        checks, plus the numbers behind them; (a), the profile
+        assumptions, holds for every profile object.  psi_star follows
+        from tau_star because |sin tau(r)| is maximized exactly where
+        |tau| is (tau has one sign).  The messages say only what no flag
+        does: the far-field numbers, and a psi_star beyond pi/2.
     """
-    msgs = list(profile.assumption_violations)
-
+    msgs = []
     separation_ok, bound = _separation(profile.r1, medium, r0)
-    if not separation_ok:
-        msgs.append(
-            f"separation fails: r1 = {profile.r1:g} <= (s_max/s_min)*r0 = {bound:g}")
-
     tau_star = profile.tau_star
     threshold = anisotropy_degree(medium)
     cos_tau_star = float(np.cos(tau_star))
     coercivity_ok = cos_tau_star > threshold
-    if not coercivity_ok:
-        msgs.append(
-            f"coercivity condition fails: cos(tau_star) = {cos_tau_star:.5f} "
-            f"<= 1 - s_min/s_max = {threshold:.5f} (sufficient condition only)")
 
     # far-field behaviour: the phase lag and the radial derivative of the
-    # normalized stretch must decay
-    r_far = 1e3 * profile.r1
-    r_mid = 10.0 * profile.r1
-    tau_far = abs(profile.tau(r_far))
-
-    def unit_slope(rr):
-        h = 1e-6 * rr
-        lo = profile.d_tilde(rr - h)
-        hi = profile.d_tilde(rr + h)
-        return abs(hi / abs(hi) - lo / abs(lo)) / (2.0 * h)
-
-    s_mid, s_far = unit_slope(r_mid), unit_slope(r_far)
+    # normalized stretch must decay beyond the profile's transition
+    radii = np.array([10.0, 1e3]) * profile._transition_end()
+    tau_far = abs(profile.tau(radii[1]))
+    # |d/dr (d_tilde/|d_tilde|)| = |d/dr arg d_tilde|, in closed form
+    s_mid, s_far = (profile.gamma.imag * np.abs(profile.dalpha_tilde(radii))
+                    / np.abs(profile.d_tilde(radii)) ** 2)
     far_field_ok = tau_far < 1e-3 and (s_far < 1e-12 or s_far < 0.2 * s_mid)
     if not far_field_ok:
         msgs.append(
-            f"far-field decay not observed: |tau({r_far:g})| = {tau_far:.2e}, "
+            f"far-field decay not observed: |tau({radii[1]:g})| = {tau_far:.2e}, "
             f"unit-stretch slope {s_mid:.2e} -> {s_far:.2e}")
 
     # psi_star is still reported when a <= 0, where the coercivity
@@ -444,7 +437,6 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
         msgs.append("psi_star is the argument of a number with non-positive real part")
 
     return AdmissibilityReport(
-        profile_ok=not profile.assumption_violations,
         separation_ok=bool(separation_ok),
         coercivity_ok=bool(coercivity_ok),
         far_field_ok=bool(far_field_ok),
@@ -453,7 +445,7 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
         psi_star=float(np.arctan2(medium.sigma_max * np.sin(tau_star), a)),
         cos_tau_star=cos_tau_star,
         threshold=float(threshold),
-        min_c=min_stabilizing_c(medium),
+        min_c=min_stabilizing_c(medium, profile.phase_gain),
         messages=tuple(msgs),
     )
 
@@ -479,17 +471,21 @@ def gamma_of_omega(c: float, omega: float) -> complex:
     return 1.0 / (c - 1j * float(omega))
 
 
-def min_stabilizing_c(medium: Medium) -> float:
+def min_stabilizing_c(medium: Medium, k: float | None = 1.0) -> float | None:
     """Smallest c >= 0 making the frequency-uniform phase bound coercive.
 
-    The affine profile with gamma(omega) = 1/(c - i*omega) satisfies
-    cos(tau_star) >= 1/sqrt(1 + 1/(4(c^2+c))); this returns the infimum
-    of c for which that lower bound exceeds 1 - s_min/s_max.  Isotropic
-    media return 0 (any positive c works).
+    With gamma(omega) = 1/(c - i*omega), a profile with tau_star =
+    |arg(1 + gamma k)| (its ``phase_gain``; k = 1 is affine) satisfies
+    cos(tau_star) >= 1/sqrt(1 + k^2/(4c(c+k))); this returns k times the
+    affine infimum of c for which that bound exceeds 1 - s_min/s_max.
+    Isotropic media return 0 (any positive c works, for every profile);
+    otherwise ``k = None`` (no such closed form) returns None.
     """
     q = anisotropy_degree(medium)
     if q <= 0.0:
         return 0.0
+    if k is None:
+        return None
     # 1/sqrt(1 + 1/(4(c^2+c))) > q  <=>  c^2 + c > q^2 / (4 (1 - q^2))
     t = q * q / (4.0 * (1.0 - q * q))
-    return float(0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * t)))
+    return float(k * 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * t)))

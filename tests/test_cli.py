@@ -322,6 +322,57 @@ class TestCheckCommand:
         assert document["min_stabilizing_c"] == pytest.approx(
             (np.sqrt(16.0 / 7.0) - 1.0) / 2.0, rel=1e-14)
 
+    def test_each_failing_condition_reported_once(self, tmp_path, capsys):
+        """A failing flag line is the one report of its condition; the
+        notes add only what no flag line says."""
+        code = main(["check", str(REPO / "configs" / "ellipse.cfg"),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONDITION
+        assert capsys.readouterr().out == (
+            "check: separation: FAIL (r1 = 1.5, required > 4)\n"
+            "check: coercivity: FAIL (cos(tau*) = 0.124035, "
+            "threshold = 0.75)\n"
+            "check: far-field-decay: PASS\n"
+            "check: tau* = 1.44644133, psi* = 2.13358179, "
+            "min stabilizing c = 0.255928946\n"
+            "check: note: psi_star is the argument of a number with "
+            "non-positive real part\n"
+            "check: FAIL (sufficient conditions are not all met; the "
+            "problem may still be solvable)\n")
+        document = json.loads((tmp_path / "check.json").read_text())
+        assert set(document["flags"]) == {"separation", "coercivity",
+                                          "far-field-decay"}
+
+    @pytest.mark.parametrize("scaling, printed, value", [
+        ({"profile": "smoothed-polynomial", "exponent": "3", "amax": "0.8"},
+         "0.61422947", 2.4 * (np.sqrt(16.0 / 7.0) - 1.0) / 2.0),
+        ({"profile": "constant-after-ramp"}, "none known", None)],
+        ids=["smoothed", "ramp"])
+    def test_min_stabilizing_c_follows_the_profile_kind(
+            self, tmp_path, capsys, scaling, printed, value):
+        """On configs/ellipse.cfg's medium the polynomial family's c is
+        amax m times the affine one, and the ramp has no known bound; an
+        isotropic medium needs none for any kind."""
+        path = write_config(
+            tmp_path, scaling=scaling,
+            medium={"sigma_xx": "0.25", "sigma_xy": "0.0", "sigma_yy": "1.0"})
+        assert main(["check", str(path)]) == EXIT_CONDITION
+        assert f"min stabilizing c = {printed}\n" in capsys.readouterr().out
+        document = json.loads((tmp_path / "out" / "check.json").read_text())
+        assert document["min_stabilizing_c"] == (
+            None if value is None else pytest.approx(value, rel=1e-15))
+        isotropic = write_config(tmp_path, name="iso.cfg", scaling=scaling)
+        assert main(["check", str(isotropic)]) == EXIT_OK
+        assert "min stabilizing c = 0\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("width", ["3000", "1e5"])
+    def test_wide_ramp_passes_far_field_decay(self, tmp_path, capsys, width):
+        """The far-field probes lie beyond the ramp, where it is constant."""
+        path = write_config(tmp_path, scaling={
+            "profile": "constant-after-ramp", "width": width})
+        assert main(["check", str(path)]) == EXIT_OK
+        assert "check: far-field-decay: PASS\n" in capsys.readouterr().out
+
 
 class TestReferenceCommand:
     def test_writes_roots(self, tmp_path, capsys):
@@ -469,18 +520,6 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert f"error at stage {stage}: synthetic {stage} failure" in err
-
-    def test_profile_failing_assumptions_stops_at_assembly(self, tmp_path,
-                                                           capsys):
-        """The solver checks the profile and reads its d0 before the
-        element pass, so the failing profile is reported after the first
-        mesh."""
-        path = write_config(
-            tmp_path, discretization={"hmax": "0.8"},
-            scaling={"profile": "constant-after-ramp", "width": "1e-9"})
-        assert main(["solve", str(path)]) == EXIT_FAILURE
-        assert "solve: error at stage assembly: profile violates scaling " \
-            "assumptions" in capsys.readouterr().err
 
     def test_missing_reference_table_is_config_error(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -717,25 +756,44 @@ class TestDampingCommand:
         assert main(["damping", str(path), "--rays", "0"]) == EXIT_OK
         assert "0 rays evaluated" in capsys.readouterr().out
 
-    def test_profile_failing_assumptions_is_hypothesis_violation(
-            self, tmp_path, capsys):
-        """A ramp of width 1e-9 is not continuous at r1 at the sampled
-        scale: exit 2 before any ray, with no damping.json."""
-        path = write_config(tmp_path, scaling={
-            "profile": "constant-after-ramp", "width": "1e-9"})
-        assert main(["damping", str(path)]) == EXIT_CONDITION
-        captured = capsys.readouterr()
-        assert "damping: hypothesis violation: profile violates scaling " \
-            "assumptions: alpha_tilde is not continuous at r1" in captured.err
-        assert "angle" not in captured.out
-        assert not (tmp_path / "out" / "damping.json").exists()
-
     @pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
     def test_non_finite_omega_is_config_error(self, tmp_path, capsys, omega):
         path = write_config(tmp_path)
         assert main(["damping", str(path), f"--omega={omega}"]) == EXIT_CONFIG
         assert "--omega must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "damping.json").exists()
+
+
+class TestFailingProfile:
+    """A profile that fails the sampled assumption checks cannot be
+    built, so every command that reads the config rejects it as a
+    ``[scaling]`` config error before it computes or writes anything."""
+
+    @pytest.mark.parametrize("width, reason", [
+        ("1e-9", "alpha_tilde is not continuous at r1"),
+        ("1e-4", "dalpha_tilde is inconsistent with alpha_tilde")],
+        ids=["1e-9", "1e-4"])
+    @pytest.mark.parametrize("command",
+                             ["check", "damping", "reference", "solve"])
+    def test_is_config_error_before_any_work(self, tmp_path, capsys,
+                                             monkeypatch, command, width,
+                                             reason):
+        import radpml.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("a command ran despite a bad profile")
+
+        for name in ("admissible", "damping_rate",
+                     "find_disk_neumann_references", "generate"):
+            monkeypatch.setattr(cli_module, name, never)
+        path = write_config(tmp_path, scaling={
+            "profile": "constant-after-ramp", "width": width})
+        assert main([command, str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: [scaling] profile violates "
+                                f"scaling assumptions: {reason}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestLargeExponent:
@@ -888,8 +946,8 @@ def run_python(code, *args):
 
 class TestImportBudget:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        """``scipy.optimize`` is imported where it is used: loading it with
-        the CLI would add about 0.2 s to every command's start-up."""
+        """No command uses ``scipy.optimize``: loading it with the CLI
+        would add about 0.2 s to every command's start-up."""
         code = ("import sys, radpml.cli; "
                 "print('scipy.optimize' in sys.modules)")
         assert run_python(code) == "False"
@@ -902,14 +960,13 @@ class TestImportBudget:
             == "[]"
 
     @pytest.mark.parametrize("command", ["reference", "check",
-                                         "check-smoothed", "damping",
-                                         "damping-ramp", "compare"])
+                                         "check-smoothed", "check-ramp",
+                                         "damping", "damping-ramp",
+                                         "compare"])
     def test_commands_other_than_solve_leave_scipy_unloaded(self, tmp_path,
                                                             command):
-        # check sees affine and smoothed-polynomial profiles, whose tau*
-        # has a closed form, so it needs no scipy.optimize either; damping
-        # reads d0 and d_inf alone, so even the ramp's sampled tau* search,
-        # which loads scipy.optimize, never runs there
+        # every kind's tau* is exact, the ramp's from numpy's polynomial
+        # roots, so check needs no scipy.optimize
         config = write_config(tmp_path)
         smoothed = write_config(tmp_path, name="smoothed.cfg",
                                 scaling={"profile": "smoothed-polynomial",
@@ -924,6 +981,7 @@ class TestImportBudget:
             "reference": ["reference", REPO / "configs" / "disk.cfg", *out],
             "check": ["check", config, *out],
             "check-smoothed": ["check", smoothed, *out],
+            "check-ramp": ["check", ramp, *out],
             "damping": ["damping", config, *out],
             "damping-ramp": ["damping", ramp, *out],
             "compare": ["compare", spectrum,
