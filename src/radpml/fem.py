@@ -21,19 +21,20 @@ pencil and a shift-invert operator: its construction makes the one sweep
 over the elements.  Each chunk is mapped by ``mesh.mapping``; its blocks
 are one GEMM of the coefficient, pulled back to the reference triangle,
 against shape-function products tabulated once per pass, with the edge
-parity signs of :mod:`radpml.basis`.  The upper triangle is mirrored, and
-blocks are summed in element order into a CSR pattern that K and M share,
-so both are exactly symmetric.  The same chunk's blocks are then condensed onto
-the vertex/edge skeleton, and ``factor`` factors what remains.  Element-pair
-keys are sorted once per pass, for the skeleton pattern; the pencil's
-pattern appends each element's bubbles to it, and without bubbles it is
-the skeleton pattern itself.
+parity signs of :mod:`radpml.basis`.  The upper triangle is mirrored, so
+every block is exactly symmetric, and so is the pencil: it stores one
+triangle of K and of M (``SymmetricMatrix``), summed in element order into
+a CSR pattern that K and M share.  The same chunk's blocks are then
+condensed onto the vertex/edge skeleton, and ``factor`` factors what
+remains.  Element-pair keys are sorted once per pass, for the skeleton
+pattern; the pencil's pattern appends each element's bubbles to it and
+keeps its upper triangle by a mask on the column indices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .scaling import ScalingProfile
 
 __all__ = [
     "FunctionSpace",
+    "SymmetricMatrix",
     "AssembledPencil",
     "CondensedShiftSolver",
     "element_matrices",
@@ -166,22 +168,45 @@ class FunctionSpace:
         object.__setattr__(self, "orientations", orientations)
 
 
+class SymmetricMatrix:
+    """A complex-symmetric sparse matrix A held as its upper triangle U, a
+    CSR matrix with the diagonal d: A = U + U^T - diag(d).  A product
+    reads each stored entry twice, as the full matrix would, from half
+    the memory.
+
+    ``frobenius_norm`` is ||A||_F = sqrt(2 ||U||_F^2 - ||d||^2), with each
+    sum of squares taken pairwise, so it holds to a few ulp.  It is formed
+    here, before any Krylov basis exists, because its squares are a
+    temporary the size of U."""
+
+    def __init__(self, upper):
+        self.upper = upper
+        self.diagonal = upper.diagonal()
+        self.shape = upper.shape
+        self.frobenius_norm = math.sqrt(
+            2.0 * np.sum(np.abs(upper.data) ** 2)
+            - np.sum(np.abs(self.diagonal) ** 2))
+
+    def __matmul__(self, x):
+        """A @ x for a vector x."""
+        return self.upper @ x + self.upper.T @ x - self.diagonal * x
+
+
 @dataclass(frozen=True)
 class AssembledPencil:
     """Complex-symmetric stiffness/mass pair over the free dofs."""
 
-    stiffness: scipy.sparse.csr_matrix
-    mass: scipy.sparse.csr_matrix
+    stiffness: SymmetricMatrix
+    mass: SymmetricMatrix
 
     @property
     def size(self) -> int:
         return self.stiffness.shape[0]
 
-    @cached_property
+    @property
     def frobenius_norms(self) -> tuple[float, float]:
         """(||K||_F, ||M||_F), the scale of every Rayleigh residual."""
-        return (float(np.linalg.norm(self.stiffness.data)),
-                float(np.linalg.norm(self.mass.data)))
+        return self.stiffness.frobenius_norm, self.mass.frobenius_norm
 
 
 def element_matrices(space: FunctionSpace, profile: ScalingProfile,
@@ -260,7 +285,8 @@ def _element_blocks(space, profile, medium, ids, tables):
 
 class _Pattern:
     """Fixed CSR pattern of element blocks: entry (dofs[t, i], dofs[t, j])
-    sits at data[slot[t, i, j]], -1 where either dof is constrained.
+    sits at data[slot[t, i, j]], -1 where either dof is constrained or,
+    in an ``upper`` pattern, where the entry lies below the diagonal.
     Blocks are summed in element order, so symmetric blocks give an
     exactly symmetric matrix."""
 
@@ -342,6 +368,22 @@ class _Pattern:
         slot[:, ns_local:, ns_local:] = cols
         return _Pattern(ns + nt * nb, indptr, indices, slot)
 
+    def upper(self):
+        """This pattern's upper triangle, diagonal included, taken by a
+        mask on the column indices, with no sort.  A lower entry's slot is
+        -1, so ``add`` skips it and sums the upper entries in element
+        order, bitwise as the full pattern does."""
+        rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype),
+                         np.diff(self.indptr))
+        keep = self.indices >= rows
+        del rows
+        position = np.cumsum(keep)
+        indptr = np.concatenate(([0], position))[self.indptr]
+        moved = np.where(keep, position - 1, -1).astype(np.int32)
+        del position
+        slot = np.where(self.slot >= 0, moved[self.slot], -1)
+        return _Pattern(self.n, indptr, self.indices[keep], slot)
+
     def add(self, data, ids, blocks):
         slot = self.slot[ids]
         keep = slot >= 0
@@ -392,7 +434,7 @@ class CondensedShiftSolver:
         self._schur_data = np.zeros(self._schur_pattern.nnz, dtype=complex)
         self.lu = None
         tables = _reference_tables(space)
-        pattern = self._schur_pattern.with_bubbles(self.skel, nb_local)
+        pattern = self._schur_pattern.with_bubbles(self.skel, nb_local).upper()
         k_data, m_data = np.zeros((2, pattern.nnz), dtype=complex)
         for start in range(0, nt, CHUNK):
             ids = np.arange(start, min(start + CHUNK, nt))
@@ -401,8 +443,9 @@ class CondensedShiftSolver:
             pattern.add(k_data, ids, k_blocks)
             pattern.add(m_data, ids, m_blocks)
             self._condense(ids, k_blocks, m_blocks)
-        self.pencil = AssembledPencil(stiffness=pattern.matrix(k_data),
-                                      mass=pattern.matrix(m_data))
+        self.pencil = AssembledPencil(
+            stiffness=SymmetricMatrix(pattern.matrix(k_data)),
+            mass=SymmetricMatrix(pattern.matrix(m_data)))
 
     def _condense(self, ids, k_blocks, m_blocks):
         ns_local = self.gain.shape[1]
@@ -425,6 +468,12 @@ class CondensedShiftSolver:
     def factor(self) -> "CondensedShiftSolver":
         """Factor the condensed Schur complement; returns self.
 
+        The Schur pattern and data are dropped once factored, and the
+        freed heap is handed back to the system (``malloc_trim``, where
+        the C library has it).  The Krylov basis is allocated next, and it
+        sets the peak RSS of a solve: without the trim, glibc keeps the
+        freed pages resident and the basis takes fresh ones beside them.
+
         Raises
         ------
         SingularMatrixError
@@ -439,6 +488,12 @@ class CondensedShiftSolver:
             raise SingularMatrixError(
                 f"shifted pencil is singular ({exc}); move the shift") from exc
         self._schur_pattern = self._schur_data = None
+        import ctypes  # here, as scipy is: only a solve loads it
+
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+        if trim is not None:
+            trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+            trim(0)
         return self
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -245,8 +245,8 @@ class SmoothedPolynomialProfile(ScalingProfile):
     the onset (alpha jumps to m*amax at r1+) while keeping both
     alpha_tilde and alpha bounded.  The slope is evaluated as
     amax m r1^m / r^(m+1); an exponent for which that overflows or
-    underflows already at r1 is rejected, and beyond r1 an overflowing
-    r^(m+1) gives the slope's limit 0.
+    underflows already at r1 is rejected, and beyond r1, where r^(m+1)
+    overflows, it is evaluated as amax m (r1/r)^m / r.
     """
 
     exponent: float = 2.0
@@ -259,9 +259,9 @@ class SmoothedPolynomialProfile(ScalingProfile):
             raise ValidationError(f"exponent must be >= 1, got {self.exponent!r}")
         if not (np.isfinite(self.amax) and self.amax > 0.0):
             raise ValidationError(f"amax must be positive, got {self.amax!r}")
+        r1, m = np.float64(self.r1), self.exponent
         with np.errstate(all="ignore"):  # the family's own formula at r1
-            onset_slope = SmoothedPolynomialProfile._tail_dalpha_tilde(
-                self, np.float64(self.r1))
+            onset_slope = self.amax * m * r1 ** m / r1 ** (m + 1.0)
         if not (np.isfinite(onset_slope) and onset_slope > 0.0):
             raise ValidationError(
                 f"exponent {self.exponent:g} is too large for r1 = "
@@ -273,8 +273,12 @@ class SmoothedPolynomialProfile(ScalingProfile):
 
     def _tail_dalpha_tilde(self, r):
         m = self.exponent
+        # where r^(m+1) overflows, the slope is (r1/r)^m / r times amax m
         with np.errstate(over="ignore"):
-            return self.amax * m * np.float64(self.r1) ** m / r ** (m + 1.0)
+            power = r ** (m + 1.0)
+            return np.where(np.isfinite(power),
+                            self.amax * m * np.float64(self.r1) ** m / power,
+                            self.amax * m * (self.r1 / r) ** m / r)
 
     def alpha_tilde_limit(self):
         return self.amax
@@ -324,12 +328,19 @@ def _assumption1_violations(profile: ScalingProfile) -> list:
     below = np.linspace(0.0, r1, 33)
     if np.max(np.abs(profile.alpha_tilde(below))) > 1e-13:
         bad.append("alpha_tilde does not vanish on [0, r1]")
-    if abs(profile.alpha_tilde(r1 * (1.0 + 1e-12))) > 1e-9:
+    # continuity: just past r1, alpha_tilde is at most the step times the
+    # profile's own onset slope, sampled across the step (a ramp narrower
+    # than the step still shows its slope there)
+    step = 1e-12 * r1
+    onset_slope = np.max(np.abs(profile.dalpha_tilde(
+        r1 + step * np.linspace(0.125, 1.0, 8))))
+    if abs(profile.alpha_tilde(r1 + step)) > 1e-9 + 2.0 * step * onset_slope:
         bad.append("alpha_tilde is not continuous at r1")
     # geometric radii from r1 to 1e3*r1, with the kind's extra points
     grid = np.sort(np.concatenate([
         r1 * np.geomspace(1.0 + 1e-6, 1e3, _SUP_SAMPLES),
         profile._extra_sample_points()]))
+    grid = grid[grid > r1]  # extra points that round to r1 lie on the kink
     at = profile.alpha_tilde(grid)
     a = profile.alpha(grid)
     if not (np.all(np.isfinite(at)) and np.all(np.isfinite(a))):
@@ -340,12 +351,18 @@ def _assumption1_violations(profile: ScalingProfile) -> list:
     if np.min(np.diff(at)) < -1e-12 * max(1.0, np.max(np.abs(at))):
         bad.append("alpha_tilde is not non-decreasing")
     # analytic derivative must be consistent with the sampled slope
-    # (catches subclasses whose dalpha_tilde and alpha_tilde disagree)
+    # (catches subclasses whose dalpha_tilde and alpha_tilde disagree); the
+    # step resolves the kind's transition, and the difference divides by
+    # the step actually taken, not by its rounded request
     mid = 0.5 * (grid[:-1] + grid[1:])
     h = 1e-6 * mid
+    width = profile._transition_end() - r1
+    if width > 0.0:
+        h = np.minimum(h, np.maximum(1e-3 * width, 8.0 * np.spacing(mid)))
     keep = mid - h > r1  # keep stencils clear of the onset kink
-    mid, h = mid[keep], h[keep]
-    fd = (profile.alpha_tilde(mid + h) - profile.alpha_tilde(mid - h)) / (2.0 * h)
+    lo, hi = mid[keep] - h[keep], mid[keep] + h[keep]
+    mid = mid[keep]
+    fd = (profile.alpha_tilde(hi) - profile.alpha_tilde(lo)) / (hi - lo)
     da = profile.dalpha_tilde(mid)
     scale = np.max(np.abs(da)) + 1.0
     if np.max(np.abs(fd - da)) > 1e-4 * scale:

@@ -41,6 +41,8 @@ from radpml import (
     shift_invert_arnoldi,
 )
 
+from pencils import full_csr
+
 REPO = Path(__file__).resolve().parent.parent
 
 R1 = 1.5
@@ -447,7 +449,8 @@ def test_9_dense_oracle_equivalence():
             assert pencil.size <= 200, f"pencil too large: {pencil.size}"
 
             dense = scipy.linalg.eig(
-                pencil.stiffness.toarray(), pencil.mass.toarray(),
+                full_csr(pencil.stiffness).toarray(),
+                full_csr(pencil.mass).toarray(),
                 right=False)
             dense_omegas = _lower_branch(dense)
 

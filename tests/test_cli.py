@@ -767,17 +767,20 @@ class TestDampingCommand:
 class TestFailingProfile:
     """A profile that fails the sampled assumption checks cannot be
     built, so every command that reads the config rejects it as a
-    ``[scaling]`` config error before it computes or writes anything."""
+    ``[scaling]`` config error before it computes or writes anything.
+    Each ramp is narrower than the spacing of doubles at its onset
+    (1.5e-8 at r1 = 1e8, 2e-3 at r1 = 1e13): as evaluated, it jumps from
+    0 to amax at r1."""
 
-    @pytest.mark.parametrize("width, reason", [
-        ("1e-9", "alpha_tilde is not continuous at r1"),
-        ("1e-4", "dalpha_tilde is inconsistent with alpha_tilde")],
+    @pytest.mark.parametrize("width, r1, reason", [
+        ("1e-9", "1e8", "alpha_tilde is not continuous at r1"),
+        ("1e-4", "1e13", "alpha_tilde is not continuous at r1")],
         ids=["1e-9", "1e-4"])
     @pytest.mark.parametrize("command",
                              ["check", "damping", "reference", "solve"])
     def test_is_config_error_before_any_work(self, tmp_path, capsys,
                                              monkeypatch, command, width,
-                                             reason):
+                                             r1, reason):
         import radpml.cli as cli_module
 
         def never(*args, **kwargs):
@@ -786,7 +789,7 @@ class TestFailingProfile:
         for name in ("admissible", "damping_rate",
                      "find_disk_neumann_references", "generate"):
             monkeypatch.setattr(cli_module, name, never)
-        path = write_config(tmp_path, scaling={
+        path = write_config(tmp_path, geometry={"r1": r1}, scaling={
             "profile": "constant-after-ramp", "width": width})
         assert main([command, str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()

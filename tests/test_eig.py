@@ -37,6 +37,8 @@ from radpml.media import Medium
 from radpml.mesh import DiskObstacle, Geometry, generate
 from radpml.scaling import AffineProfile
 
+from pencils import full_csr, stored
+
 ISO = Medium(np.eye(2))
 PROFILE = AffineProfile(r1=1.5, gamma=8j)
 SHIFT_SQ = (2.5 - 0.8j) ** 2
@@ -52,19 +54,21 @@ class DirectSolver:
         self.pencil = pencil
         self.shift_sq = complex(shift_sq)
         self.d0 = 1.0
-        self.lu = sparse_lu(pencil.stiffness - self.shift_sq * pencil.mass)
+        self.lu = sparse_lu(full_csr(pencil.stiffness)
+                            - self.shift_sq * full_csr(pencil.mass))
         self.solve = self.lu.solve
 
 
 def diagonal_solver(shift_sq, *entries):
     k = scipy.sparse.diags([complex(e) for e in entries], format="csr")
     m = scipy.sparse.identity(len(entries), dtype=complex, format="csr")
-    return DirectSolver(AssembledPencil(stiffness=k.tocsr(), mass=m), shift_sq)
+    return DirectSolver(AssembledPencil(stiffness=stored(k), mass=stored(m)),
+                        shift_sq)
 
 
 def dense_lower_branch_omegas(pencil):
-    lam = scipy.linalg.eig(pencil.stiffness.toarray(), pencil.mass.toarray(),
-                           right=False)
+    lam = scipy.linalg.eig(full_csr(pencil.stiffness).toarray(),
+                           full_csr(pencil.mass).toarray(), right=False)
     omega = np.sqrt(lam[np.isfinite(lam)])
     return np.where(omega.imag > 0, -omega, omega)
 
@@ -319,8 +323,8 @@ class TestShiftInvertArnoldi:
 
         monkeypatch.setattr(eig_module, "_arnoldi", truncated)
         eye = scipy.sparse.identity(30, dtype=complex, format="csr")
-        solver = DirectSolver(AssembledPencil(stiffness=eye, mass=eye.copy()),
-                              0.5)
+        solver = DirectSolver(AssembledPencil(stiffness=stored(eye),
+                                              mass=stored(eye)), 0.5)
         spectrum = shift_invert_arnoldi(solver, k=1)
         assert abs(spectrum.omegas[0] - 1.0) < 1e-13
         assert spectrum.provenance["basis_size"] == 1

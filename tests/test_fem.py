@@ -15,18 +15,19 @@ reality of the unscaled pencil) assert exact equality by design of the
 assembly path, not approximate closeness.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from radpml.basis import LOCAL_EDGES
 from radpml.eig import rayleigh_residual
 from radpml.errors import ValidationError
 from radpml.fem import (
+    CHUNK,
     AssembledPencil,
     CondensedShiftSolver,
     FunctionSpace,
@@ -43,6 +44,8 @@ from radpml.mesh import (
     generate,
 )
 from radpml.scaling import AffineProfile, RampProfile, SmoothedPolynomialProfile
+
+from pencils import full_csr, stored
 
 ISO = Medium(np.eye(2))
 ANISO = Medium(np.diag([0.25, 1.0]))
@@ -286,8 +289,10 @@ class TestAssemble:
         pencil = assembled(space, UNSCALED, ISO)
         k_exp = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
         m_exp = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
-        assert np.allclose(pencil.stiffness.toarray(), k_exp, rtol=0, atol=1e-14)
-        assert np.allclose(pencil.mass.toarray(), m_exp, rtol=1e-13, atol=0)
+        assert np.allclose(full_csr(pencil.stiffness).toarray(), k_exp,
+                           rtol=0, atol=1e-14)
+        assert np.allclose(full_csr(pencil.mass).toarray(), m_exp,
+                           rtol=1e-13, atol=0)
 
     def test_mass_total_is_domain_area(self):
         """With w = 1 and the P1 partition of unity, sum_ij M_ij is the
@@ -296,17 +301,20 @@ class TestAssemble:
         space = FunctionSpace(all_neumann(mesh), 1)
         pencil = assembled(space, UNSCALED, ISO)
         exact = np.pi * (3.5**2 - 1.0**2)
-        total = pencil.mass.sum()
+        total = full_csr(pencil.mass).sum()
         assert abs(total - exact) / exact < 1e-12
         assert total.imag == 0.0
 
     def test_pencil_exactly_symmetric(self):
         """Mirror-averaged blocks plus mirror-invariant duplicate
-        summation make K and M exactly symmetric, not just close."""
+        summation make K and M exactly symmetric, not just close.  The
+        pencil stores one triangle, so the full matrix it stands for is
+        symmetric by construction; ``TestStoredTriangle`` shows that it
+        is bitwise the full sum of the blocks."""
         mesh = generate(ELLIPSE, hmax=0.5, q=3)
         space = FunctionSpace(mesh, 4)
         pencil = assembled(space, AffineProfile(r1=1.5, gamma=GAMMA), ANISO)
-        for mat in (pencil.stiffness, pencil.mass):
+        for mat in map(full_csr, (pencil.stiffness, pencil.mass)):
             diff = (mat - mat.T).tocoo()
             assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
@@ -314,8 +322,9 @@ class TestAssemble:
         mesh = generate(DISK, hmax=0.8, q=2)
         space = FunctionSpace(mesh, 3)
         pencil = assembled(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
-        assert np.array_equal(pencil.stiffness.indptr, pencil.mass.indptr)
-        assert np.array_equal(pencil.stiffness.indices, pencil.mass.indices)
+        stiffness, mass = pencil.stiffness.upper, pencil.mass.upper
+        assert np.array_equal(stiffness.indptr, mass.indptr)
+        assert np.array_equal(stiffness.indices, mass.indices)
 
     def test_interior_elements_profile_independent_bitwise(self):
         mesh = generate(DISK, hmax=0.8, q=4)
@@ -368,14 +377,14 @@ class TestAssemble:
         mesh = generate(Geometry(DiskObstacle(1.0), 1.5, 1.0), hmax=0.7, q=2)
         space = FunctionSpace(mesh, 2)
         pencil = assembled(space, UNSCALED, ISO)
-        assert np.all(pencil.stiffness.data.imag == 0.0)
-        assert np.all(pencil.mass.data.imag == 0.0)
-        m_real = pencil.mass.real.toarray()
+        assert np.all(pencil.stiffness.upper.data.imag == 0.0)
+        assert np.all(pencil.mass.upper.data.imag == 0.0)
+        m_real = full_csr(pencil.mass).real.toarray()
         assert scipy.linalg.eigh(m_real, eigvals_only=True).min() > 0.0
 
         scaled = assembled(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
-        lam = scipy.linalg.eig(scaled.stiffness.toarray(),
-                               scaled.mass.toarray(), right=False)
+        lam = scipy.linalg.eig(full_csr(scaled.stiffness).toarray(),
+                               full_csr(scaled.mass).toarray(), right=False)
         lam = lam[np.isfinite(lam)]
         assert lam.size == scaled.size
         ratios = np.abs(lam.imag) / np.maximum(np.abs(lam), 1.0)
@@ -422,8 +431,8 @@ class TestElementPass:
             m_dense[sub] += m_blk[np.ix_(keep, keep)]
         solver = CondensedShiftSolver(space, self.profile, ANISO,
                                       self.shift_sq)
-        for mat, dense in ((solver.pencil.stiffness, k_dense),
-                           (solver.pencil.mass, m_dense)):
+        for mat, dense in ((full_csr(solver.pencil.stiffness), k_dense),
+                           (full_csr(solver.pencil.mass), m_dense)):
             err = np.max(np.abs(mat.toarray() - dense))
             assert err <= 1e-14 * np.max(np.abs(dense))
             assert np.array_equal(mat.toarray(), mat.T.toarray())
@@ -434,7 +443,8 @@ class TestElementPass:
         pencil = solver.pencil
         rng = np.random.default_rng(11)
         b = rng.normal(size=pencil.size) + 1j * rng.normal(size=pencil.size)
-        shifted = (pencil.stiffness - self.shift_sq * pencil.mass).tocsc()
+        shifted = (full_csr(pencil.stiffness)
+                   - self.shift_sq * full_csr(pencil.mass)).tocsc()
         expected = scipy.sparse.linalg.spsolve(shifted, b)
         x = solver.solve(b)
         assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -450,7 +460,8 @@ class TestElementPass:
         x = solver.solve(b)
         assert np.array_equal(x, solver.lu.solve(b))
         pencil = solver.pencil
-        shifted = pencil.stiffness - self.shift_sq * pencil.mass
+        shifted = (full_csr(pencil.stiffness)
+                   - self.shift_sq * full_csr(pencil.mass))
         assert np.linalg.norm(shifted @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_elements_evaluated_once_per_solve(self, monkeypatch, tmp_path):
@@ -530,8 +541,9 @@ class TestPattern:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_sort_per_pass(self, monkeypatch, p):
-        """The keys are sorted once, for the skeleton; without bubbles
-        the same pattern object builds the pencil and the factor."""
+        """The keys are sorted once, for the skeleton.  The pencil's
+        pattern is its upper triangle, a pattern object of its own even
+        without bubbles, where the factor's is every dof's."""
         sorts, built = [], []
         of_blocks, matrix = _Pattern.of_blocks.__func__, _Pattern.matrix
 
@@ -551,14 +563,76 @@ class TestPattern:
         assert sorts == [solver.skeleton_size]
         stiffness, mass, schur = built
         assert stiffness is mass
-        assert (stiffness is schur) == (p <= 2)
+        assert stiffness is not schur
+
+
+class TestStoredTriangle:
+    """The pencil stores the upper triangle of K and M, diagonal included,
+    and stands for the full matrices that the element pass sums."""
+
+    CASES = [(DISK, 2, ISO), (ELLIPSE, 3, ANISO)]
+
+    @pytest.fixture(scope="class", params=CASES, ids=["disk-p2", "ellipse-p3"])
+    def case(self, request):
+        geometry, p, medium = request.param
+        space = FunctionSpace(generate(geometry, hmax=0.8, q=2), p)
+        profile = AffineProfile(r1=1.5, gamma=GAMMA)
+        return space, profile, medium, assembled(space, profile, medium)
+
+    def test_stores_one_triangle(self, case):
+        space, _, _, pencil = case
+        n = space.num_dofs
+        _, indices, _ = sorted_key_pattern(space.element_dofs, n)
+        for mat in (pencil.stiffness, pencil.mass):
+            assert mat.upper.nnz == (indices.size + n) // 2
+
+    def test_full_matrix_is_the_sorted_key_assembly_bitwise(self, case):
+        """The element blocks summed in element order into the full
+        pattern of one key sort, as the full pencil was assembled, give
+        the full matrix of the stored triangle entry for entry."""
+        space, profile, medium, pencil = case
+        indptr, indices, slot = sorted_key_pattern(space.element_dofs,
+                                                   space.num_dofs)
+        full = np.zeros((2, indices.size), dtype=complex)
+        nt = space.mesh.num_triangles
+        for start in range(0, nt, CHUNK):
+            ids = np.arange(start, min(start + CHUNK, nt))
+            blocks = element_matrices(space, profile, medium, ids)
+            keep = slot[ids] >= 0
+            for data, block in zip(full, blocks):
+                np.add.at(data, slot[ids][keep], block[keep])
+        for mat, data in zip((pencil.stiffness, pencil.mass), full):
+            rebuilt = full_csr(mat)
+            assert np.array_equal(rebuilt.indptr, indptr)
+            assert np.array_equal(rebuilt.indices, indices)
+            assert np.array_equal(rebuilt.data, data)
+
+    def test_product_matches_full_csr(self, case):
+        space, _, _, pencil = case
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=space.num_dofs) + 1j * rng.normal(size=space.num_dofs)
+        for mat in (pencil.stiffness, pencil.mass):
+            expected = full_csr(mat) @ x
+            assert (np.linalg.norm(mat @ x - expected)
+                    <= 1e-15 * np.linalg.norm(expected))
+
+    def test_frobenius_norms_match_full(self, case):
+        """Against the full matrix's norm from an exactly rounded sum of
+        its squared entries."""
+        pencil = case[3]
+        for mat, norm in zip((pencil.stiffness, pencil.mass),
+                             pencil.frobenius_norms):
+            data = full_csr(mat).data
+            exact = np.sqrt(math.fsum(np.concatenate([data.real ** 2,
+                                                      data.imag ** 2])))
+            assert abs(norm - exact) <= 1e-15 * exact
 
 
 class TestRayleighResidual:
     def test_exact_eigenpair_of_diagonal_pencil(self):
         pencil = AssembledPencil(
-            stiffness=scipy.sparse.csr_matrix(np.diag([4.0, 9.0]).astype(complex)),
-            mass=scipy.sparse.csr_matrix(np.eye(2).astype(complex)))
+            stiffness=stored(np.diag([4.0, 9.0]).astype(complex)),
+            mass=stored(np.eye(2).astype(complex)))
         assert rayleigh_residual(pencil, 2.0, np.array([1.0, 0.0])) == 0.0
         assert rayleigh_residual(pencil, 3.0, np.array([0.0, 1.0])) == 0.0
 
@@ -566,8 +640,8 @@ class TestRayleighResidual:
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         pencil = AssembledPencil(
-            stiffness=scipy.sparse.csr_matrix(mat),
-            mass=scipy.sparse.csr_matrix(np.eye(4).astype(complex)))
+            stiffness=stored(mat + mat.T),
+            mass=stored(np.eye(4).astype(complex)))
         assert rayleigh_residual(pencil, 1.3 - 0.2j, rng.normal(size=4)) > 0.0
 
     def test_cached_scale_matches_formula(self):
@@ -581,13 +655,12 @@ class TestRayleighResidual:
             expected = np.linalg.norm(
                 pencil.stiffness @ u - omega_sq * (pencil.mass @ u)) / (
                 np.linalg.norm(u)
-                * (np.linalg.norm(pencil.stiffness.data)
-                   + abs(omega_sq) * np.linalg.norm(pencil.mass.data)))
+                * (pencil.stiffness.frobenius_norm
+                   + abs(omega_sq) * pencil.mass.frobenius_norm))
             assert rayleigh_residual(pencil, omega, u) == expected
 
     def test_zero_vector_rejected(self):
-        pencil = AssembledPencil(
-            stiffness=scipy.sparse.csr_matrix(np.eye(2).astype(complex)),
-            mass=scipy.sparse.csr_matrix(np.eye(2).astype(complex)))
+        pencil = AssembledPencil(stiffness=stored(np.eye(2).astype(complex)),
+                                 mass=stored(np.eye(2).astype(complex)))
         with pytest.raises(ValidationError):
             rayleigh_residual(pencil, 1.0, np.zeros(2))

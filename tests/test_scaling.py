@@ -102,10 +102,49 @@ class TestValidation:
         for r1, exponent in [(1.5, 1733.0), (1e-3, 200.0)]:
             with pytest.raises(ValidationError, match="too large"):
                 SmoothedPolynomialProfile(r1=r1, gamma=1j, exponent=exponent)
-        # the guard admits m = 1732 on r1 = 1.5, but the sampled checks
-        # misjudge a continuous profile this steep (a recorded defect)
-        with pytest.raises(ValidationError, match="not continuous at r1"):
-            SmoothedPolynomialProfile(r1=1.5, gamma=1j, exponent=1732.0)
+        # the guard admits m = 1732 on r1 = 1.5, a continuous profile
+        # whose onset slope is 1155 (see TestSteepProfiles)
+        steep = SmoothedPolynomialProfile(r1=1.5, gamma=1j, exponent=1732.0)
+        assert steep.dalpha_tilde(1.5 * (1.0 + 1e-12)) == \
+            pytest.approx(1732.0 / 1.5, rel=1e-8)
+
+
+class TestSteepProfiles:
+    """The sampled checks scale to the profile: continuity at r1 to its
+    onset slope, the finite-difference slope test to its transition
+    width.  A steep but continuous, non-decreasing profile builds."""
+
+    @pytest.mark.parametrize("width", [1e-4, 1e-5, 1e-9])
+    def test_narrow_ramp_builds(self, width):
+        ramp = RampProfile(r1=1.5, gamma=1j, width=width)
+        assert ramp.alpha_tilde(1.5 + width) == 1.0
+        assert 0.0 < ramp.tau_star < np.pi / 2
+
+    @pytest.mark.parametrize("exponent, amax",
+                             [(1000.0, 1.0), (500.0, 2.0), (1732.0, 1.0)])
+    def test_steep_polynomial_builds(self, exponent, amax):
+        steep = SmoothedPolynomialProfile(r1=1.5, gamma=1j,
+                                          exponent=exponent, amax=amax)
+        assert steep.phase_gain == exponent * amax
+
+    def test_slope_where_the_power_overflows(self):
+        """At m = 1732, r^(m+1) overflows from r = 1.5076 on, where the
+        slope is still 0.18; it must match the central difference of
+        alpha_tilde, not read 0."""
+        steep = SmoothedPolynomialProfile(r1=1.5, gamma=1j, exponent=1732.0)
+        for r in (1.508, 1.51, 1.512):
+            h = 1e-7
+            fd = (steep.alpha_tilde(r + h) - steep.alpha_tilde(r - h)) / (2 * h)
+            assert fd > 1e-3
+            assert steep.dalpha_tilde(r) == pytest.approx(fd, rel=1e-6)
+
+    def test_ramp_narrower_than_a_double_step_is_a_jump(self):
+        """On r1 = 1.5, r1 + 1e-17 rounds to r1: as evaluated, the ramp
+        jumps from 0 to amax between two adjacent doubles."""
+        with pytest.raises(ValidationError, match=(
+                "profile violates scaling assumptions: alpha_tilde is not "
+                "continuous at r1$")):
+            RampProfile(r1=1.5, gamma=1j, width=1e-17)
 
 
 class TestDerivativeIdentity:
