@@ -281,7 +281,8 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction):
     Raises
     ------
     ValidationError
-        If Re(i omega d0) >= 0 (no damping guaranteed).
+        If Re(i omega d0) >= 0 (no damping guaranteed), or if a sample or
+        the fit is not finite (the scaled distance overflows).
     """
     omega = complex(omega)
     re_iwd0 = (1j * omega * profile.d0).real
@@ -295,11 +296,14 @@ def damping_rate(omega, profile: ScalingProfile, medium: Medium, direction):
     direction = direction / nrm
     y = np.array([0.9 * profile.r1 * medium.sigma_min / medium.sigma_max, 0.0])
     rs = np.linspace(10.0 * profile.r1, 20.0 * profile.r1, 48)
-    log_decay = np.array([
-        (omega * d_sigma(r * direction, y, profile, medium)).imag
-        for r in rs
-    ])
-    measured = float(np.polyfit(rs, log_decay, 1)[0])
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite rate
+        log_decay = np.array([(omega * d_sigma(r * direction, y, profile,
+                                               medium)).imag for r in rs])
+        finite = np.all(np.isfinite(log_decay))
+        measured = float(np.polyfit(rs, log_decay, 1)[0]) if finite else np.nan
+    if not np.isfinite(measured):
+        raise ValidationError("Im(omega d_sigma) is not finite on the ray: "
+                              "the scaled distance overflows double precision")
     bound = -re_iwd0 * abs(profile.d_inf) / medium.sigma_max
     return measured, bound
 

@@ -163,7 +163,7 @@ class _Reader:
 class RunConfig:
     """Validated run description, its scaling profile built once.  Every
     constraint is checked at parse time, before any computation starts,
-    the profile's sampled assumption checks included."""
+    the profile's closed-form parameter checks included."""
 
     sha256: str
     geometry: Geometry

@@ -756,6 +756,19 @@ class TestDampingCommand:
         assert main(["damping", str(path), "--rays", "0"]) == EXIT_OK
         assert "0 rays evaluated" in capsys.readouterr().out
 
+    def test_overflowing_distance_is_hypothesis_violation(self, tmp_path,
+                                                          capsys):
+        """With gamma = 1e150i the scaled distance at 10 r1 = 1e9
+        overflows; ``damping`` used to write ``measured nan`` rows and
+        exit 0."""
+        path = write_config(tmp_path, geometry={"r1": "1e8"},
+                            scaling={"gamma": "1e150i"})
+        assert main(["damping", str(path)]) == EXIT_CONDITION
+        assert capsys.readouterr().err == (
+            "damping: hypothesis violation: Im(omega d_sigma) is not finite "
+            "on the ray: the scaled distance overflows double precision\n")
+        assert not (tmp_path / "out" / "damping.json").exists()
+
     @pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
     def test_non_finite_omega_is_config_error(self, tmp_path, capsys, omega):
         path = write_config(tmp_path)
@@ -765,16 +778,17 @@ class TestDampingCommand:
 
 
 class TestFailingProfile:
-    """A profile that fails the sampled assumption checks cannot be
-    built, so every command that reads the config rejects it as a
-    ``[scaling]`` config error before it computes or writes anything.
-    Each ramp is narrower than the spacing of doubles at its onset
-    (1.5e-8 at r1 = 1e8, 2e-3 at r1 = 1e13): as evaluated, it jumps from
-    0 to amax at r1."""
+    """A profile with invalid parameters cannot be built, so every
+    command that reads the config rejects it as a ``[scaling]`` config
+    error before it computes or writes anything.  Each ramp is narrower
+    than the spacing of doubles at its onset (1.5e-8 at r1 = 1e8, 2e-3 at
+    r1 = 1e13): as evaluated, it would jump from 0 to amax at r1."""
 
     @pytest.mark.parametrize("width, r1, reason", [
-        ("1e-9", "1e8", "alpha_tilde is not continuous at r1"),
-        ("1e-4", "1e13", "alpha_tilde is not continuous at r1")],
+        ("1e-9", "1e8", "ramp width 1e-09 is below the spacing of doubles "
+                        "at r1 = 1e+08"),
+        ("1e-4", "1e13", "ramp width 0.0001 is below the spacing of doubles "
+                         "at r1 = 1e+13")],
         ids=["1e-9", "1e-4"])
     @pytest.mark.parametrize("command",
                              ["check", "damping", "reference", "solve"])
@@ -794,8 +808,7 @@ class TestFailingProfile:
         assert main([command, str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("config error: [scaling] profile violates "
-                                f"scaling assumptions: {reason}\n")
+        assert captured.err == f"config error: [scaling] {reason}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -997,21 +1010,20 @@ class TestImportBudget:
 
     @pytest.mark.parametrize("argv", [["damping", "--rays", "8"], ["solve"]],
                              ids=["damping", "solve"])
-    def test_sampled_checks_run_once_per_command(self, tmp_path, monkeypatch,
+    def test_profile_is_checked_once_per_command(self, tmp_path, monkeypatch,
                                                  argv):
         """One profile serves every ray of ``damping`` and both solves of
-        ``solve``, so its sampled assumption checks run once."""
-        import radpml.scaling as scaling_module
+        ``solve``, so its parameter checks run once."""
+        from radpml.scaling import RampProfile
 
         calls = []
-        checks = scaling_module._assumption1_violations
+        checks = RampProfile._check_parameters
 
         def counting(profile):
             calls.append(profile)
             return checks(profile)
 
-        monkeypatch.setattr(scaling_module, "_assumption1_violations",
-                            counting)
+        monkeypatch.setattr(RampProfile, "_check_parameters", counting)
         config = write_config(tmp_path, discretization={"hmax": "0.8"},
                               scaling={"profile": "constant-after-ramp"})
         assert main([argv[0], str(config), *argv[1:]]) == EXIT_OK

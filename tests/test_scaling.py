@@ -110,9 +110,8 @@ class TestValidation:
 
 
 class TestSteepProfiles:
-    """The sampled checks scale to the profile: continuity at r1 to its
-    onset slope, the finite-difference slope test to its transition
-    width.  A steep but continuous, non-decreasing profile builds."""
+    """A profile is valid by its parameters: a steep ramp or polynomial
+    builds as long as its formula is representable in double precision."""
 
     @pytest.mark.parametrize("width", [1e-4, 1e-5, 1e-9])
     def test_narrow_ramp_builds(self, width):
@@ -138,13 +137,111 @@ class TestSteepProfiles:
             assert fd > 1e-3
             assert steep.dalpha_tilde(r) == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("width", [1e-13, 1e-15])
+    def test_ramp_spanning_few_doubles_builds(self, width):
+        """r1 + width rounds above r1 = 1.5 (by about 450 and 5 doubles),
+        so the ramp is continuous as evaluated and builds."""
+        ramp = RampProfile(r1=1.5, gamma=1j, width=width)
+        assert ramp.alpha_tilde(1.5 + 2.0 * width) == 1.0
+        assert 0.0 < ramp.tau_star < np.pi / 2
+
+    def test_ramp_strength_is_bounded(self):
+        """Beyond |gamma| amax = 1e15 the ramp's |tau| peaks too close to
+        r1 for the roots behind tau* to keep their digits."""
+        assert RampProfile(r1=1.5, gamma=1e5j, width=1.0, amax=1e10).tau_star
+        with pytest.raises(ValidationError,
+                           match=r"^\|gamma\| \* amax = 2e\+15 exceeds 1e15$"):
+            RampProfile(r1=1.5, gamma=2j, width=1.0, amax=1e15)
+
     def test_ramp_narrower_than_a_double_step_is_a_jump(self):
         """On r1 = 1.5, r1 + 1e-17 rounds to r1: as evaluated, the ramp
         jumps from 0 to amax between two adjacent doubles."""
         with pytest.raises(ValidationError, match=(
-                "profile violates scaling assumptions: alpha_tilde is not "
-                "continuous at r1$")):
+                "^ramp width 1e-17 is below the spacing of doubles at "
+                "r1 = 1.5$")):
             RampProfile(r1=1.5, gamma=1j, width=1e-17)
+
+    def test_small_amax_does_not_hide_a_jump(self):
+        """A jump of amax = 1e-10 is still a jump: the rule is on the
+        width alone."""
+        with pytest.raises(ValidationError, match="below the spacing"):
+            RampProfile(r1=1.5, gamma=1j, width=1e-17, amax=1e-10)
+
+
+def kind_grid():
+    """Every shipped kind over a parameter grid with steep members: ramps
+    of width 1e-13 r1, 1e-9 and 1e5, exponents up to 1732 (the largest
+    the slope guard admits on r1 = 1.5)."""
+    for r1 in (1e-3, 1.5, 1e3):
+        yield AffineProfile(r1=r1, gamma=8j)
+        for width in (1e-13 * r1, 1e-9, 1.0, 1e5):
+            for amax in (1e-10, 1.0, 1e10):
+                yield RampProfile(r1=r1, gamma=8j, width=width, amax=amax)
+        steep = ((1000.0, (0.8,)), (1732.0, (1.0,))) if r1 == 1.5 else ()
+        for exponent, amaxes in ((2.0, (1e-10, 0.8, 1e10)),
+                                 (97.0, (1e-10, 0.8)), *steep):
+            for amax in amaxes:
+                yield SmoothedPolynomialProfile(r1=r1, gamma=8j,
+                                                exponent=exponent, amax=amax)
+
+
+class TestShippedKindsMeetAssumptions:
+    """Validation no longer samples a profile, so each shipped kind must
+    meet the scaling assumptions by its formula for valid parameters."""
+
+    @pytest.mark.parametrize("profile", list(kind_grid()), ids=repr)
+    def test_alpha_tilde_vanishes_rises_and_is_bounded(self, profile):
+        r1, amax = profile.r1, profile.amax
+        # the transition scale: the ramp's width, or r1/m for the family
+        scale = profile.width if isinstance(profile, RampProfile) \
+            else r1 / profile.exponent
+        assert np.all(profile.alpha_tilde(np.linspace(0.0, r1, 65)) == 0.0)
+        r = np.unique(np.concatenate([
+            r1 + scale * np.linspace(0.0, 2.0, 4001),
+            r1 * np.geomspace(1.0, 1e3, 4001)]))
+        at = profile.alpha_tilde(r)
+        # to rounding: the ramp's smoothstep reads 1 + 6 ulp just below t = 1
+        assert np.all(np.diff(at) >= -1e-14 * amax)
+        assert np.all(at <= amax * (1.0 + 1e-14))
+        # dalpha_tilde against a central difference over the step actually
+        # taken, where that step resolves the transition
+        h = 1e-4 * scale
+        lo, hi = r - h, r + h
+        keep = (lo > r1) & (hi - lo > 0.0) & (hi - lo < 1e-3 * scale)
+        if not np.any(keep):
+            return
+        lo, hi, mid = lo[keep], hi[keep], r[keep]
+        fd = (profile.alpha_tilde(hi) - profile.alpha_tilde(lo)) / (hi - lo)
+        slope = profile.dalpha_tilde(mid)
+        assert np.max(np.abs(fd - slope)) <= 1e-6 * np.max(np.abs(slope))
+
+
+class TestParameterSweep:
+    """Every parameter set either raises ``ValidationError`` or builds a
+    profile whose tau* is finite and whose admissibility report raises
+    no numpy warning (a RuntimeWarning fails the test)."""
+
+    def test_valid_or_rejected(self):
+        built = 0
+        for r1 in (1e-3, 1.5, 1e13):
+            for gamma in (1e-4j, 8j, 1000 + 1000j):
+                candidates = [
+                    (RampProfile, {"width": width, "amax": amax})
+                    for width in (1e-17, 1e-13, 1e-9, 1.0, 1e5, 1e11, 1e306)
+                    for amax in (1e-300, 1e-10, 1.0, 1e100, 1e300)] + [
+                    (SmoothedPolynomialProfile, {"exponent": m, "amax": amax})
+                    for m in (1.0, 2.0, 97.0, 1732.0)
+                    for amax in (1e-300, 1e-10, 1.0, 1e100, 1e300)]
+                for cls, options in candidates:
+                    try:
+                        profile = cls(r1=r1, gamma=gamma, **options)
+                    except ValidationError:
+                        continue
+                    built += 1
+                    assert 0.0 <= profile.tau_star <= np.pi / 2
+                    for medium in (ISO, PAPER_MEDIUM):
+                        admissible(profile, medium, r0=0.5 * r1)
+        assert built > 200
 
 
 class TestDerivativeIdentity:
@@ -221,6 +318,26 @@ class TestLimits:
             lo, hi = max(t[i] - 2 * step, 0.0), min(t[i] + 2 * step, 1.0)
         assert abs(p.tau_star - taus[i]) < 1e-15
 
+    @pytest.mark.parametrize("r1, gamma, width, amax", [
+        (1e13, 8j, 1.0, 1.0),
+        (1.5, 1j, 1e-13, 1.0),
+        (1e3, 1000 + 1000j, 1e-9, 1e10),
+        (1.5, 0.5 + 2j, 1.0, 2e14),
+    ])
+    def test_steep_ramp_tau_star_is_the_sup_in_t(self, r1, gamma, width,
+                                                  amax):
+        """Where the ramp spans few doubles, or |gamma| amax is large,
+        |tau| peaks within one double of r1 (t below 1e-3): tau* is the
+        sup over t = (r - r1)/width, taken at t itself, not at the radius
+        it rounds to (which would read tau = 0 on r1)."""
+        p = RampProfile(r1=r1, gamma=gamma, width=width, amax=amax)
+        t = np.geomspace(1e-12, 1.0, 200_001)
+        at = amax * t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
+        a = at + amax * 30.0 * t**2 * (1.0 - t) ** 2 * (r1 / width + t)
+        taus = np.abs(np.angle((1.0 + gamma * at) / (1.0 + gamma * a)))
+        assert np.max(taus) <= p.tau_star + 1e-12
+        assert p.tau_star - np.max(taus) < 1e-8
+
     def test_isotropic_psi_star_equals_tau_star(self):
         rep = admissible(AffineProfile(r1=1.5, gamma=1j), ISO, r0=1.0)
         assert abs(rep.psi_star - rep.tau_star) < 1e-12
@@ -256,18 +373,6 @@ class TestLimits:
         assert np.isfinite(profile.alpha_tilde_limit())
         assert profile.d_inf == \
             1.0 + profile.gamma * profile.alpha_tilde_limit()
-
-    def test_rejects_decreasing_profile(self):
-        class Decreasing(SmoothedPolynomialProfile):
-            def _tail_alpha_tilde(self, r):
-                return 1.0 + np.exp(-(r - self.r1)) - 1e-3 * (r - self.r1)
-
-            def _tail_dalpha_tilde(self, r):
-                return -np.exp(-(r - self.r1)) - 1e-3
-
-        with pytest.raises(ValidationError,
-                           match="profile violates scaling assumptions"):
-            Decreasing(r1=1.0, gamma=1j)
 
 
 class TestModuli:
@@ -370,18 +475,6 @@ class TestAdmissible:
         assert rep.cos_tau_star > 0.0
         assert rep.threshold == 0.0
         assert rep.min_c == 0.0
-
-    def test_decreasing_profile_flags_assumptions(self):
-        class Decreasing(SmoothedPolynomialProfile):
-            def _tail_alpha_tilde(self, r):
-                return np.exp(-(r - self.r1))
-
-            def _tail_dalpha_tilde(self, r):
-                return -np.exp(-(r - self.r1))
-
-        with pytest.raises(ValidationError,
-                           match="alpha_tilde is not non-decreasing"):
-            Decreasing(r1=1.0, gamma=1j)
 
     def test_min_c_follows_the_profile_kind(self):
         """The polynomial family scales the affine c by amax m, the ramp
