@@ -22,13 +22,14 @@ over the elements.  Each chunk is mapped by ``mesh.mapping``; its blocks
 are one GEMM of the coefficient, pulled back to the reference triangle,
 against shape-function products tabulated once per pass, with the edge
 parity signs of :mod:`radpml.basis`.  The upper triangle is mirrored, so
-every block is exactly symmetric, and so is the pencil: it stores one
-triangle of K and of M (``SymmetricMatrix``), summed in element order into
-a CSR pattern that K and M share.  The same chunk's blocks are then
-condensed onto the vertex/edge skeleton, and ``factor`` factors what
-remains.  Element-pair keys are sorted once per pass, for the skeleton
-pattern; the pencil's pattern appends each element's bubbles to it and
-keeps its upper triangle by a mask on the column indices.
+every block is exactly symmetric, and so is the pencil.  It stores K and
+M as the condensed solve stores its operator (``SymmetricMatrix``): the
+upper triangle of the vertex/edge skeleton block, summed in element order
+into a CSR pattern that K and M share, and each element's skeleton-bubble
+and bubble-bubble blocks as they stand.  The same chunk's blocks are then
+condensed onto the skeleton, and ``factor`` factors what remains.
+Element-pair keys are sorted once per pass, for the skeleton pattern; the
+pencil keeps its upper triangle by a mask on the column indices.
 """
 
 from __future__ import annotations
@@ -169,27 +170,67 @@ class FunctionSpace:
 
 
 class SymmetricMatrix:
-    """A complex-symmetric sparse matrix A held as its upper triangle U, a
-    CSR matrix with the diagonal d: A = U + U^T - diag(d).  A product
-    reads each stored entry twice, as the full matrix would, from half
-    the memory.
+    """A complex-symmetric matrix over skeleton dofs followed by nb
+    bubbles per element, stored as the condensed solve stores its
+    operator: A = [[S, B], [B^T, C]].
 
-    ``frobenius_norm`` is ||A||_F = sqrt(2 ||U||_F^2 - ||d||^2), with each
-    sum of squares taken pairwise, so it holds to a few ulp.  It is formed
-    here, before any Krylov basis exists, because its squares are a
-    temporary the size of U."""
+    - S, the skeleton block, is held as its upper triangle U, a CSR
+      matrix with the diagonal d: S = U + U^T - diag(d);
+    - B is held per element, ``coupling`` (nt, 3p, nb): the rows of the
+      element's skeleton dofs ``skel`` (nt, 3p), zero where one is
+      constrained (-1);
+    - C is held per element, ``bubbles`` (nt, nb, nb).
 
-    def __init__(self, upper):
+    A bubble couples to its own element only, so B and C are the element
+    blocks as they stand, and every entry is stored once.  Without
+    bubbles (nb = 0) the blocks are empty and A = S.
+
+    ``frobenius_norm`` is ||A||_F = sqrt(2 ||U||_F^2 - ||d||^2
+    + 2 ||B||_F^2 + ||C||_F^2), with each sum of squares taken pairwise,
+    so it holds to a few ulp.  It is formed here, before any Krylov basis
+    exists, because its squares are a temporary the size of U."""
+
+    def __init__(self, upper, skel, coupling, bubbles):
         self.upper = upper
         self.diagonal = upper.diagonal()
-        self.shape = upper.shape
+        self.skel = skel
+        self.coupling = coupling
+        self.bubbles = bubbles
+        n = upper.shape[0] + bubbles.shape[0] * bubbles.shape[1]
+        self.shape = (n, n)
         self.frobenius_norm = math.sqrt(
-            2.0 * np.sum(np.abs(upper.data) ** 2)
-            - np.sum(np.abs(self.diagonal) ** 2))
+            2.0 * (np.sum(np.abs(upper.data) ** 2)
+                   + np.sum(np.abs(coupling) ** 2))
+            - np.sum(np.abs(self.diagonal) ** 2)
+            + np.sum(np.abs(bubbles) ** 2))
 
     def __matmul__(self, x):
         """A @ x for a vector x."""
-        return self.upper @ x + self.upper.T @ x - self.diagonal * x
+        ns = self.upper.shape[0]
+        x_s = x[:ns]
+        y_s = self.upper @ x_s + self.upper.T @ x_s - self.diagonal * x_s
+        if ns == self.shape[0]:
+            return y_s
+        x_b = x[ns:].reshape(self.bubbles.shape[:2])[:, :, None]
+        y_s += _scatter(self.skel, (self.coupling @ x_b)[:, :, 0], ns)
+        y_b = ((_gather(self.skel, x_s)[:, None, :] @ self.coupling)[:, 0, :]
+               + (self.bubbles @ x_b)[:, :, 0])
+        return np.concatenate([y_s, y_b.ravel()])
+
+
+def _gather(skel, x):
+    """x at each element's skeleton dofs ``skel`` (nt, 3p), 0 where a dof
+    is constrained (-1)."""
+    return np.where(skel >= 0, x[skel], 0.0)
+
+
+def _scatter(skel, values, n):
+    """Per-element values at the skeleton dofs ``skel`` summed into an
+    n-vector; constrained dofs (-1) take nothing."""
+    valid = skel >= 0
+    idx, v = skel[valid], values[valid]
+    return (np.bincount(idx, weights=v.real, minlength=n)
+            + 1j * np.bincount(idx, weights=v.imag, minlength=n))
 
 
 @dataclass(frozen=True)
@@ -310,64 +351,6 @@ class _Pattern:
         return cls(n, np.searchsorted(unique, np.arange(n + 1) * n),
                    (unique % n).astype(np.int32), slot)
 
-    def with_bubbles(self, skel, nb):
-        """The pattern over ``skel``, this pattern's element dofs, followed
-        by ``nb`` bubbles per element, numbered n + t*nb + b; equal to
-        ``of_blocks`` over those dofs, with no sort of the keys.
-
-        A bubble couples to its own element only, so each skeleton row is
-        this pattern's row followed by the bubbles of the elements that
-        touch it, in ascending element order, and each bubble row is its
-        element's valid skeleton dofs, sorted, followed by its own
-        bubbles.  Without bubbles this pattern serves as it stands.
-        """
-        if not nb:
-            return self
-        nt, ns_local = skel.shape
-        ns = self.n
-        valid = skel >= 0
-        rows = skel[valid]                             # element-major
-        touching = np.bincount(rows, minlength=ns)
-        row_len = np.diff(self.indptr)
-        n_valid = valid.sum(axis=1)
-        indptr = np.zeros(ns + nt * nb + 1, dtype=self.indptr.dtype)
-        np.cumsum(np.concatenate([row_len + nb * touching,
-                                  np.repeat(n_valid + nb, nb)]),
-                  out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int32)
-        slot = np.full((nt, ns_local + nb, ns_local + nb), -1, dtype=np.int32)
-        bubbles = ns + np.arange(nt * nb).reshape(nt, nb)
-        own = np.arange(nb)
-
-        # skeleton x skeleton: each row moves by the bubbles of the rows
-        # before it
-        shift = np.repeat(nb * (np.cumsum(touching) - touching), row_len)
-        moved = np.arange(self.nnz) + shift
-        indices[moved] = self.indices
-        slot[:, :ns_local, :ns_local] = np.where(self.slot >= 0,
-                                                 moved[self.slot], -1)
-        # skeleton x bubble: the q-th (row, element) incidence in row
-        # order starts nb*q past the end of its row's skeleton entries
-        order = np.argsort(rows, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        start = self.indptr[rows + 1] + nb * rank
-        cols = start[:, None] + own
-        indices[cols] = np.repeat(bubbles, n_valid, axis=0)
-        slot[:, :ns_local, ns_local:][valid] = cols
-        # bubble x skeleton, then bubble x bubble
-        row_start = indptr[ns:-1].reshape(nt, nb)
-        by_dof = np.argsort(np.argsort(np.where(valid, skel, ns), axis=1),
-                            axis=1)
-        cols = row_start[:, :, None] + by_dof[:, None, :]
-        mask = np.broadcast_to(valid[:, None, :], cols.shape)
-        indices[cols[mask]] = np.broadcast_to(skel[:, None, :], cols.shape)[mask]
-        slot[:, ns_local:, :ns_local][mask] = cols[mask]
-        cols = (row_start + n_valid[:, None])[:, :, None] + own
-        indices[cols] = bubbles[:, None, :]
-        slot[:, ns_local:, ns_local:] = cols
-        return _Pattern(ns + nt * nb, indptr, indices, slot)
-
     def upper(self):
         """This pattern's upper triangle, diagonal included, taken by a
         mask on the column indices, with no sort.  A lower entry's slot is
@@ -409,9 +392,14 @@ class CondensedShiftSolver:
     to roundoff.
 
     Construction is the one element pass of a solve: each chunk's K and
-    M blocks are scattered into the pencil (``pencil``) and condensed in
-    the same sweep.  ``solve`` needs ``factor`` to have run.  ``d0`` is
-    the profile's asymptotic direction.
+    M blocks are stored in the pencil (``pencil``) and condensed in the
+    same sweep.  Both keep one layout: the skeleton on the skeleton
+    pattern, and per element a skeleton-bubble block (K's and M's
+    ``coupling``; the solve's ``gain`` = A_sb A_bb^-1) and a
+    bubble-bubble block (``bubbles``; ``bb_inv`` = A_bb^-1), which
+    ``_gather`` and ``_scatter`` join to the skeleton dofs.  ``solve``
+    needs ``factor`` to have run.  ``d0`` is the profile's asymptotic
+    direction.
     """
 
     def __init__(self, space: FunctionSpace, profile: ScalingProfile,
@@ -434,18 +422,24 @@ class CondensedShiftSolver:
         self._schur_data = np.zeros(self._schur_pattern.nnz, dtype=complex)
         self.lu = None
         tables = _reference_tables(space)
-        pattern = self._schur_pattern.with_bubbles(self.skel, nb_local).upper()
-        k_data, m_data = np.zeros((2, pattern.nnz), dtype=complex)
+        # K and M, laid out as SymmetricMatrix holds them
+        upper = self._schur_pattern.upper()
+        data = np.zeros((2, upper.nnz), dtype=complex)
+        coupling = np.empty((2, nt, ns_local, nb_local), dtype=complex)
+        bubbles = np.empty((2, nt, nb_local, nb_local), dtype=complex)
         for start in range(0, nt, CHUNK):
             ids = np.arange(start, min(start + CHUNK, nt))
-            k_blocks, m_blocks = _element_blocks(space, profile, medium, ids,
-                                                 tables)
-            pattern.add(k_data, ids, k_blocks)
-            pattern.add(m_data, ids, m_blocks)
-            self._condense(ids, k_blocks, m_blocks)
-        self.pencil = AssembledPencil(
-            stiffness=SymmetricMatrix(pattern.matrix(k_data)),
-            mass=SymmetricMatrix(pattern.matrix(m_data)))
+            blocks = _element_blocks(space, profile, medium, ids, tables)
+            for i, block in enumerate(blocks):
+                upper.add(data[i], ids, block[:, :ns_local, :ns_local])
+                coupling[i, ids] = block[:, :ns_local, ns_local:]
+                bubbles[i, ids] = block[:, ns_local:, ns_local:]
+            self._condense(ids, *blocks)
+        coupling[:, self.skel < 0] = 0.0
+        stiffness, mass = (SymmetricMatrix(upper.matrix(data[i]), self.skel,
+                                           coupling[i], bubbles[i])
+                           for i in range(2))
+        self.pencil = AssembledPencil(stiffness, mass)
 
     def _condense(self, ids, k_blocks, m_blocks):
         ns_local = self.gain.shape[1]
@@ -510,13 +504,8 @@ class CondensedShiftSolver:
         if ns == self.n:
             return self.lu.solve(b)
         w_b = b[ns:].reshape(self.bb_inv.shape[:2])[:, :, None]  # (nt, nb, 1)
-        corr = (self.gain @ w_b)[:, :, 0]                        # (nt, ns)
-        valid = self.skel >= 0
-        idx = self.skel[valid]
-        cv = corr[valid]
-        rhs = b[:ns] - (np.bincount(idx, weights=cv.real, minlength=ns)
-                        + 1j * np.bincount(idx, weights=cv.imag, minlength=ns))
-        x_s = self.lu.solve(rhs)
-        xs_elem = np.where(valid, x_s[self.skel], 0.0)[:, None, :]
-        x_b = (self.bb_inv @ w_b)[:, :, 0] - (xs_elem @ self.gain)[:, 0, :]
+        x_s = self.lu.solve(
+            b[:ns] - _scatter(self.skel, (self.gain @ w_b)[:, :, 0], ns))
+        x_b = ((self.bb_inv @ w_b)[:, :, 0]
+               - (_gather(self.skel, x_s)[:, None, :] @ self.gain)[:, 0, :])
         return np.concatenate([x_s, x_b.ravel()])

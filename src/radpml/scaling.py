@@ -246,10 +246,11 @@ class SmoothedPolynomialProfile(ScalingProfile):
     ``m = 1, amax = 1`` is the affine profile; larger exponents steepen
     the onset (alpha jumps to m*amax at r1+) while keeping both
     alpha_tilde and alpha bounded.  The slope is evaluated as
-    amax m r1^m / r^(m+1); an exponent for which that overflows or
-    underflows already at r1 is rejected, and beyond r1, where r^(m+1)
-    overflows, it is evaluated as amax m (r1/r)^m / r.  (r1/r)^m falls
-    from 1 to 0 for m >= 1, so valid parameters meet the assumptions.
+    amax m r1^m / r^(m+1); an r1 whose square overflows or underflows
+    is rejected, then an exponent for which the slope does so at r1, and
+    beyond r1, where r^(m+1) overflows, it is evaluated as
+    amax m (r1/r)^m / r.  (r1/r)^m falls from 1 to 0 for m >= 1, so valid
+    parameters meet the assumptions.
     """
 
     exponent: float = 2.0
@@ -262,6 +263,10 @@ class SmoothedPolynomialProfile(ScalingProfile):
             raise ValidationError(f"exponent must be >= 1, got {self.exponent!r}")
         if not (np.isfinite(self.amax) and self.amax > 0.0):
             raise ValidationError(f"amax must be positive, got {self.amax!r}")
+        square = float(self.r1) * float(self.r1)  # r1^(m+1) for m = 1
+        if not 0.0 < square < np.inf:
+            raise ValidationError(f"r1 = {self.r1:g} is out of range: r1^2 "
+                                  f"= {square:g} in double precision")
         r1, m = np.float64(self.r1), self.exponent
         with np.errstate(all="ignore"):  # the family's own formula at r1
             onset_slope = self.amax * m * r1 ** m / r1 ** (m + 1.0)

@@ -837,6 +837,15 @@ class TestLargeExponent:
             "1.5: amax*m*r1^m / r1^(m+1) is not representable in double "
             "precision\n")
 
+    def test_overflowing_onset_names_r1(self, tmp_path, capsys):
+        """The affine profile has no exponent key: when r1^2 alone
+        overflows, the error names r1."""
+        path = write_config(tmp_path, geometry={"r1": "1e306"})
+        assert main(["check", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [scaling] r1 = 1e+306 is out of range: r1^2 = inf "
+            "in double precision\n")
+
 
 class TestOutputPaths:
     """An output directory or artifact path that cannot be made or written

@@ -505,8 +505,8 @@ k = 4
 
 def sorted_key_pattern(dofs, n):
     """(indptr, indices, slot) of the element-pair pattern over ``dofs``
-    from one sort of every key, the construction the derived pattern
-    replaces; kept here as its oracle."""
+    from one sort of every key; over every dof it is the full pencil's
+    pattern, the oracle of ``TestStoredTriangle``."""
     valid = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
     keys = dofs[:, :, None] * n + dofs[:, None, :]
     unique, inverse = np.unique(keys[valid], return_inverse=True)
@@ -517,33 +517,14 @@ def sorted_key_pattern(dofs, n):
 
 
 class TestPattern:
-    """The full pencil's pattern is the skeleton's with the bubbles
-    appended, not a second sort of every element-pair key."""
-
-    @pytest.mark.parametrize("geometry", [DISK, ELLIPSE], ids=["disk", "ellipse"])
-    @pytest.mark.parametrize("p", range(1, 7))
-    def test_derived_pattern_matches_sorted_keys(self, geometry, p):
-        mesh = generate(geometry, hmax=0.8, q=2)
-        assert len(mesh.outer_edges)
-        space = FunctionSpace(mesh, p)
-        nb = (p - 1) * (p - 2) // 2
-        skel = space.element_dofs[:, :3 * p]
-        skeleton = _Pattern.of_blocks(
-            skel, space.num_dofs - mesh.num_triangles * nb)
-        full = skeleton.with_bubbles(skel, nb)
-        indptr, indices, slot = sorted_key_pattern(space.element_dofs,
-                                                   space.num_dofs)
-        assert full.n == space.num_dofs and full.nnz == indices.size
-        assert full.indptr.dtype == indptr.dtype
-        assert np.array_equal(full.indptr, indptr)
-        assert np.array_equal(full.indices, indices)
-        assert np.array_equal(full.slot, slot)
+    """The element-pair keys are sorted once, for the skeleton; the
+    pencil holds its bubble blocks per element, with no pattern."""
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_sort_per_pass(self, monkeypatch, p):
         """The keys are sorted once, for the skeleton.  The pencil's
-        pattern is its upper triangle, a pattern object of its own even
-        without bubbles, where the factor's is every dof's."""
+        pattern is the skeleton's upper triangle, a pattern object of its
+        own even without bubbles, where the factor's is the full one."""
         sorts, built = [], []
         of_blocks, matrix = _Pattern.of_blocks.__func__, _Pattern.matrix
 
@@ -567,12 +548,14 @@ class TestPattern:
 
 
 class TestStoredTriangle:
-    """The pencil stores the upper triangle of K and M, diagonal included,
-    and stands for the full matrices that the element pass sums."""
+    """The pencil stores the upper triangle of the skeleton block of K
+    and M, diagonal included, and each element's bubble blocks, and
+    stands for the full matrices that the element pass sums."""
 
-    CASES = [(DISK, 2, ISO), (ELLIPSE, 3, ANISO)]
+    CASES = [(DISK, 2, ISO), (ELLIPSE, 3, ANISO), (ELLIPSE, 6, ANISO)]
 
-    @pytest.fixture(scope="class", params=CASES, ids=["disk-p2", "ellipse-p3"])
+    @pytest.fixture(scope="class", params=CASES,
+                    ids=["disk-p2", "ellipse-p3", "ellipse-p6"])
     def case(self, request):
         geometry, p, medium = request.param
         space = FunctionSpace(generate(geometry, hmax=0.8, q=2), p)
@@ -581,15 +564,19 @@ class TestStoredTriangle:
 
     def test_stores_one_triangle(self, case):
         space, _, _, pencil = case
-        n = space.num_dofs
-        _, indices, _ = sorted_key_pattern(space.element_dofs, n)
+        p, nt = space.p, space.mesh.num_triangles
+        nb = (p - 1) * (p - 2) // 2
+        ns = space.num_dofs - nt * nb
+        _, indices, _ = sorted_key_pattern(space.element_dofs[:, :3 * p], ns)
         for mat in (pencil.stiffness, pencil.mass):
-            assert mat.upper.nnz == (indices.size + n) // 2
+            assert mat.upper.nnz == (indices.size + ns) // 2
+            assert mat.coupling.shape == (nt, 3 * p, nb)
+            assert mat.bubbles.shape == (nt, nb, nb)
 
     def test_full_matrix_is_the_sorted_key_assembly_bitwise(self, case):
         """The element blocks summed in element order into the full
-        pattern of one key sort, as the full pencil was assembled, give
-        the full matrix of the stored triangle entry for entry."""
+        pattern of one key sort give, entry for entry, the full matrix
+        that the stored triangle and element blocks stand for."""
         space, profile, medium, pencil = case
         indptr, indices, slot = sorted_key_pattern(space.element_dofs,
                                                    space.num_dofs)

@@ -1,5 +1,7 @@
 """Tests for scaling profiles, asymptotics and admissibility."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,12 @@ class TestValidation:
         for r1, exponent in [(1.5, 1733.0), (1e-3, 200.0)]:
             with pytest.raises(ValidationError, match="too large"):
                 SmoothedPolynomialProfile(r1=r1, gamma=1j, exponent=exponent)
+        # r1^2 out of range is r1's fault, whatever the exponent
+        for r1 in (1.4e154, 1e-162):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"r1 = {r1:g} is out of range")):
+                AffineProfile(r1=r1, gamma=1j)
+        AffineProfile(r1=1e154, gamma=1j)
         # the guard admits m = 1732 on r1 = 1.5, a continuous profile
         # whose onset slope is 1155 (see TestSteepProfiles)
         steep = SmoothedPolynomialProfile(r1=1.5, gamma=1j, exponent=1732.0)
