@@ -31,6 +31,7 @@ from radpml.fem import (
     AssembledPencil,
     CondensedShiftSolver,
     FunctionSpace,
+    SymmetricMatrix,
     element_matrices,
     _Pattern,
     _tensor_batch,
@@ -519,6 +520,38 @@ def sorted_key_pattern(dofs, n):
 class TestPattern:
     """The element-pair keys are sorted once, for the skeleton; the
     pencil holds its bubble blocks per element, with no pattern."""
+
+    @pytest.mark.parametrize("geometry", [DISK, ELLIPSE], ids=["disk", "ellipse"])
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_derived_pattern_matches_sorted_keys(self, geometry, p):
+        """The skeleton's upper pattern, with each element's bubble blocks
+        joined at its own dofs, stands for the pattern of one sort of
+        every element-pair key over every dof; and each upper slot
+        addresses its own (row, col) entry."""
+        mesh = generate(geometry, hmax=0.8, q=2)
+        assert len(mesh.outer_edges)
+        space = FunctionSpace(mesh, p)
+        nt = mesh.num_triangles
+        nb = (p - 1) * (p - 2) // 2
+        ns = space.num_dofs - nt * nb
+        skel = space.element_dofs[:, :3 * p]
+        upper = _Pattern.of_blocks(skel, ns).upper()
+        rows = np.repeat(np.arange(ns), np.diff(upper.indptr))
+        row = np.broadcast_to(skel[:, :, None], upper.slot.shape)
+        col = np.broadcast_to(skel[:, None, :], upper.slot.shape)
+        kept = upper.slot >= 0
+        assert np.array_equal(kept, (row >= 0) & (col >= 0) & (row <= col))
+        assert np.array_equal(rows[upper.slot[kept]], row[kept])
+        assert np.array_equal(upper.indices[upper.slot[kept]], col[kept])
+        matrix = SymmetricMatrix(upper.matrix(np.ones(upper.nnz, dtype=complex)),
+                                 skel, np.ones((nt, 3 * p, nb), dtype=complex),
+                                 np.ones((nt, nb, nb), dtype=complex))
+        full = full_csr(matrix)
+        indptr, indices, _ = sorted_key_pattern(space.element_dofs,
+                                                space.num_dofs)
+        assert matrix.shape == (space.num_dofs, space.num_dofs)
+        assert np.array_equal(full.indptr, indptr)
+        assert np.array_equal(full.indices, indices)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_sort_per_pass(self, monkeypatch, p):
