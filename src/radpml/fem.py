@@ -25,11 +25,11 @@ parity signs of :mod:`radpml.basis`.  The upper triangle is mirrored, so
 every block is exactly symmetric, and so is the pencil.  It stores K and
 M as the condensed solve stores its operator (``SymmetricMatrix``): the
 upper triangle of the vertex/edge skeleton block, summed in element order
-into a CSR pattern that K and M share, and each element's skeleton-bubble
-and bubble-bubble blocks as they stand.  The same chunk's blocks are then
-condensed onto the skeleton, and ``factor`` factors what remains.
-Element-pair keys are sorted once per pass, for the skeleton pattern; the
-pencil keeps its upper triangle by a mask on the column indices.
+into a CSR pattern, and each element's skeleton-bubble and bubble-bubble
+blocks as they stand.  The same chunk's blocks are then condensed onto
+the skeleton, and the upper triangle of that Schur complement is summed
+into the same pattern; ``factor`` mirrors it and factors the result.
+Element-pair keys are sorted once per pass, for that one upper pattern.
 """
 
 from __future__ import annotations
@@ -325,11 +325,10 @@ def _element_blocks(space, profile, medium, ids, tables):
 
 
 class _Pattern:
-    """Fixed CSR pattern of element blocks: entry (dofs[t, i], dofs[t, j])
-    sits at data[slot[t, i, j]], -1 where either dof is constrained or,
-    in an ``upper`` pattern, where the entry lies below the diagonal.
-    Blocks are summed in element order, so symmetric blocks give an
-    exactly symmetric matrix."""
+    """Fixed CSR pattern of the upper triangle of element blocks, diagonal
+    included: entry (dofs[t, i], dofs[t, j]) sits at data[slot[t, i, j]],
+    -1 where either dof is constrained or the entry lies below the
+    diagonal.  Blocks are summed in element order."""
 
     def __init__(self, n, indptr, indices, slot):
         self.n = n
@@ -340,32 +339,17 @@ class _Pattern:
 
     @classmethod
     def of_blocks(cls, dofs, n):
-        """The pattern of blocks over ``dofs`` (nt, local), -1 marking a
-        constrained dof, from one sort of every element-pair key."""
-        valid = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
-        keys = dofs[:, :, None] * n + dofs[:, None, :]
+        """The upper pattern of blocks over ``dofs`` (nt, local), -1
+        marking a constrained dof, from one sort of its element-pair keys."""
+        row, col = dofs[:, :, None], dofs[:, None, :]
+        valid = (row >= 0) & (col >= 0) & (row <= col)
+        keys = row * n + col
         unique, inverse = np.unique(keys[valid], return_inverse=True)
         del keys
         slot = np.full(valid.shape, -1, dtype=np.int32)
         slot[valid] = inverse
         return cls(n, np.searchsorted(unique, np.arange(n + 1) * n),
                    (unique % n).astype(np.int32), slot)
-
-    def upper(self):
-        """This pattern's upper triangle, diagonal included, taken by a
-        mask on the column indices, with no sort.  A lower entry's slot is
-        -1, so ``add`` skips it and sums the upper entries in element
-        order, bitwise as the full pattern does."""
-        rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype),
-                         np.diff(self.indptr))
-        keep = self.indices >= rows
-        del rows
-        position = np.cumsum(keep)
-        indptr = np.concatenate(([0], position))[self.indptr]
-        moved = np.where(keep, position - 1, -1).astype(np.int32)
-        del position
-        slot = np.where(self.slot >= 0, moved[self.slot], -1)
-        return _Pattern(self.n, indptr, self.indices[keep], slot)
 
     def add(self, data, ids, blocks):
         slot = self.slot[ids]
@@ -393,11 +377,13 @@ class CondensedShiftSolver:
 
     Construction is the one element pass of a solve: each chunk's K and
     M blocks are stored in the pencil (``pencil``) and condensed in the
-    same sweep.  Both keep one layout: the skeleton on the skeleton
-    pattern, and per element a skeleton-bubble block (K's and M's
-    ``coupling``; the solve's ``gain`` = A_sb A_bb^-1) and a
-    bubble-bubble block (``bubbles``; ``bb_inv`` = A_bb^-1), which
-    ``_gather`` and ``_scatter`` join to the skeleton dofs.  ``solve``
+    same sweep.  Both keep one layout: the upper triangle of the skeleton
+    block on one pattern, which K, M and the Schur complement share, and
+    per element a skeleton-bubble block (K's and M's ``coupling``; the
+    solve's ``gain`` = A_sb A_bb^-1) and a bubble-bubble block
+    (``bubbles``; ``bb_inv`` = A_bb^-1), which ``_gather`` and
+    ``_scatter`` join to the skeleton dofs.  ``factor`` mirrors the Schur
+    triangle once, into the full matrix that SuperLU takes; ``solve``
     needs ``factor`` to have run.  ``d0`` is the profile's asymptotic
     direction.
     """
@@ -418,13 +404,13 @@ class CondensedShiftSolver:
         self.skel = space.element_dofs[:, :ns_local]
         self.gain = np.empty((nt, ns_local, nb_local), dtype=complex)
         self.bb_inv = np.empty((nt, nb_local, nb_local), dtype=complex)
-        self._schur_pattern = _Pattern.of_blocks(self.skel, self.skeleton_size)
-        self._schur_data = np.zeros(self._schur_pattern.nnz, dtype=complex)
         self.lu = None
         tables = _reference_tables(space)
-        # K and M, laid out as SymmetricMatrix holds them
-        upper = self._schur_pattern.upper()
+        # K and M, laid out as SymmetricMatrix holds them, and the Schur
+        # complement, all on the one upper pattern of the skeleton
+        upper = _Pattern.of_blocks(self.skel, self.skeleton_size)
         data = np.zeros((2, upper.nnz), dtype=complex)
+        schur = np.zeros(upper.nnz, dtype=complex)
         coupling = np.empty((2, nt, ns_local, nb_local), dtype=complex)
         bubbles = np.empty((2, nt, nb_local, nb_local), dtype=complex)
         for start in range(0, nt, CHUNK):
@@ -434,14 +420,17 @@ class CondensedShiftSolver:
                 upper.add(data[i], ids, block[:, :ns_local, :ns_local])
                 coupling[i, ids] = block[:, :ns_local, ns_local:]
                 bubbles[i, ids] = block[:, ns_local:, ns_local:]
-            self._condense(ids, *blocks)
+            upper.add(schur, ids, self._condense(ids, *blocks))
         coupling[:, self.skel < 0] = 0.0
         stiffness, mass = (SymmetricMatrix(upper.matrix(data[i]), self.skel,
                                            coupling[i], bubbles[i])
                            for i in range(2))
         self.pencil = AssembledPencil(stiffness, mass)
+        self._schur = upper.matrix(schur)
 
     def _condense(self, ids, k_blocks, m_blocks):
+        """Eliminate the chunk's bubbles: store its ``gain`` and
+        ``bb_inv``, and return its Schur blocks A_ss - gain A_sb^T."""
         ns_local = self.gain.shape[1]
         a = k_blocks - self.shift_sq * m_blocks
         a_ss = a[:, :ns_local, :ns_local]
@@ -456,17 +445,20 @@ class CondensedShiftSolver:
         gain = a_sb @ bb_inv
         self.gain[ids] = gain
         self.bb_inv[ids] = bb_inv
-        self._schur_pattern.add(self._schur_data, ids,
-                                a_ss - gain @ np.swapaxes(a_sb, 1, 2))
+        return a_ss - gain @ np.swapaxes(a_sb, 1, 2)
 
     def factor(self) -> "CondensedShiftSolver":
         """Factor the condensed Schur complement; returns self.
 
-        The Schur pattern and data are dropped once factored, and the
-        freed heap is handed back to the system (``malloc_trim``, where
-        the C library has it).  The Krylov basis is allocated next, and it
-        sets the peak RSS of a solve: without the trim, glibc keeps the
-        freed pages resident and the basis takes fresh ones beside them.
+        The stored upper triangle is mirrored once into the full matrix
+        that SuperLU takes, so that matrix is exactly symmetric.  The
+        triangle and its mirror are dropped once factored, and only then
+        is the freed heap handed back to the system (``malloc_trim``,
+        where the C library has it).  The Krylov basis is allocated next,
+        and it sets the peak RSS of a solve: without the trim, glibc keeps
+        the freed pages resident and the basis takes fresh ones beside
+        them.  On the ``disk-p2`` benchmark (2-core Xeon), holding the
+        mirror through the trim raised a run's peak RSS from 353 to 371 MB.
 
         Raises
         ------
@@ -474,14 +466,17 @@ class CondensedShiftSolver:
             If the skeleton factor is singular (the shift is an
             eigenvalue).
         """
+        import scipy.sparse
+
         from .eig import sparse_lu
 
+        upper, self._schur = self._schur, None
         try:
-            self.lu = sparse_lu(self._schur_pattern.matrix(self._schur_data))
+            self.lu = sparse_lu(upper + scipy.sparse.triu(upper, k=1).T)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"shifted pencil is singular ({exc}); move the shift") from exc
-        self._schur_pattern = self._schur_data = None
+        del upper
         import ctypes  # here, as scipy is: only a solve loads it
 
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)

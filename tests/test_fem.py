@@ -465,6 +465,29 @@ class TestElementPass:
                    - self.shift_sq * full_csr(pencil.mass))
         assert np.linalg.norm(shifted @ x - b) <= 1e-10 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_factored_schur_complement_is_symmetric(self, monkeypatch, p):
+        """The factor is handed the stored triangle of the Schur
+        complement and its mirror, so S == S^T entry for entry; summed
+        in full, the per-element A_sb A_bb^-1 A_sb^T is not."""
+        import radpml.eig as eig_module
+
+        handed = []
+        sparse_lu = eig_module.sparse_lu
+
+        def spy(mat):
+            handed.append(mat)
+            return sparse_lu(mat)
+
+        monkeypatch.setattr(eig_module, "sparse_lu", spy)
+        space = FunctionSpace(self.space.mesh, p)
+        solver = CondensedShiftSolver(space, self.profile, ANISO,
+                                      self.shift_sq).factor()
+        (schur,) = handed
+        assert schur.shape == (solver.skeleton_size,) * 2
+        dense = schur.toarray()
+        assert np.array_equal(dense, dense.T)
+
     def test_elements_evaluated_once_per_solve(self, monkeypatch, tmp_path):
         import radpml.fem as fem_module
         from radpml.cli import _solve_once, parse_config
@@ -518,16 +541,17 @@ def sorted_key_pattern(dofs, n):
 
 
 class TestPattern:
-    """The element-pair keys are sorted once, for the skeleton; the
-    pencil holds its bubble blocks per element, with no pattern."""
+    """The element-pair keys of the skeleton's upper triangle are sorted
+    once; the pencil holds its bubble blocks per element, with no
+    pattern."""
 
     @pytest.mark.parametrize("geometry", [DISK, ELLIPSE], ids=["disk", "ellipse"])
     @pytest.mark.parametrize("p", range(1, 7))
     def test_derived_pattern_matches_sorted_keys(self, geometry, p):
         """The skeleton's upper pattern, with each element's bubble blocks
         joined at its own dofs, stands for the pattern of one sort of
-        every element-pair key over every dof; and each upper slot
-        addresses its own (row, col) entry."""
+        every element-pair key over every dof; and each slot addresses
+        its own (row, col) entry."""
         mesh = generate(geometry, hmax=0.8, q=2)
         assert len(mesh.outer_edges)
         space = FunctionSpace(mesh, p)
@@ -535,7 +559,7 @@ class TestPattern:
         nb = (p - 1) * (p - 2) // 2
         ns = space.num_dofs - nt * nb
         skel = space.element_dofs[:, :3 * p]
-        upper = _Pattern.of_blocks(skel, ns).upper()
+        upper = _Pattern.of_blocks(skel, ns)
         rows = np.repeat(np.arange(ns), np.diff(upper.indptr))
         row = np.broadcast_to(skel[:, :, None], upper.slot.shape)
         col = np.broadcast_to(skel[:, None, :], upper.slot.shape)
@@ -555,9 +579,9 @@ class TestPattern:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_sort_per_pass(self, monkeypatch, p):
-        """The keys are sorted once, for the skeleton.  The pencil's
-        pattern is the skeleton's upper triangle, a pattern object of its
-        own even without bubbles, where the factor's is the full one."""
+        """The keys are sorted once, for the skeleton's upper triangle,
+        and that one pattern object holds K, M and the Schur complement
+        that the factor mirrors."""
         sorts, built = [], []
         of_blocks, matrix = _Pattern.of_blocks.__func__, _Pattern.matrix
 
@@ -575,9 +599,8 @@ class TestPattern:
         solver = CondensedShiftSolver(space, AffineProfile(r1=1.5, gamma=GAMMA),
                                       ISO, SHIFT_SQ).factor()
         assert sorts == [solver.skeleton_size]
-        stiffness, mass, schur = built
-        assert stiffness is mass
-        assert stiffness is not schur
+        assert len(built) == 3
+        assert built[0] is built[1] is built[2]
 
 
 class TestStoredTriangle:
