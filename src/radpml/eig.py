@@ -16,17 +16,18 @@ reached is used as it stands and its size is recorded.  A fresh random
 start vector would reach the same dimension, the degree of the
 operator's minimal polynomial, so there is nothing to restart.
 
-Every returned eigenvalue carries the relative residual of its Ritz
-vector on the full pencil (``rayleigh_residual``); pairs worse than 1e-6
-are dropped and counted in ``provenance["dropped"]`` (Ritz clutter near
-the shift is expected, not an error).  The Arnoldi relation gives every
-pair's residual from one product with the next basis vector, so a pair
-whose estimate exceeds ten times that gate is dropped without forming
-its Ritz vector; the others are formed only to measure the residual and
-are not kept.  Validity against the scaled-resolvent region is flagged
-per eigenvalue: in_lambda_d0 is False exactly when |Re(i omega d0)| <=
-1e-10 for the asymptotic direction d0 that the solver took from its own
-profile.
+One gate, a relative residual of 1e-6, decides which Ritz pairs are
+kept.  The Arnoldi relation gives every pair's residual from one product
+with the next basis vector; a pair whose estimate exceeds the gate is
+dropped without forming its Ritz vector.  Every other pair is formed and
+its residual measured on the full pencil (``rayleigh_residual``): that
+formed residual confirms the pair against the gate and is the one
+reported, and the Ritz vector is not kept.  ``provenance["dropped"]``
+counts the unformed and the formed drops together (Ritz clutter near
+the shift is expected, not an error).  Validity against the
+scaled-resolvent region is flagged per eigenvalue: in_lambda_d0 is
+False exactly when |Re(i omega d0)| <= 1e-10 for the asymptotic
+direction d0 that the solver took from its own profile.
 
 Spurious-mode detection compares the spectrum with that of the same
 problem with the damping layer widened by a stretch factor, matching the
@@ -67,10 +68,6 @@ __all__ = [
 
 #: residual level beyond which a Ritz pair is considered unconverged
 RESIDUAL_DROP = 1e-6
-
-#: a pair whose Arnoldi residual estimate exceeds this multiple of
-#: RESIDUAL_DROP is dropped without forming its Ritz vector
-SCREEN_FACTOR = 10.0
 
 #: margin of the in_lambda_d0 flag: |Re(i omega d0)| <= margin is "outside"
 LAMBDA_MARGIN = 1e-10
@@ -242,10 +239,10 @@ def _ritz_estimates(solver, v, h, mb, theta, y):
     T V = V H + beta v+ e_m^T gives, for u = V y and omega^2 =
     shift_sq + 1/theta,  K u - omega^2 M u = -(beta y_m / theta) A v+,
     so one product with the next basis vector v+ prices every candidate.
-    After a breakdown (mb below the requested size) the basis is
-    invariant, the remainder is zero and v+ was never written.
+    After a breakdown, the last step's included, beta = h[mb, mb-1] is
+    zero: the basis is invariant and v+ was never written.
     """
-    if mb < h.shape[1]:
+    if h[mb, mb - 1] == 0:
         return np.zeros(theta.shape)
     pencil = solver.pencil
     tail = v[mb]
@@ -310,11 +307,10 @@ def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
         th = theta[idx]
         if abs(th) < 1e-300:
             continue
-        if estimates[idx] > SCREEN_FACTOR * RESIDUAL_DROP:
-            dropped += 1
-            continue
         omega = _lower_branch_sqrt(shift_sq + 1.0 / th)
-        res = rayleigh_residual(pencil, omega, v[:mb].T @ y[:, idx])
+        res = estimates[idx]
+        if not res > RESIDUAL_DROP:  # passed (or unpriced): form and check
+            res = rayleigh_residual(pencil, omega, v[:mb].T @ y[:, idx])
         if res > RESIDUAL_DROP:
             dropped += 1
             continue

@@ -311,23 +311,31 @@ class TestShiftInvertArnoldi:
         assert flags[np.round(on_ray, 8)] == False  # noqa: E712
         assert flags[np.round(off_ray, 8)] == True  # noqa: E712
 
-    def test_breakdown_uses_invariant_basis(self, monkeypatch):
+    @pytest.mark.parametrize("case", ["identity", "last_step"])
+    def test_breakdown_uses_invariant_basis(self, case, monkeypatch):
         """On K = M = I every start vector spans an invariant subspace;
         the solver keeps the one-vector basis and still returns the exact
-        eigenvalue omega = 1.  The next basis row was never written, and
-        the residual screen must not read it: the basis handed over here
-        ends at the invariant subspace, so a read raises IndexError."""
+        eigenvalue omega = 1.  On a 2 x 2 diagonal pencil the basis is
+        invariant at the last step (size = krylov_dim = n = 2), where the
+        requested size is reached all the same.  Either way the next
+        basis row was never written, and the residual screen must not
+        read it: the basis handed over here ends at the invariant
+        subspace, so a read raises IndexError."""
         def truncated(*args):
             v, h, mb = _arnoldi(*args)
             return v[:mb], h, mb
 
         monkeypatch.setattr(eig_module, "_arnoldi", truncated)
-        eye = scipy.sparse.identity(30, dtype=complex, format="csr")
-        solver = DirectSolver(AssembledPencil(stiffness=stored(eye),
-                                              mass=stored(eye)), 0.5)
+        if case == "identity":
+            eye = scipy.sparse.identity(30, dtype=complex, format="csr")
+            solver = DirectSolver(AssembledPencil(stiffness=stored(eye),
+                                                  mass=stored(eye)), 0.5)
+            omega, size = 1.0, 1
+        else:
+            solver, omega, size = diagonal_solver(1.9, 2.0, 5.0), 2**0.5, 2
         spectrum = shift_invert_arnoldi(solver, k=1)
-        assert abs(spectrum.omegas[0] - 1.0) < 1e-13
-        assert spectrum.provenance["basis_size"] == 1
+        assert abs(spectrum.omegas[0] - omega) < 1e-13
+        assert spectrum.provenance["basis_size"] == size
 
     @pytest.mark.parametrize("fixture", ["coarse_solver", "condensed_solver"])
     def test_screening_matches_explicit_oracle(self, fixture, request,
@@ -362,10 +370,50 @@ class TestShiftInvertArnoldi:
         assert above.sum() >= 10
         assert np.all(np.abs(estimate[above] - explicit[above])
                       <= 1e-6 * explicit[above])
-        screened = estimate > (eig_module.SCREEN_FACTOR
-                               * eig_module.RESIDUAL_DROP)
+        screened = estimate > eig_module.RESIDUAL_DROP
         assert screened.any()
         assert np.all(explicit[screened] > eig_module.RESIDUAL_DROP)
+
+    @pytest.mark.parametrize("fixture", ["coarse_solver", "condensed_solver"])
+    def test_estimate_above_gate_drops_unformed(self, fixture, request,
+                                                monkeypatch):
+        """A pair whose estimate reads twice the gate is dropped without
+        forming its Ritz vector, though its formed residual would pass:
+        the estimate alone decides which pairs are formed.  Compared with
+        a run asked for one pair more, which stops at the same candidate,
+        exactly that pair moves from the kept to the dropped."""
+        solver = request.getfixturevalue(fixture)
+        base = shift_invert_arnoldi(solver, k=9, krylov_dim=40, seed=0)
+        target = []
+
+        def inflated(*args):
+            estimates = _ritz_estimates(*args)
+            theta = args[4]
+            # the first candidate in Ritz order that passes well inside
+            # the gate, so that it is kept when the estimate is left alone
+            idx = next(i for i in np.argsort(-np.abs(theta), kind="stable")
+                       if estimates[i] < 1e-3 * eig_module.RESIDUAL_DROP)
+            estimates[idx] = 2.0 * eig_module.RESIDUAL_DROP
+            target.append(_lower_branch_sqrt(solver.shift_sq
+                                             + 1.0 / theta[idx]))
+            return estimates
+
+        formed = []
+
+        def spying(pencil, omega, u):
+            formed.append(omega)
+            return rayleigh_residual(pencil, omega, u)
+
+        monkeypatch.setattr(eig_module, "_ritz_estimates", inflated)
+        monkeypatch.setattr(eig_module, "rayleigh_residual", spying)
+        spectrum = shift_invert_arnoldi(solver, k=8, krylov_dim=40, seed=0)
+        (omega,) = target
+        others = base.omegas != omega
+        assert not others.all()
+        assert np.array_equal(spectrum.omegas, base.omegas[others])
+        assert np.array_equal(spectrum.residuals, base.residuals[others])
+        assert omega not in formed
+        assert spectrum.provenance["dropped"] == base.provenance["dropped"] + 1
 
     def test_singular_shift_rejected(self, monkeypatch):
         """A singular skeleton factor means the shift is an eigenvalue:
