@@ -19,8 +19,9 @@ computation:
 * the exterior Neumann references for the unit disk: roots of
   ``(H_n^{(1)})'`` counted by the argument principle, recovered from the
   moments of that contour integral (no further series evaluation) and
-  polished by a few Newton sweeps.  Each contour level and each sweep is
-  one series evaluation of orders n - 1 and n together.  The moment
+  polished by a few Newton sweeps.  The orders share their contour
+  levels: each level is one series evaluation of every order not yet
+  counted, and each sweep one of orders n - 1 and n together.  The moment
   pencil is solved with numpy alone: the seeds are only starting points,
   and every root is certified after Newton, so the reference search runs
   without loading scipy.
@@ -203,30 +204,38 @@ def hankel1(n: int, z):
     return out if np.ndim(z) else complex(out)
 
 
-def _hankel_deriv(n: int, z: np.ndarray):
-    """H_n and H_n' from one series loop over orders n - 1 and n.
+def _hankel_table(orders, z: np.ndarray):
+    """H^{(1)} on z of orders n - 1 and n (0 and 1 for n = 0), for each n
+    in ``orders``, keyed by order, from one series loop."""
+    needed = sorted({k for n in orders for k in (max(n - 1, 0), max(n, 1))})
+    return dict(zip(needed, _hankel1_orders(needed, z)))
 
-    Uses H'_n = H_{n-1} - (n/z) H_n, and H'_0 = -H_1.
-    """
+
+def _first_deriv(n: int, z: np.ndarray, table):
+    """H_n' from a ``_hankel_table``: H'_n = H_{n-1} - (n/z) H_n, and
+    H'_0 = -H_1."""
     if n == 0:
-        h_n, h_1 = _hankel1_orders((0, 1), z)
-        return h_n, -h_1
-    h_prev, h_n = _hankel1_orders((n - 1, n), z)
-    return h_n, h_prev - (n / z) * h_n
+        return -table[1]
+    return table[n - 1] - (n / z) * table[n]
+
+
+def _second_deriv(n: int, z: np.ndarray, h_n, d1):
+    """H_n'' from H_n and H_n' by Bessel's equation."""
+    return ((n * n - z * z) * h_n - z * d1) / (z * z)
 
 
 def hankel1_deriv(n: int, z):
     """First derivative of H_n^{(1)}; uses H'_n = H_{n-1} - (n/z) H_n."""
     arr = _check_cylinder_args(n, z)
-    _, out = _hankel_deriv(n, arr)
+    out = _first_deriv(n, arr, _hankel_table((n,), arr))
     return out if np.ndim(z) else complex(out)
 
 
 def _hankel_with_two_derivs(n: int, z: np.ndarray):
     """H_n, H_n' and H_n'' in one sweep (the ODE supplies the second)."""
-    h_n, d1 = _hankel_deriv(n, z)
-    d2 = ((n * n - z * z) * h_n - z * d1) / (z * z)
-    return h_n, d1, d2
+    table = _hankel_table((n,), z)
+    d1 = _first_deriv(n, z, table)
+    return table[n], d1, _second_deriv(n, z, table[n], d1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +331,14 @@ class ResonanceReference:
     residual: float     # |(H_n^{(1)})'(root)|
 
 
-def _logderiv_count(n: int, box: RangeBox, panels: int):
-    """Contour integral (1/2 pi i) oint H''/H' dz over the box boundary.
+def _logderiv_counts(orders, box: RangeBox, panels: int, rule):
+    """Contour integrals (1/2 pi i) oint H_n''/H_n' dz over the box boundary
+    for each order n in ``orders``.
 
-    The 16-point Gauss panels of all four sides are one evaluation over
-    64 * ``panels`` nodes.  Returns the integral, the nodes and their
-    quadrature terms, whose sum is the integral.
+    The 16-point Gauss panels (``rule``, from ``leggauss(16)``) of all four
+    sides are one series evaluation over 64 * ``panels`` nodes, which
+    serves every order.  Returns the nodes and, per order, the integral
+    and its quadrature terms, whose sum is the integral.
     """
     corners = np.array([
         box.re_lo + 1j * box.im_lo, box.re_hi + 1j * box.im_lo,
@@ -336,28 +347,47 @@ def _logderiv_count(n: int, box: RangeBox, panels: int):
     a, b = corners[:-1, None, None], corners[1:, None, None]
     length = (b - a) / panels
     t0 = (np.arange(panels) / panels)[:, None]
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    gl_x, gl_w = rule
     z = (a + (b - a) * t0) + (0.5 * (gl_x + 1.0)) * length
-    _, d1, d2 = _hankel_with_two_derivs(n, z.ravel())
-    terms = (0.5 / (2.0j * np.pi)) * length * gl_w * (d2 / d1).reshape(z.shape)
-    return terms.sum(), z.ravel(), terms.ravel()
+    weight = (0.5 / (2.0j * np.pi)) * length * gl_w
+    nodes = z.ravel()
+    table = _hankel_table(orders, nodes)
+    integrals = []
+    for n in orders:
+        d1 = _first_deriv(n, nodes, table)
+        d2 = _second_deriv(n, nodes, table[n], d1)
+        terms = weight * (d2 / d1).reshape(z.shape)
+        integrals.append((terms.sum(), terms.ravel()))
+    return nodes, integrals
 
 
-def _argument_principle_count(n: int, box: RangeBox):
-    """Certified count of roots of H' in the box, with the nodes and
-    quadrature terms of the contour level that certified it."""
+def _argument_principle_counts(n_max: int, box: RangeBox):
+    """Certified counts of roots of H_n' in the box for n = 0..n_max.
+
+    Contour levels of 4, 8, ..., 256 panels are shared: each is one
+    series evaluation of every order not yet counted.  An order is
+    counted when two consecutive levels round to the same integer and the
+    second lies within 1e-3 of it.  Returns, per order, the count with the
+    nodes and quadrature terms of the level that certified it, or None
+    for an order whose count did not stabilize.
+    """
+    rule = np.polynomial.legendre.leggauss(16)
+    counted = [None] * (n_max + 1)
+    pending = dict.fromkeys(range(n_max + 1))  # order -> previous rounding
     panels = 4
-    prev = None
-    while panels <= 256:
-        val, nodes, terms = _logderiv_count(n, box, panels)
-        rounded = int(np.rint(val.real))
-        if (abs(val - rounded) < 1e-3 and prev == rounded):
-            return rounded, nodes, terms
-        prev = rounded
+    while pending and panels <= 256:
+        orders = list(pending)
+        nodes, integrals = _logderiv_counts(orders, box, panels, rule)
+        for n, (val, terms) in zip(orders, integrals):
+            rounded = int(np.rint(val.real))
+            if abs(val - rounded) < 1e-3 and pending[n] == rounded:
+                counted[n] = (rounded, nodes, terms)
+                del pending[n]
+            else:
+                pending[n] = rounded
+        del integrals  # one level's terms at a time
         panels *= 2
-    raise IncompleteSearchError(
-        f"argument-principle contour for order {n} did not stabilize; "
-        "a root may lie on or very near the box boundary")
+    return counted
 
 
 def _moment_seeds(box: RangeBox, count: int, nodes, terms,
@@ -419,9 +449,10 @@ def find_disk_neumann_references(n_max: int, box: RangeBox):
     """Roots of (H_n^{(1)})' in ``box`` for all orders n <= n_max.
 
     These are the resonances of the exterior Neumann problem on the unit
-    disk.  Each order is counted by the argument principle; the moments
-    of that contour integral give one seed per counted root, which Newton
-    polishes.  The located roots must match the count.
+    disk.  Every order is counted by the argument principle, all on
+    shared contour levels; the moments of an order's contour integral
+    give one seed per counted root, which Newton polishes.  The located
+    roots must match the count.
 
     Returns
     -------
@@ -433,8 +464,9 @@ def find_disk_neumann_references(n_max: int, box: RangeBox):
         If the box touches the left half-plane (the series branch cut and
         the singularity at 0 live there) or n_max exceeds MAX_ORDER.
     IncompleteSearchError
-        If the located roots do not match the certified count, or the
-        moments of an order form a singular pencil.
+        If an order's count does not stabilize, the located roots do not
+        match the certified count, or the moments of an order form a
+        singular pencil; the lowest order at fault is reported.
     """
     if n_max > MAX_ORDER or n_max < 0:
         raise ValidationError(f"n_max must lie in [0, {MAX_ORDER}]")
@@ -444,8 +476,12 @@ def find_disk_neumann_references(n_max: int, box: RangeBox):
                 max(abs(box.im_lo), abs(box.im_hi))) > SUPPORTED_RADIUS:
         raise ValidationError("search box exceeds the supported series radius")
     refs = []
-    for n in range(n_max + 1):
-        count, nodes, terms = _argument_principle_count(n, box)
+    for n, counted in enumerate(_argument_principle_counts(n_max, box)):
+        if counted is None:
+            raise IncompleteSearchError(
+                f"argument-principle contour for order {n} did not "
+                "stabilize; a root may lie on or very near the box boundary")
+        count, nodes, terms = counted
         if count == 0:
             continue
         roots = _polish(n, box, _moment_seeds(box, count, nodes, terms, n))

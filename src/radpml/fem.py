@@ -451,14 +451,17 @@ class CondensedShiftSolver:
         """Factor the condensed Schur complement; returns self.
 
         The stored upper triangle is mirrored once into the full matrix
-        that SuperLU takes, so that matrix is exactly symmetric.  The
-        triangle and its mirror are dropped once factored, and only then
-        is the freed heap handed back to the system (``malloc_trim``,
-        where the C library has it).  The Krylov basis is allocated next,
-        and it sets the peak RSS of a solve: without the trim, glibc keeps
-        the freed pages resident and the basis takes fresh ones beside
-        them.  On the ``disk-p2`` benchmark (2-core Xeon), holding the
-        mirror through the trim raised a run's peak RSS from 353 to 371 MB.
+        that SuperLU takes, so that matrix is exactly symmetric, and the
+        triangle is dropped before the factorization.  The full matrix is
+        CSR; its transpose is the same matrix in CSC, on the same arrays,
+        so SuperLU gets it without a copy.  It is dropped once factored,
+        and only then is the freed heap handed back to the system
+        (``malloc_trim``, where the C library has it).  The Krylov basis
+        is allocated next, and it sets the peak RSS of a solve: without
+        the trim, glibc keeps the freed pages resident and the basis takes
+        fresh ones beside them.  On the ``disk-p2`` benchmark (2-core
+        Xeon), holding the mirror through the trim raised a run's peak
+        RSS from 353 to 371 MB.
 
         Raises
         ------
@@ -471,12 +474,14 @@ class CondensedShiftSolver:
         from .eig import sparse_lu
 
         upper, self._schur = self._schur, None
+        full = upper + scipy.sparse.triu(upper, k=1).T
+        del upper
         try:
-            self.lu = sparse_lu(upper + scipy.sparse.triu(upper, k=1).T)
+            self.lu = sparse_lu(full.T)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"shifted pencil is singular ({exc}); move the shift") from exc
-        del upper
+        del full
         import ctypes  # here, as scipy is: only a solve loads it
 
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)

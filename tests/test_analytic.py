@@ -392,6 +392,37 @@ class TestDampingRate:
             damping_rate(-1.0, prof, med, np.array([1.0, 0.0]))
 
 
+def _oracle_logderiv_count(n, box, panels):
+    """The contour integral of one order, as counted one order per level."""
+    corners = np.array([
+        box.re_lo + 1j * box.im_lo, box.re_hi + 1j * box.im_lo,
+        box.re_hi + 1j * box.im_hi, box.re_lo + 1j * box.im_hi,
+        box.re_lo + 1j * box.im_lo])
+    a, b = corners[:-1, None, None], corners[1:, None, None]
+    length = (b - a) / panels
+    t0 = (np.arange(panels) / panels)[:, None]
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    z = (a + (b - a) * t0) + (0.5 * (gl_x + 1.0)) * length
+    _, d1, d2 = analytic._hankel_with_two_derivs(n, z.ravel())
+    terms = (0.5 / (2.0j * np.pi)) * length * gl_w * (d2 / d1).reshape(z.shape)
+    return terms.sum(), z.ravel(), terms.ravel()
+
+
+def _oracle_argument_principle_count(n, box):
+    """Count, nodes and terms of one order, its levels run on their own;
+    None where the count does not stabilize."""
+    panels = 4
+    prev = None
+    while panels <= 256:
+        val, nodes, terms = _oracle_logderiv_count(n, box, panels)
+        rounded = int(np.rint(val.real))
+        if (abs(val - rounded) < 1e-3 and prev == rounded):
+            return rounded, nodes, terms
+        prev = rounded
+        panels *= 2
+    return None
+
+
 def _newton_polish(n, z, steps=60):
     """Newton on (H_n^{(1)})' using only public evaluations."""
     for _ in range(steps):
@@ -443,7 +474,8 @@ class TestDiskReferences:
         # right edge passes through the order-1 root: the count cannot
         # stabilize and the search must say so instead of guessing
         bad = RangeBox(0.1, GOLDEN_ROOTS[(1, 1)].real, -3.0, 0.0)
-        with pytest.raises(IncompleteSearchError):
+        with pytest.raises(IncompleteSearchError,
+                           match="order 1 did not stabilize"):
             find_disk_neumann_references(1, bad)
 
     def test_box_validation(self):
@@ -477,12 +509,18 @@ class TestDiskReferences:
             assert ref.residual < 1e-10
 
     def test_evaluation_budget(self, monkeypatch):
-        # each contour level is one evaluation of 64 * panels nodes, the
-        # moments evaluate nothing, each Newton sweep evaluates the N
-        # counted roots of its order, and an order with N = 0 is not
-        # polished
-        context, evaluations, levels, counts, seeds = ["search"], [], [], {}, []
+        # each contour level is one series evaluation of 64 * panels nodes
+        # that covers every order still uncounted, the moments evaluate
+        # nothing, each Newton sweep evaluates the N counted roots of its
+        # order, and an order with N = 0 is not polished
+        context, series, evaluations, levels, seeds = ["search"], [], [], [], []
+        counted = []
+        hankel = analytic._hankel1_orders
         evaluate = analytic._hankel_with_two_derivs
+
+        def spy_series(orders, z):
+            series.append((context[-1], tuple(orders), z.size))
+            return hankel(orders, z)
 
         def spy(n, z):
             evaluations.append((context[-1], n, z.size))
@@ -501,24 +539,38 @@ class TestDiskReferences:
                 return result
             monkeypatch.setattr(analytic, name, wrapped)
 
+        monkeypatch.setattr(analytic, "_hankel1_orders", spy_series)
         monkeypatch.setattr(analytic, "_hankel_with_two_derivs", spy)
-        enter("_argument_principle_count",
-              lambda args, result: counts.setdefault(args[0], result[0]))
-        enter("_logderiv_count", lambda args, _: levels.append(args[2]))
+        enter("_argument_principle_counts",
+              lambda args, result: counted.extend(result))
+        enter("_logderiv_counts",
+              lambda args, _: levels.append((list(args[0]), args[2])))
         enter("_moment_seeds",
               lambda args, result: seeds.append((args[1], result.size)))
         enter("_polish")
 
         find_disk_neumann_references(MAX_ORDER, WIDE_BOX)
-        assert sorted(counts) == list(range(MAX_ORDER + 1))
+        assert len(counted) == MAX_ORDER + 1
+        counts = {n: count for n, (count, _, _) in enumerate(counted)}
+        last = {n: nodes.size // 64 for n, (_, nodes, _) in enumerate(counted)}
+        assert min(last.values()) >= 8  # two consecutive levels at least
+        assert [panels for _, panels in levels] == \
+            [4 * 2**k for k in range(len(levels))]
+        for orders, panels in levels:
+            assert orders == [n for n in range(MAX_ORDER + 1)
+                              if last[n] >= panels]
+        contour = [(orders, size) for ctx, orders, size in series
+                   if ctx == "_logderiv_counts"]
+        assert contour == [
+            (tuple(sorted({k for n in orders for k in (max(n - 1, 0),
+                                                        max(n, 1))})),
+             64 * panels)
+            for orders, panels in levels]
+        assert not any(ctx in ("_argument_principle_counts", "_moment_seeds")
+                       for ctx, _, _ in series)
         assert seeds == [(count, count) for count in counts.values() if count]
-        assert {ctx for ctx, _, _ in evaluations} == \
-            {"_logderiv_count", "_polish"}
-        contour = [size for ctx, _, size in evaluations
-                   if ctx == "_logderiv_count"]
-        assert contour == [64 * panels for panels in levels]
-        polish = [(n, size) for ctx, n, size in evaluations
-                  if ctx == "_polish"]
+        assert {ctx for ctx, _, _ in evaluations} == {"_polish"}
+        polish = [(n, size) for _, n, size in evaluations]
         for n, count in counts.items():
             sweeps = [size for m, size in polish if m == n]
             assert sweeps == [count] * len(sweeps)
@@ -527,6 +579,26 @@ class TestDiskReferences:
             else:
                 assert not sweeps
 
+    @pytest.mark.parametrize("box, unstable", [
+        (WIDE_BOX, []), (REFERENCE_BOX, []),
+        (RangeBox(0.1, GOLDEN_ROOTS[(1, 1)].real, -3.0, 0.0), [1]),
+    ], ids=["wide", "reference", "boundary_root"])
+    def test_shared_levels_match_per_order_count(self, box, unstable):
+        """Counting every order on shared levels gives each order the
+        count, nodes and terms of its own levels, bit for bit, and leaves
+        uncounted the orders whose own levels do not stabilize."""
+        counted = analytic._argument_principle_counts(MAX_ORDER, box)
+        assert len(counted) == MAX_ORDER + 1
+        assert [n for n, got in enumerate(counted) if got is None] == unstable
+        for n, got in enumerate(counted):
+            want = _oracle_argument_principle_count(n, box)
+            if want is None:
+                assert got is None, n
+                continue
+            assert got[0] == want[0], n
+            assert got[1].tobytes() == want[1].tobytes(), n
+            assert got[2].tobytes() == want[2].tobytes(), n
+
     def test_seeds_match_qz_oracle(self):
         """The numpy solve of the moment pencil gives the generalized
         eigenvalues that QZ gives on the same pencil."""
@@ -534,8 +606,8 @@ class TestDiskReferences:
         centre = 0.5 * (box.re_lo + box.re_hi) + 0.5j * (box.im_lo + box.im_hi)
         radius = 0.5 * math.hypot(box.re_hi - box.re_lo, box.im_hi - box.im_lo)
         checked = 0
-        for n in range(MAX_ORDER + 1):
-            count, nodes, terms = analytic._argument_principle_count(n, box)
+        counted = analytic._argument_principle_counts(MAX_ORDER, box)
+        for n, (count, nodes, terms) in enumerate(counted):
             if count == 0:
                 continue
             seeds = analytic._moment_seeds(box, count, nodes, terms, n)
