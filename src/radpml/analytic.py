@@ -21,10 +21,11 @@ computation:
   moments of that contour integral (no further series evaluation) and
   polished by a few Newton sweeps.  The orders share their contour
   levels: each level is one series evaluation of every order not yet
-  counted, and each sweep one of orders n - 1 and n together.  The moment
-  pencil is solved with numpy alone: the seeds are only starting points,
-  and every root is certified after Newton, so the reference search runs
-  without loading scipy.
+  counted, and each sweep one of orders n - 1 and n together; one more
+  measures each polished root's residual, the value the gate checks and
+  the search reports.  The moment pencil is solved with numpy alone: the
+  seeds are only starting points, and every root is certified after
+  Newton, so the reference search runs without loading scipy.
 """
 
 from __future__ import annotations
@@ -211,31 +212,19 @@ def _hankel_table(orders, z: np.ndarray):
     return dict(zip(needed, _hankel1_orders(needed, z)))
 
 
-def _first_deriv(n: int, z: np.ndarray, table):
-    """H_n' from a ``_hankel_table``: H'_n = H_{n-1} - (n/z) H_n, and
-    H'_0 = -H_1."""
-    if n == 0:
-        return -table[1]
-    return table[n - 1] - (n / z) * table[n]
-
-
-def _second_deriv(n: int, z: np.ndarray, h_n, d1):
-    """H_n'' from H_n and H_n' by Bessel's equation."""
-    return ((n * n - z * z) * h_n - z * d1) / (z * z)
+def _derivs(n: int, z: np.ndarray, table):
+    """H_n' and H_n'' from a ``_hankel_table``: H'_n = H_{n-1} - (n/z) H_n
+    (H'_0 = -H_1), and H_n'' by Bessel's equation."""
+    h_n = table[n]
+    d1 = -table[1] if n == 0 else table[n - 1] - (n / z) * h_n
+    return d1, ((n * n - z * z) * h_n - z * d1) / (z * z)
 
 
 def hankel1_deriv(n: int, z):
     """First derivative of H_n^{(1)}; uses H'_n = H_{n-1} - (n/z) H_n."""
     arr = _check_cylinder_args(n, z)
-    out = _first_deriv(n, arr, _hankel_table((n,), arr))
+    out, _ = _derivs(n, arr, _hankel_table((n,), arr))
     return out if np.ndim(z) else complex(out)
-
-
-def _hankel_with_two_derivs(n: int, z: np.ndarray):
-    """H_n, H_n' and H_n'' in one sweep (the ODE supplies the second)."""
-    table = _hankel_table((n,), z)
-    d1 = _first_deriv(n, z, table)
-    return table[n], d1, _second_deriv(n, z, table[n], d1)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +343,7 @@ def _logderiv_counts(orders, box: RangeBox, panels: int, rule):
     table = _hankel_table(orders, nodes)
     integrals = []
     for n in orders:
-        d1 = _first_deriv(n, nodes, table)
-        d2 = _second_deriv(n, nodes, table[n], d1)
+        d1, d2 = _derivs(n, nodes, table)
         terms = weight * (d2 / d1).reshape(z.shape)
         integrals.append((terms.sum(), terms.ravel()))
     return nodes, integrals
@@ -420,18 +408,20 @@ def _moment_seeds(box: RangeBox, count: int, nodes, terms,
     return centre + radius * scaled
 
 
-def _polish(n: int, box: RangeBox, z: np.ndarray) -> np.ndarray:
-    """Distinct roots of (H_n^{(1)})' inside the box, by Newton from seeds.
+def _polish(n: int, box: RangeBox, z: np.ndarray):
+    """Distinct roots of (H_n^{(1)})' inside the box, by Newton from seeds,
+    sorted, with the residual |H_n'| of each.
 
-    Each sweep steps every seed with one series evaluation.  An iterate
-    that leaves the series' supported disk, fails to converge, leaves
-    the box or keeps a residual of 1e-10 or more is not located.
+    Each sweep steps every seed with one series evaluation, and one more
+    measures the residuals of the polished roots.  An iterate that leaves
+    the series' supported disk, fails to converge, leaves the box or keeps
+    a residual of 1e-10 or more is not located.
     """
     converged = np.zeros(z.size, dtype=bool)
     for _ in range(_POLISH_SWEEPS):
         if not np.all(np.abs(z) <= SUPPORTED_RADIUS):  # also NaN
             break
-        _, d1, d2 = _hankel_with_two_derivs(n, z)
+        d1, d2 = _derivs(n, z, _hankel_table((n,), z))
         step = d1 / d2
         z = z - step
         converged = np.abs(step) < 1e-14 * (1.0 + np.abs(z))
@@ -441,8 +431,12 @@ def _polish(n: int, box: RangeBox, z: np.ndarray) -> np.ndarray:
     inside = ((z.real > box.re_lo + pad) & (z.real < box.re_hi - pad)
               & (z.imag > box.im_lo + pad) & (z.imag < box.im_hi - pad))
     z = z[inside & converged]
-    z = np.sort_complex(z[np.abs(hankel1_deriv(n, z)) < 1e-10])
-    return z[np.abs(np.diff(z, prepend=np.inf)) > 1e-8]  # dedupe
+    residual = np.abs(_derivs(n, z, _hankel_table((n,), z))[0])
+    z, residual = z[residual < 1e-10], residual[residual < 1e-10]
+    order = np.argsort(z)  # sort_complex's order: by Re, then Im
+    z, residual = z[order], residual[order]
+    keep = np.abs(np.diff(z, prepend=np.inf)) > 1e-8  # dedupe
+    return z[keep], residual[keep]
 
 
 def find_disk_neumann_references(n_max: int, box: RangeBox):
@@ -484,16 +478,17 @@ def find_disk_neumann_references(n_max: int, box: RangeBox):
         count, nodes, terms = counted
         if count == 0:
             continue
-        roots = _polish(n, box, _moment_seeds(box, count, nodes, terms, n))
+        roots, residuals = _polish(
+            n, box, _moment_seeds(box, count, nodes, terms, n))
         if roots.size != count:
             raise IncompleteSearchError(
                 f"order {n}: argument principle certifies {count} roots, "
                 f"Newton located {roots.size}; shrink or shift the box")
-        roots = sorted(roots, key=lambda zz: abs(zz.real))
-        for k, root in enumerate(roots, start=1):
+        located = sorted(zip(roots, residuals),
+                         key=lambda pair: abs(pair[0].real))
+        for k, (root, residual) in enumerate(located, start=1):
             refs.append(ResonanceReference(
-                order=n, index=k, root=complex(root),
-                residual=float(abs(hankel1_deriv(n, complex(root))))))
+                order=n, index=k, root=complex(root), residual=float(residual)))
     return refs
 
 

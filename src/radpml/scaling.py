@@ -20,9 +20,10 @@ eigenvalue extremes ``s_min <= s_max`` the sufficient coercivity test is
 A constructor checks the kind's parameters in closed form and raises
 ``ValidationError`` if one is invalid; each kind's formula vanishes up to
 r1, is non-decreasing and bounded for valid parameters, so every profile
-object is valid.  ``d_inf``, ``d0`` and the exact ``tau_star`` depend on
-the scaling alone and are computed once per profile object;
-``admissible`` combines them with the medium.  All profile evaluation
+object is valid, and its tau and unit-stretch slope decay in the far field.
+``d_inf``, ``d0`` and the exact ``tau_star`` depend on the scaling alone
+and are computed once per profile object; ``admissible`` combines them
+with the medium in closed form, sampling nothing.  All profile evaluation
 methods accept scalars or numpy arrays.
 """
 
@@ -100,10 +101,6 @@ class ScalingProfile:
 
     def _check_parameters(self):
         """The kind's closed-form parameter checks, the profile's only ones."""
-
-    def _transition_end(self) -> float:
-        """Radius beyond which the far-field checks probe the profile."""
-        return self.r1
 
     #: k with tau_star = |arg(1 + gamma k)| for all gamma; None if no such k
     phase_gain = None
@@ -189,9 +186,6 @@ class RampProfile(ScalingProfile):
         if not end > self.r1:
             raise ValidationError(f"ramp width {self.width:g} is below the "
                                   f"spacing of doubles at r1 = {self.r1:g}")
-        if not 1e3 * end < np.inf:  # the far-field probes of ``admissible``
-            raise ValidationError(f"ramp end r1 + width = {end:g} is too "
-                                  "large: 1e3 times it overflows")
         size = abs(self.gamma) * float(self.amax)
         if not size <= 1e15:
             raise ValidationError(f"|gamma| * amax = {size:g} exceeds 1e15")
@@ -210,9 +204,6 @@ class RampProfile(ScalingProfile):
 
     def alpha_tilde_limit(self):
         return self.amax
-
-    def _transition_end(self):
-        return self.r1 + self.width
 
     @cached_property
     def tau_star(self) -> float:
@@ -346,11 +337,13 @@ class AdmissibilityReport:
 
     Violations are reported, never raised: the coercivity condition is
     sufficient only, and configurations that fail it are still solvable.
+    ``far_field_ok`` holds for every profile: the decay follows from its
+    kind.
     """
 
     separation_ok: bool                 # (b) r1 > (s_max/s_min) * r0
     coercivity_ok: bool                 # (c) cos tau_star > 1 - s_min/s_max
-    far_field_ok: bool                  # tau and symbol derivative decay
+    far_field_ok: bool                  # tau and unit-stretch slope decay
     separation_bound: float             # (s_max/s_min) * r0
     tau_star: float
     psi_star: float
@@ -377,13 +370,13 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
     Returns
     -------
     AdmissibilityReport
-        Flags (b) obstacle/onset separation r1 > (s_max/s_min)*r0,
-        (c) coercivity cos tau_star > threshold, and the far-field decay
-        checks, plus the numbers behind them; (a), the profile
-        assumptions, holds for every profile object.  psi_star follows
-        from tau_star because |sin tau(r)| is maximized exactly where
-        |tau| is (tau has one sign).  The messages say only what no flag
-        does: the far-field numbers, and a psi_star beyond pi/2.
+        Flags (b) obstacle/onset separation r1 > (s_max/s_min)*r0 and
+        (c) coercivity cos tau_star > threshold, plus the numbers behind
+        them; (a), the profile assumptions, and the far-field decay hold
+        for every profile object by its kind, so nothing is sampled.
+        psi_star follows from tau_star because |sin tau(r)| is maximized
+        exactly where |tau| is (tau has one sign).  The one message says
+        what no flag does: a psi_star beyond pi/2.
     """
     msgs = []
     separation_ok, bound = _separation(profile.r1, medium, r0)
@@ -391,19 +384,6 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
     threshold = anisotropy_degree(medium)
     cos_tau_star = float(np.cos(tau_star))
     coercivity_ok = cos_tau_star > threshold
-
-    # far-field behaviour: the phase lag and the radial derivative of the
-    # normalized stretch must decay beyond the profile's transition
-    radii = np.array([10.0, 1e3]) * profile._transition_end()
-    tau_far = abs(profile.tau(radii[1]))
-    # |d/dr (d_tilde/|d_tilde|)| = |d/dr arg d_tilde|, in closed form
-    s_mid, s_far = (profile.gamma.imag * np.abs(profile.dalpha_tilde(radii))
-                    / np.abs(profile.d_tilde(radii)) ** 2)
-    far_field_ok = tau_far < 1e-3 and (s_far < 1e-12 or s_far < 0.2 * s_mid)
-    if not far_field_ok:
-        msgs.append(
-            f"far-field decay not observed: |tau({radii[1]:g})| = {tau_far:.2e}, "
-            f"unit-stretch slope {s_mid:.2e} -> {s_far:.2e}")
 
     # psi_star is still reported when a <= 0, where the coercivity
     # condition of the theorem fails
@@ -414,7 +394,11 @@ def admissible(profile: ScalingProfile, medium: Medium, r0: float) -> Admissibil
     return AdmissibilityReport(
         separation_ok=bool(separation_ok),
         coercivity_ok=bool(coercivity_ok),
-        far_field_ok=bool(far_field_ok),
+        # tau and the unit-stretch slope decay by each kind's closed form:
+        # a ramp's are 0 beyond r1 + width, and for the polynomial family
+        # at r = 1e3 r1 |tan tau| <= (m 10^-3m / 2)/(1 - m 10^-3m) <= 5.01e-4
+        # and the slope is at most 10^-2(m+1) <= 1e-4 of its value at 10 r1
+        far_field_ok=True,
         separation_bound=float(bound),
         tau_star=tau_star,
         psi_star=float(np.arctan2(medium.sigma_max * np.sin(tau_star), a)),

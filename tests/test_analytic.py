@@ -300,8 +300,9 @@ class TestSeries:
 
     def test_two_derivs_of_empty_array(self):
         empty = np.array([], dtype=complex)
-        h, d1, d2 = analytic._hankel_with_two_derivs(3, empty)
-        assert h.shape == d1.shape == d2.shape == (0,)
+        table = analytic._hankel_table((3,), empty)
+        d1, d2 = analytic._derivs(3, empty, table)
+        assert table[3].shape == d1.shape == d2.shape == (0,)
         assert all(c.shape == (0,) for c in series_j_y(3, empty))
         for name in self.FUNCTIONS:
             out = getattr(analytic, name)(3, empty)
@@ -403,7 +404,8 @@ def _oracle_logderiv_count(n, box, panels):
     t0 = (np.arange(panels) / panels)[:, None]
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     z = (a + (b - a) * t0) + (0.5 * (gl_x + 1.0)) * length
-    _, d1, d2 = analytic._hankel_with_two_derivs(n, z.ravel())
+    nodes = z.ravel()
+    d1, d2 = analytic._derivs(n, nodes, analytic._hankel_table((n,), nodes))
     terms = (0.5 / (2.0j * np.pi)) * length * gl_w * (d2 / d1).reshape(z.shape)
     return terms.sum(), z.ravel(), terms.ravel()
 
@@ -512,19 +514,23 @@ class TestDiskReferences:
         # each contour level is one series evaluation of 64 * panels nodes
         # that covers every order still uncounted, the moments evaluate
         # nothing, each Newton sweep evaluates the N counted roots of its
-        # order, and an order with N = 0 is not polished
+        # order and one more evaluation measures their residuals, the
+        # search reports those residuals without evaluating anything, and
+        # an order with N = 0 is not polished
         context, series, evaluations, levels, seeds = ["search"], [], [], [], []
-        counted = []
+        counted, polished = [], {}
         hankel = analytic._hankel1_orders
-        evaluate = analytic._hankel_with_two_derivs
+        derivs = analytic._derivs
 
         def spy_series(orders, z):
             series.append((context[-1], tuple(orders), z.size))
             return hankel(orders, z)
 
-        def spy(n, z):
-            evaluations.append((context[-1], n, z.size))
-            return evaluate(n, z)
+        def spy(n, z, table):
+            result = derivs(n, z, table)
+            if context[-1] == "_polish":
+                evaluations.append((n, z, *result))
+            return result
 
         def enter(name, record=lambda args, result: None):
             inner = getattr(analytic, name)
@@ -540,16 +546,16 @@ class TestDiskReferences:
             monkeypatch.setattr(analytic, name, wrapped)
 
         monkeypatch.setattr(analytic, "_hankel1_orders", spy_series)
-        monkeypatch.setattr(analytic, "_hankel_with_two_derivs", spy)
+        monkeypatch.setattr(analytic, "_derivs", spy)
         enter("_argument_principle_counts",
               lambda args, result: counted.extend(result))
         enter("_logderiv_counts",
               lambda args, _: levels.append((list(args[0]), args[2])))
         enter("_moment_seeds",
               lambda args, result: seeds.append((args[1], result.size)))
-        enter("_polish")
+        enter("_polish", lambda args, result: polished.update({args[0]: result}))
 
-        find_disk_neumann_references(MAX_ORDER, WIDE_BOX)
+        refs = find_disk_neumann_references(MAX_ORDER, WIDE_BOX)
         assert len(counted) == MAX_ORDER + 1
         counts = {n: count for n, (count, _, _) in enumerate(counted)}
         last = {n: nodes.size // 64 for n, (_, nodes, _) in enumerate(counted)}
@@ -566,18 +572,36 @@ class TestDiskReferences:
                                                         max(n, 1))})),
              64 * panels)
             for orders, panels in levels]
-        assert not any(ctx in ("_argument_principle_counts", "_moment_seeds")
-                       for ctx, _, _ in series)
+        assert {ctx for ctx, _, _ in series} == {"_logderiv_counts", "_polish"}
         assert seeds == [(count, count) for count in counts.values() if count]
-        assert {ctx for ctx, _, _ in evaluations} == {"_polish"}
-        polish = [(n, size) for _, n, size in evaluations]
+        # one series evaluation of orders n - 1 and n per polish evaluation
+        assert [(orders, size) for ctx, orders, size in series
+                if ctx == "_polish"] == \
+            [((max(n - 1, 0), max(n, 1)), z.size) for n, z, _, _ in evaluations]
         for n, count in counts.items():
-            sweeps = [size for m, size in polish if m == n]
-            assert sweeps == [count] * len(sweeps)
-            if count:
-                assert 1 <= len(sweeps) <= analytic._POLISH_SWEEPS
-            else:
-                assert not sweeps
+            calls = [(z, d1, d2) for m, z, d1, d2 in evaluations if m == n]
+            if not count:
+                assert not calls and n not in polished
+                continue
+            assert [z.size for z, _, _ in calls] == [count] * len(calls)
+            # each sweep steps from the last, up to the first sweep whose
+            # steps all converge; then one evaluation at the polished roots
+            sweeps = len(calls) - 1
+            assert 1 <= sweeps <= analytic._POLISH_SWEEPS
+            for k, ((z, d1, d2), (following, _, _)) in enumerate(
+                    zip(calls, calls[1:]), start=1):
+                assert following.tobytes() == (z - d1 / d2).tobytes()
+                done = np.all(np.abs(d1 / d2) < 1e-14 * (1.0 + np.abs(following)))
+                assert done == (k == sweeps) or k == analytic._POLISH_SWEEPS
+            z, d1, _ = calls[-1]
+            measured = dict(zip(z, np.abs(d1)))
+            roots, residuals = polished[n]
+            assert [measured[root] for root in roots] == list(residuals)
+        # each reported residual is the one the polish measured and gated
+        for ref in refs:
+            roots, residuals = polished[ref.order]
+            assert ref.residual == residuals[list(roots).index(ref.root)]
+            assert ref.residual < 1e-10
 
     @pytest.mark.parametrize("box, unstable", [
         (WIDE_BOX, []), (REFERENCE_BOX, []),

@@ -365,9 +365,11 @@ class TestCheckCommand:
         assert main(["check", str(isotropic)]) == EXIT_OK
         assert "min stabilizing c = 0\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("width", ["3000", "1e5"])
+    @pytest.mark.parametrize("width", ["3000", "1e5", "1e306"])
     def test_wide_ramp_passes_far_field_decay(self, tmp_path, capsys, width):
-        """The far-field probes lie beyond the ramp, where it is constant."""
+        """A ramp is constant beyond its end, however far that lies: even
+        r1 + width = 1e306, whose 1e3 multiple overflows, builds and
+        passes."""
         path = write_config(tmp_path, scaling={
             "profile": "constant-after-ramp", "width": width})
         assert main(["check", str(path)]) == EXIT_OK

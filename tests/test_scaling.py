@@ -224,22 +224,38 @@ class TestShippedKindsMeetAssumptions:
         assert np.max(np.abs(fd - slope)) <= 1e-6 * np.max(np.abs(slope))
 
 
+def far_field_probe(profile):
+    """|tau| at 1e3 times the end of the profile's transition (r1, or
+    r1 + width for a ramp), and the unit-stretch slope |d/dr arg d_tilde|
+    at 10 and 1e3 times it; a probe radius beyond the largest double is
+    taken at it, which still lies beyond the end."""
+    end = profile.r1 + (profile.width if isinstance(profile, RampProfile)
+                        else 0.0)
+    radii = np.array([min(f * end, np.finfo(float).max) for f in (10.0, 1e3)])
+    slope = (profile.gamma.imag * np.abs(profile.dalpha_tilde(radii))
+             / np.abs(profile.d_tilde(radii)) ** 2)
+    return abs(profile.tau(radii[1])), slope[0], slope[1]
+
+
 class TestParameterSweep:
     """Every parameter set either raises ``ValidationError`` or builds a
-    profile whose tau* is finite and whose admissibility report raises
-    no numpy warning (a RuntimeWarning fails the test)."""
+    profile whose tau* is finite, whose admissibility report raises no
+    numpy warning (a RuntimeWarning fails the test), and whose tau and
+    unit-stretch slope decay in the far field, as the report's
+    ``far_field_ok`` states without sampling them."""
 
     def test_valid_or_rejected(self):
         built = 0
         for r1 in (1e-3, 1.5, 1e13):
             for gamma in (1e-4j, 8j, 1000 + 1000j):
-                candidates = [
+                candidates = [(AffineProfile, {})] + [
                     (RampProfile, {"width": width, "amax": amax})
                     for width in (1e-17, 1e-13, 1e-9, 1.0, 1e5, 1e11, 1e306)
                     for amax in (1e-300, 1e-10, 1.0, 1e100, 1e300)] + [
                     (SmoothedPolynomialProfile, {"exponent": m, "amax": amax})
                     for m in (1.0, 2.0, 97.0, 1732.0)
                     for amax in (1e-300, 1e-10, 1.0, 1e100, 1e300)]
+                assert {cls.kind for cls, _ in candidates} == set(PROFILE_KINDS)
                 for cls, options in candidates:
                     try:
                         profile = cls(r1=r1, gamma=gamma, **options)
@@ -247,8 +263,12 @@ class TestParameterSweep:
                         continue
                     built += 1
                     assert 0.0 <= profile.tau_star <= np.pi / 2
+                    tau_far, slope_mid, slope_far = far_field_probe(profile)
+                    assert tau_far < 1e-3, profile
+                    assert slope_far < max(1e-12, 0.2 * slope_mid), profile
                     for medium in (ISO, PAPER_MEDIUM):
-                        admissible(profile, medium, r0=0.5 * r1)
+                        assert admissible(profile, medium,
+                                          r0=0.5 * r1).far_field_ok
         assert built > 200
 
 
@@ -500,14 +520,16 @@ class TestAdmissible:
         for profile in profiles():
             assert admissible(profile, ISO, r0=1.0).min_c == 0.0
 
-    @pytest.mark.parametrize("width", [1.0, 1500.0, 3000.0, 1e5])
+    @pytest.mark.parametrize("width", [1.0, 1500.0, 3000.0, 1e5, 1e306])
     def test_wide_ramp_decays_beyond_its_end(self, width):
-        """tau and the unit-stretch slope vanish beyond r1 + width, where
-        the far-field probes lie, however wide the ramp."""
-        rep = admissible(RampProfile(r1=1.5, gamma=8j, width=width), ISO,
-                         r0=1.0)
+        """tau and the unit-stretch slope vanish beyond r1 + width,
+        however wide the ramp: r1 + width = 1e306, whose 1e3 multiple
+        overflows, builds too."""
+        profile = RampProfile(r1=1.5, gamma=8j, width=width)
+        rep = admissible(profile, ISO, r0=1.0)
         assert rep.far_field_ok
         assert rep.messages == ()
+        assert far_field_probe(profile) == (0.0, 0.0, 0.0)
 
     def test_ramp_configuration(self):
         rep = admissible(RampProfile(r1=2.0, gamma=1j, width=1.0), ISO, r0=1.0)
