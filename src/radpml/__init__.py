@@ -55,6 +55,7 @@ from .fem import (
     AssembledPencil,
     CondensedShiftSolver,
     FunctionSpace,
+    assemble,
     element_matrices,
 )
 from .eig import (

@@ -65,7 +65,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .fem import CondensedShiftSolver, FunctionSpace
+from .fem import CondensedShiftSolver, FunctionSpace, assemble
 from .media import Medium, RangeBox
 from .mesh import DiskObstacle, EllipseObstacle, Geometry, generate
 from .scaling import PROFILE_KINDS, ScalingProfile, admissible, gamma_of_omega
@@ -538,9 +538,9 @@ def _solve_once(config: RunConfig, seed: int, layer_scale: float = 1.0):
         mesh = generate(geometry, config.hmax, config.q)
     with _stage("assembly"):
         space = FunctionSpace(mesh, config.p)
-        # one element pass assembles the pencil and condenses the bubbles
-        solver = CondensedShiftSolver(space, config.profile, config.medium,
-                                      config.shift ** 2)
+        # one element pass per mesh; the shift is condensed from the pencil
+        solver = CondensedShiftSolver(
+            assemble(space, config.profile, config.medium), config.shift ** 2)
     with _stage("factorization"):
         solver.factor()
     with _stage("eigensolve"):

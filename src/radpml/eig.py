@@ -27,7 +27,7 @@ counts the unformed and the formed drops together (Ritz clutter near
 the shift is expected, not an error).  Validity against the
 scaled-resolvent region is flagged per eigenvalue: in_lambda_d0 is
 False exactly when |Re(i omega d0)| <= 1e-10 for the asymptotic
-direction d0 that the solver took from its own profile.
+direction d0 of the profile the pencil was assembled with.
 
 Spurious-mode detection compares the spectrum with that of the same
 problem with the damping layer widened by a stretch factor, matching the
@@ -263,11 +263,11 @@ def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
     Parameters
     ----------
     solver : a factored ``fem.CondensedShiftSolver``.  Its ``pencil`` is
-        (K, M), ``shift_sq`` the shift in the omega^2 plane, ``solve``
-        applies (K - shift_sq*M)^{-1}, ``lu`` is the skeleton factor
-        whose path, fill and size go into the provenance, and ``d0`` is
-        the asymptotic scaling direction of the profile the pencil was
-        built from, which the in_lambda_d0 flags test.  Residuals are
+        (K, M), with the asymptotic scaling direction ``d0`` that the
+        in_lambda_d0 flags test, ``shift_sq`` the shift in the omega^2
+        plane, ``solve`` applies (K - shift_sq*M)^{-1}, and ``lu`` is the
+        skeleton factor whose path, fill and size go into the
+        provenance.  Residuals are
         measured against the full pencil, so a wrong solve cannot
         smuggle in bad pairs.
     k : number of requested pairs.
@@ -322,12 +322,12 @@ def shift_invert_arnoldi(solver, k: int, krylov_dim: int | None = None,
     sort = np.argsort(np.abs(omegas - shift), kind="stable")
     omegas = omegas[sort]
     residuals = residuals[sort]
-    in_lambda = np.abs((1j * omegas * solver.d0).real) > LAMBDA_MARGIN
+    in_lambda = np.abs((1j * omegas * pencil.d0).real) > LAMBDA_MARGIN
 
     provenance = {
         "shift_sq": shift_sq, "shift": shift, "k": k, "krylov_dim": m,
         "basis_size": mb, "seed": seed, "dropped": dropped,
-        "d0": complex(solver.d0), "solver": "condensed",
+        "d0": complex(pencil.d0), "solver": "condensed",
         "factor_path": solver.lu.path, "factor_fill": solver.lu.fill,
         "skeleton_size": solver.lu.n,
     }

@@ -16,20 +16,16 @@ the coefficient reduces to (sigma, 1) exactly — interior elements are
 assembled bitwise identically whatever the profile, and a profile whose
 onset lies beyond the mesh gives the unscaled pencil.
 
-``CondensedShiftSolver`` is the one route from a function space to a
-pencil and a shift-invert operator: its construction makes the one sweep
-over the elements.  Each chunk is mapped by ``mesh.mapping``; its blocks
-are one GEMM of the coefficient, pulled back to the reference triangle,
-against shape-function products tabulated once per pass, with the edge
-parity signs of :mod:`radpml.basis`.  The upper triangle is mirrored, so
-every block is exactly symmetric, and so is the pencil.  It stores K and
-M as the condensed solve stores its operator (``SymmetricMatrix``): the
-upper triangle of the vertex/edge skeleton block, summed in element order
-into a CSR pattern, and each element's skeleton-bubble and bubble-bubble
-blocks as they stand.  The same chunk's blocks are then condensed onto
-the skeleton, and the upper triangle of that Schur complement is summed
-into the same pattern; ``factor`` mirrors it and factors the result.
-Element-pair keys are sorted once per pass, for that one upper pattern.
+``assemble`` makes the one sweep over the elements, for a shift-free
+pencil.  Each chunk is mapped by ``mesh.mapping``; its blocks are one
+GEMM of the coefficient, pulled back to the reference triangle, against
+shape-function products tabulated once per pass, with the edge parity
+signs of :mod:`radpml.basis`.  The upper triangle is mirrored, so every
+block is exactly symmetric, and so is the pencil.  It stores K and M as
+the condensed solve reads them (``SymmetricMatrix``): the upper triangle
+of the vertex/edge skeleton block, summed in element order into one CSR
+pattern, and each element's skeleton-bubble and bubble-bubble blocks as
+they stand.  ``CondensedShiftSolver`` condenses any shift from them.
 """
 
 from __future__ import annotations
@@ -56,6 +52,7 @@ __all__ = [
     "FunctionSpace",
     "SymmetricMatrix",
     "AssembledPencil",
+    "assemble",
     "CondensedShiftSolver",
     "element_matrices",
 ]
@@ -204,6 +201,10 @@ class SymmetricMatrix:
             - np.sum(np.abs(self.diagonal) ** 2)
             + np.sum(np.abs(bubbles) ** 2))
 
+    @property
+    def nnz(self) -> int:  # entries stored: triangle and element blocks
+        return self.upper.nnz + self.coupling.size + self.bubbles.size
+
     def __matmul__(self, x):
         """A @ x for a vector x."""
         ns = self.upper.shape[0]
@@ -235,10 +236,12 @@ def _scatter(skel, values, n):
 
 @dataclass(frozen=True)
 class AssembledPencil:
-    """Complex-symmetric stiffness/mass pair over the free dofs."""
+    """Complex-symmetric stiffness/mass pair over the free dofs; ``d0`` is
+    the asymptotic direction of the profile it was assembled with."""
 
     stiffness: SymmetricMatrix
     mass: SymmetricMatrix
+    d0: complex
 
     @property
     def size(self) -> int:
@@ -252,12 +255,8 @@ class AssembledPencil:
 
 def element_matrices(space: FunctionSpace, profile: ScalingProfile,
                      medium: Medium, triangle_ids, quad_degree: int | None = None):
-    """Local (stiffness, mass) blocks for the given triangles.
-
-    Exposed for the interior-identity and quadrature-robustness checks;
-    the solver's element pass uses the same code path with the default
-    2p+2 rule.
-    """
+    """Local (stiffness, mass) blocks for the given triangles, on the code
+    path of ``assemble`` (default rule 2p+2); for tests and probes."""
     ids = np.asarray(triangle_ids, dtype=np.int64)
     return _element_blocks(space, profile, medium, ids,
                            _reference_tables(space, quad_degree))
@@ -364,6 +363,35 @@ class _Pattern:
                                        shape=(self.n, self.n))
 
 
+def assemble(space: FunctionSpace, profile: ScalingProfile,
+             medium: Medium) -> AssembledPencil:
+    """The pencil (K, M) of the scaled form, from one element pass."""
+    p = space.p
+    ns_local = 3 * p                      # vertex + edge modes
+    nb_local = (p - 1) * (p - 2) // 2     # interior bubbles
+    nt = space.mesh.num_triangles
+    skel = space.element_dofs[:, :ns_local]
+    tables = _reference_tables(space)
+    # bubbles are numbered last, element by element (FunctionSpace), so
+    # the skeleton keeps its free-dof numbers
+    upper = _Pattern.of_blocks(skel, space.num_dofs - nt * nb_local)
+    data = np.zeros((2, upper.nnz), dtype=complex)
+    coupling = np.empty((2, nt, ns_local, nb_local), dtype=complex)
+    bubbles = np.empty((2, nt, nb_local, nb_local), dtype=complex)
+    for start in range(0, nt, CHUNK):
+        ids = np.arange(start, min(start + CHUNK, nt))
+        blocks = _element_blocks(space, profile, medium, ids, tables)
+        for i, block in enumerate(blocks):
+            upper.add(data[i], ids, block[:, :ns_local, :ns_local])
+            coupling[i, ids] = block[:, :ns_local, ns_local:]
+            bubbles[i, ids] = block[:, ns_local:, ns_local:]
+    coupling[:, skel < 0] = 0.0
+    stiffness, mass = (SymmetricMatrix(upper.matrix(data[i]), skel,
+                                       coupling[i], bubbles[i])
+                       for i in range(2))
+    return AssembledPencil(stiffness, mass, profile.d0)
+
+
 class CondensedShiftSolver:
     """Direct solver for K - shift_sq*M with element-interior elimination.
 
@@ -375,77 +403,44 @@ class CondensedShiftSolver:
     is algebraically exact; solutions match the unreduced factorization up
     to roundoff.
 
-    Construction is the one element pass of a solve: each chunk's K and
-    M blocks are stored in the pencil (``pencil``) and condensed in the
-    same sweep.  Both keep one layout: the upper triangle of the skeleton
-    block on one pattern, which K, M and the Schur complement share, and
-    per element a skeleton-bubble block (K's and M's ``coupling``; the
-    solve's ``gain`` = A_sb A_bb^-1) and a bubble-bubble block
-    (``bubbles``; ``bb_inv`` = A_bb^-1), which ``_gather`` and
-    ``_scatter`` join to the skeleton dofs.  ``factor`` mirrors the Schur
-    triangle once, into the full matrix that SuperLU takes; ``solve``
-    needs ``factor`` to have run.  ``d0`` is the profile's asymptotic
-    direction.
+    Construction condenses the shift from ``pencil``, with no element
+    pass: per element, a_sb and a_bb are K - shift_sq*M on its
+    ``coupling`` and ``bubbles``, and the solve keeps ``gain`` =
+    a_sb a_bb^-1 and ``bb_inv`` = a_bb^-1.  The upper triangle of the
+    Schur complement, K_ss - shift_sq*M_ss less each gain a_sb^T, takes
+    the pencil's skeleton pattern; the element-pair slots are sorted
+    again for it and dropped once it is summed.  ``factor`` mirrors that
+    triangle once; ``solve`` needs ``factor`` to have run.
     """
 
-    def __init__(self, space: FunctionSpace, profile: ScalingProfile,
-                 medium: Medium, shift_sq: complex):
-        self.d0 = profile.d0
-        p = space.p
-        ns_local = 3 * p                      # vertex + edge modes
-        nb_local = (p - 1) * (p - 2) // 2     # interior bubbles
-        nt = space.mesh.num_triangles
-
-        self.n = space.num_dofs
-        self.shift_sq = complex(shift_sq)
-        # bubbles are numbered last, element by element (FunctionSpace),
-        # so the skeleton keeps its free-dof numbers
-        self.skeleton_size = self.n - nt * nb_local
-        self.skel = space.element_dofs[:, :ns_local]
+    def __init__(self, pencil: AssembledPencil, shift_sq: complex):
+        stiffness, mass = pencil.stiffness, pencil.mass
+        nt, ns_local, nb_local = stiffness.coupling.shape
+        s = self.shift_sq = complex(shift_sq)
+        self.pencil = pencil
+        self.n = pencil.size
+        self.skeleton_size = stiffness.upper.shape[0]
+        self.skel = stiffness.skel
         self.gain = np.empty((nt, ns_local, nb_local), dtype=complex)
         self.bb_inv = np.empty((nt, nb_local, nb_local), dtype=complex)
         self.lu = None
-        tables = _reference_tables(space)
-        # K and M, laid out as SymmetricMatrix holds them, and the Schur
-        # complement, all on the one upper pattern of the skeleton
-        upper = _Pattern.of_blocks(self.skel, self.skeleton_size)
-        data = np.zeros((2, upper.nnz), dtype=complex)
-        schur = np.zeros(upper.nnz, dtype=complex)
-        coupling = np.empty((2, nt, ns_local, nb_local), dtype=complex)
-        bubbles = np.empty((2, nt, nb_local, nb_local), dtype=complex)
-        for start in range(0, nt, CHUNK):
-            ids = np.arange(start, min(start + CHUNK, nt))
-            blocks = _element_blocks(space, profile, medium, ids, tables)
-            for i, block in enumerate(blocks):
-                upper.add(data[i], ids, block[:, :ns_local, :ns_local])
-                coupling[i, ids] = block[:, :ns_local, ns_local:]
-                bubbles[i, ids] = block[:, ns_local:, ns_local:]
-            upper.add(schur, ids, self._condense(ids, *blocks))
-        coupling[:, self.skel < 0] = 0.0
-        stiffness, mass = (SymmetricMatrix(upper.matrix(data[i]), self.skel,
-                                           coupling[i], bubbles[i])
-                           for i in range(2))
-        self.pencil = AssembledPencil(stiffness, mass)
-        self._schur = upper.matrix(schur)
-
-    def _condense(self, ids, k_blocks, m_blocks):
-        """Eliminate the chunk's bubbles: store its ``gain`` and
-        ``bb_inv``, and return its Schur blocks A_ss - gain A_sb^T."""
-        ns_local = self.gain.shape[1]
-        a = k_blocks - self.shift_sq * m_blocks
-        a_ss = a[:, :ns_local, :ns_local]
-        a_sb = a[:, :ns_local, ns_local:]
-        a_bb = a[:, ns_local:, ns_local:]
-        try:
-            bb_inv = np.linalg.inv(a_bb)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"shift_sq {self.shift_sq} hits an element-interior "
-                f"eigenvalue: {exc}") from exc
-        gain = a_sb @ bb_inv
-        self.gain[ids] = gain
-        self.bb_inv[ids] = bb_inv
-        return a_ss - gain @ np.swapaxes(a_sb, 1, 2)
+        self._schur = stiffness.upper.data - s * mass.upper.data
+        if nb_local:  # else (p <= 2) there is nothing to eliminate
+            slots = _Pattern.of_blocks(self.skel, self.skeleton_size)
+            for start in range(0, nt, CHUNK):
+                ids = np.arange(start, min(start + CHUNK, nt))
+                a_sb = stiffness.coupling[ids] - s * mass.coupling[ids]
+                a_bb = stiffness.bubbles[ids] - s * mass.bubbles[ids]
+                try:
+                    bb_inv = np.linalg.inv(a_bb)
+                except np.linalg.LinAlgError as exc:
+                    raise SingularMatrixError(
+                        f"shift_sq {s} hits an element-interior "
+                        f"eigenvalue: {exc}") from exc
+                gain = a_sb @ bb_inv
+                self.gain[ids] = gain
+                self.bb_inv[ids] = bb_inv
+                slots.add(self._schur, ids, -(gain @ np.swapaxes(a_sb, 1, 2)))
 
     def factor(self) -> "CondensedShiftSolver":
         """Factor the condensed Schur complement; returns self.
@@ -473,7 +468,10 @@ class CondensedShiftSolver:
 
         from .eig import sparse_lu
 
-        upper, self._schur = self._schur, None
+        k = self.pencil.stiffness.upper   # the pattern the triangle takes
+        upper = scipy.sparse.csr_matrix((self._schur, k.indices, k.indptr),
+                                        shape=k.shape)
+        self._schur = None
         full = upper + scipy.sparse.triu(upper, k=1).T
         del upper
         try:

@@ -31,6 +31,7 @@ from radpml import (
     RampProfile,
     RangeBox,
     SmoothedPolynomialProfile,
+    assemble,
     b_tau,
     damping_rate,
     find_disk_neumann_references,
@@ -390,7 +391,7 @@ def _first_resonance_error(p, layer_width, reference):
     space = FunctionSpace(mesh, p)
     profile = AffineProfile(R1, GAMMA)
     medium = Medium(ISO)
-    solver = CondensedShiftSolver(space, profile, medium,
+    solver = CondensedShiftSolver(assemble(space, profile, medium),
                                   reference**2).factor()
     spectrum = shift_invert_arnoldi(solver, 3, krylov_dim=24, seed=0)
     assert len(spectrum), f"no converged eigenvalues at p={p}"
@@ -443,9 +444,8 @@ def test_9_dense_oracle_equivalence():
             geometry = Geometry(DiskObstacle(1.0), R1, 2.0)
             mesh = generate(geometry, hmax, 2)
             space = FunctionSpace(mesh, p)
-            solver = CondensedShiftSolver(space, profile, medium,
-                                          (1.5 - 1.0j) ** 2).factor()
-            pencil = solver.pencil
+            pencil = assemble(space, profile, medium)
+            solver = CondensedShiftSolver(pencil, (1.5 - 1.0j) ** 2).factor()
             assert pencil.size <= 200, f"pencil too large: {pencil.size}"
 
             dense = scipy.linalg.eig(

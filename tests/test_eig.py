@@ -6,7 +6,8 @@ systems).  Arnoldi runs on factored condensed solvers, the production
 path, and its results are checked against a dense full-spectrum solve
 of the solver's pencil; anchors from that oracle run are frozen far
 below the 1e-9 contract.  Synthetic diagonal and identity pencils go
-through a small stand-in that factors the shifted pencil as it stands.
+through the same solver, as pencils without bubbles, whose d0 = 1 makes
+the in_lambda_d0 flags test Im(omega) != 0.
 Determinism assertions are bitwise: same pencil, same seed, same bits.
 """
 
@@ -32,7 +33,12 @@ from radpml.eig import (
     write_spectrum_csv,
     write_spectrum_json,
 )
-from radpml.fem import AssembledPencil, CondensedShiftSolver, FunctionSpace
+from radpml.fem import (
+    AssembledPencil,
+    CondensedShiftSolver,
+    FunctionSpace,
+    assemble,
+)
 from radpml.media import Medium
 from radpml.mesh import DiskObstacle, Geometry, generate
 from radpml.scaling import AffineProfile
@@ -45,25 +51,16 @@ SHIFT_SQ = (2.5 - 0.8j) ** 2
 COARSEST_DISK = Geometry(DiskObstacle(1.0), 1.5, 2.0)
 
 
-class DirectSolver:
-    """Stand-in for a factored condensed solver over a synthetic pencil:
-    the shifted pencil is factored as it stands, and d0 = 1 makes the
-    in_lambda_d0 flags test Im(omega) != 0."""
-
-    def __init__(self, pencil, shift_sq):
-        self.pencil = pencil
-        self.shift_sq = complex(shift_sq)
-        self.d0 = 1.0
-        self.lu = sparse_lu(full_csr(pencil.stiffness)
-                            - self.shift_sq * full_csr(pencil.mass))
-        self.solve = self.lu.solve
+def synthetic_solver(k, m, shift_sq, d0=1.0):
+    """The factored solver of the bubble-free pencil (k, m)."""
+    return CondensedShiftSolver(AssembledPencil(stored(k), stored(m), d0=d0),
+                                shift_sq).factor()
 
 
-def diagonal_solver(shift_sq, *entries):
+def diagonal_solver(shift_sq, *entries, d0=1.0):
     k = scipy.sparse.diags([complex(e) for e in entries], format="csr")
     m = scipy.sparse.identity(len(entries), dtype=complex, format="csr")
-    return DirectSolver(AssembledPencil(stiffness=stored(k), mass=stored(m)),
-                        shift_sq)
+    return synthetic_solver(k, m, shift_sq, d0)
 
 
 def dense_lower_branch_omegas(pencil):
@@ -109,7 +106,8 @@ def coarse_solver():
     8i scaling) at the shift (2.5 - 0.8i)^2."""
     mesh = generate(COARSEST_DISK, hmax=10.0, q=1)
     space = FunctionSpace(mesh, 2)
-    return CondensedShiftSolver(space, PROFILE, ISO, SHIFT_SQ).factor()
+    return CondensedShiftSolver(assemble(space, PROFILE, ISO),
+                                SHIFT_SQ).factor()
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +115,7 @@ def condensed_solver():
     """Factored p = 3 solver on the coarsest disk (144 dofs, bubbles
     condensed out of the factor) at the shift (2.5 - 0.8i)^2."""
     mesh = generate(COARSEST_DISK, hmax=10.0, q=2)
-    return CondensedShiftSolver(FunctionSpace(mesh, 3), PROFILE, ISO,
+    return CondensedShiftSolver(assemble(FunctionSpace(mesh, 3), PROFILE, ISO),
                                 SHIFT_SQ).factor()
 
 
@@ -210,8 +208,8 @@ class TestSparseLU:
 
     def test_condensed_pencil_keeps_diagonal_pivots(self):
         mesh = generate(Geometry(DiskObstacle(1.0), 1.5, 2.0), hmax=1.0, q=2)
-        solver = CondensedShiftSolver(FunctionSpace(mesh, 4), PROFILE, ISO,
-                                      SHIFT_SQ).factor()
+        solver = CondensedShiftSolver(
+            assemble(FunctionSpace(mesh, 4), PROFILE, ISO), SHIFT_SQ).factor()
         assert solver.lu.fallback is False
         assert solver.lu.probe_residual <= 1e-9
         assert solver.lu.path == "sparse"
@@ -251,8 +249,8 @@ class TestShiftInvertArnoldi:
         one keeps pairs whose residual passes the 1e-6 gate but whose
         eigenvalue is not yet converged to 1e-9."""
         mesh = generate(COARSEST_DISK, hmax=10.0, q=2)
-        solver = CondensedShiftSolver(FunctionSpace(mesh, p), PROFILE, ISO,
-                                      SHIFT_SQ).factor()
+        solver = CondensedShiftSolver(
+            assemble(FunctionSpace(mesh, p), PROFILE, ISO), SHIFT_SQ).factor()
         assert solver.skeleton_size < solver.n
         spectrum = shift_invert_arnoldi(
             solver, k=6, krylov_dim=solver.n - 2, seed=0)
@@ -303,8 +301,8 @@ class TestShiftInvertArnoldi:
         d0 = PROFILE.d0
         on_ray = np.conj(d0)           # omega*d0 real, Im(omega) < 0
         off_ray = 2.0 - 0.5j
-        solver = diagonal_solver(on_ray**2 + 0.01, on_ray**2, off_ray**2)
-        solver.d0 = d0
+        solver = diagonal_solver(on_ray**2 + 0.01, on_ray**2, off_ray**2,
+                                 d0=d0)
         spectrum = shift_invert_arnoldi(solver, k=2)
         flags = {np.round(w, 8): f
                  for w, f in zip(spectrum.omegas, spectrum.in_lambda_d0)}
@@ -328,8 +326,7 @@ class TestShiftInvertArnoldi:
         monkeypatch.setattr(eig_module, "_arnoldi", truncated)
         if case == "identity":
             eye = scipy.sparse.identity(30, dtype=complex, format="csr")
-            solver = DirectSolver(AssembledPencil(stiffness=stored(eye),
-                                                  mass=stored(eye)), 0.5)
+            solver = synthetic_solver(eye, eye, 0.5)
             omega, size = 1.0, 1
         else:
             solver, omega, size = diagonal_solver(1.9, 2.0, 5.0), 2**0.5, 2
@@ -424,8 +421,8 @@ class TestShiftInvertArnoldi:
             raise SingularMatrixError("zero pivot at index 0 (empty column)")
 
         mesh = generate(COARSEST_DISK, hmax=10.0, q=1)
-        solver = CondensedShiftSolver(FunctionSpace(mesh, 2), PROFILE, ISO,
-                                      SHIFT_SQ)
+        solver = CondensedShiftSolver(
+            assemble(FunctionSpace(mesh, 2), PROFILE, ISO), SHIFT_SQ)
         monkeypatch.setattr(eig_mod, "sparse_lu", singular)
         with pytest.raises(SingularMatrixError, match="move the shift"):
             solver.factor()

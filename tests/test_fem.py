@@ -1,7 +1,7 @@
 """Assembly tests: scaled coefficient, function space, and the pencil.
 
-Every pencil comes from the element pass of ``CondensedShiftSolver``, the
-one route from a function space to a pencil.  Unscaled pencils use a
+Every pencil comes from the element pass of ``assemble``, the one route
+from a function space to a pencil.  Unscaled pencils use a
 profile whose onset lies beyond the mesh, where the coefficient is
 exactly (sigma, 1).
 
@@ -32,6 +32,7 @@ from radpml.fem import (
     CondensedShiftSolver,
     FunctionSpace,
     SymmetricMatrix,
+    assemble,
     element_matrices,
     _Pattern,
     _tensor_batch,
@@ -71,11 +72,6 @@ def corner_radii(mesh):
     and -1 of its mapping nodes."""
     corners = mesh.mapping_nodes[:, [0, mesh.q, -1]]
     return np.hypot(*corners.mean(axis=1).T)
-
-
-def assembled(space, profile, medium):
-    """The pencil of the solver's element pass (no factorization)."""
-    return CondensedShiftSolver(space, profile, medium, SHIFT_SQ).pencil
 
 
 def all_neumann(mesh):
@@ -287,7 +283,7 @@ class TestAssemble:
     def test_p1_unit_triangle_matrices(self):
         """Classical P1 element matrices on the unit right triangle."""
         space = FunctionSpace(unit_triangle_mesh(), 1)
-        pencil = assembled(space, UNSCALED, ISO)
+        pencil = assemble(space, UNSCALED, ISO)
         k_exp = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
         m_exp = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
         assert np.allclose(full_csr(pencil.stiffness).toarray(), k_exp,
@@ -300,7 +296,7 @@ class TestAssemble:
         quadrature-exact domain area (anchor 2.1e-13 relative)."""
         mesh = generate(DISK, hmax=0.3, q=6)
         space = FunctionSpace(all_neumann(mesh), 1)
-        pencil = assembled(space, UNSCALED, ISO)
+        pencil = assemble(space, UNSCALED, ISO)
         exact = np.pi * (3.5**2 - 1.0**2)
         total = full_csr(pencil.mass).sum()
         assert abs(total - exact) / exact < 1e-12
@@ -314,7 +310,7 @@ class TestAssemble:
         is bitwise the full sum of the blocks."""
         mesh = generate(ELLIPSE, hmax=0.5, q=3)
         space = FunctionSpace(mesh, 4)
-        pencil = assembled(space, AffineProfile(r1=1.5, gamma=GAMMA), ANISO)
+        pencil = assemble(space, AffineProfile(r1=1.5, gamma=GAMMA), ANISO)
         for mat in map(full_csr, (pencil.stiffness, pencil.mass)):
             diff = (mat - mat.T).tocoo()
             assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
@@ -322,7 +318,7 @@ class TestAssemble:
     def test_shared_sparsity_pattern(self):
         mesh = generate(DISK, hmax=0.8, q=2)
         space = FunctionSpace(mesh, 3)
-        pencil = assembled(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
+        pencil = assemble(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
         stiffness, mass = pencil.stiffness.upper, pencil.mass.upper
         assert np.array_equal(stiffness.indptr, mass.indptr)
         assert np.array_equal(stiffness.indices, mass.indices)
@@ -377,13 +373,13 @@ class TestAssemble:
         min |Im| / max(|lambda|, 1) = 4.7e-5 at this configuration)."""
         mesh = generate(Geometry(DiskObstacle(1.0), 1.5, 1.0), hmax=0.7, q=2)
         space = FunctionSpace(mesh, 2)
-        pencil = assembled(space, UNSCALED, ISO)
+        pencil = assemble(space, UNSCALED, ISO)
         assert np.all(pencil.stiffness.upper.data.imag == 0.0)
         assert np.all(pencil.mass.upper.data.imag == 0.0)
         m_real = full_csr(pencil.mass).real.toarray()
         assert scipy.linalg.eigh(m_real, eigvals_only=True).min() > 0.0
 
-        scaled = assembled(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
+        scaled = assemble(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
         lam = scipy.linalg.eig(full_csr(scaled.stiffness).toarray(),
                                full_csr(scaled.mass).toarray(), right=False)
         lam = lam[np.isfinite(lam)]
@@ -405,7 +401,7 @@ class TestAssemble:
         space = FunctionSpace(unit_triangle_mesh(counterclockwise=False), 1)
         with pytest.raises(ValidationError,
                            match="nonpositive mapping Jacobian in element 0"):
-            assembled(space, UNSCALED, ISO)
+            assemble(space, UNSCALED, ISO)
 
 
 class TestElementPass:
@@ -430,18 +426,16 @@ class TestElementPass:
             sub = np.ix_(dofs[keep], dofs[keep])
             k_dense[sub] += k_blk[np.ix_(keep, keep)]
             m_dense[sub] += m_blk[np.ix_(keep, keep)]
-        solver = CondensedShiftSolver(space, self.profile, ANISO,
-                                      self.shift_sq)
-        for mat, dense in ((full_csr(solver.pencil.stiffness), k_dense),
-                           (full_csr(solver.pencil.mass), m_dense)):
+        pencil = assemble(space, self.profile, ANISO)
+        for mat, dense in ((full_csr(pencil.stiffness), k_dense),
+                           (full_csr(pencil.mass), m_dense)):
             err = np.max(np.abs(mat.toarray() - dense))
             assert err <= 1e-14 * np.max(np.abs(dense))
             assert np.array_equal(mat.toarray(), mat.T.toarray())
 
     def test_condensed_solve_matches_sparse_direct(self):
-        solver = CondensedShiftSolver(self.space, self.profile, ANISO,
-                                      self.shift_sq).factor()
-        pencil = solver.pencil
+        pencil = assemble(self.space, self.profile, ANISO)
+        solver = CondensedShiftSolver(pencil, self.shift_sq).factor()
         rng = np.random.default_rng(11)
         b = rng.normal(size=pencil.size) + 1j * rng.normal(size=pencil.size)
         shifted = (full_csr(pencil.stiffness)
@@ -453,14 +447,13 @@ class TestElementPass:
     @pytest.mark.parametrize("p", [1, 2])
     def test_solve_without_bubbles_is_the_factor_solve(self, p):
         space = FunctionSpace(self.space.mesh, p)
-        solver = CondensedShiftSolver(space, self.profile, ANISO,
-                                      self.shift_sq).factor()
+        pencil = assemble(space, self.profile, ANISO)
+        solver = CondensedShiftSolver(pencil, self.shift_sq).factor()
         assert solver.skeleton_size == space.num_dofs
         rng = np.random.default_rng(12)
         b = rng.normal(size=space.num_dofs) + 1j * rng.normal(size=space.num_dofs)
         x = solver.solve(b)
         assert np.array_equal(x, solver.lu.solve(b))
-        pencil = solver.pencil
         shifted = (full_csr(pencil.stiffness)
                    - self.shift_sq * full_csr(pencil.mass))
         assert np.linalg.norm(shifted @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -481,7 +474,7 @@ class TestElementPass:
 
         monkeypatch.setattr(eig_module, "sparse_lu", spy)
         space = FunctionSpace(self.space.mesh, p)
-        solver = CondensedShiftSolver(space, self.profile, ANISO,
+        solver = CondensedShiftSolver(assemble(space, self.profile, ANISO),
                                       self.shift_sq).factor()
         (schur,) = handed
         assert schur.shape == (solver.skeleton_size,) * 2
@@ -525,6 +518,44 @@ k = 4
         config = parse_config(config_path)
         _, mesh, _ = _solve_once(config, seed=0)
         assert sorted(seen) == list(range(mesh.num_triangles))
+
+
+class TestShiftFreePencil:
+    """One element pass builds the pencil; every shift is condensed from
+    it with no further element pass."""
+
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_shifts_share_one_element_pass(self, monkeypatch, p):
+        """Two chunks assemble the pencil; two shifts condensed from it
+        evaluate no element, and each solve matches SuperLU on the full
+        shifted pencil (anchor 5.3e-13 at p = 6; the parent's one-pass
+        solver read the same, and 1.4e-12 with sigma = diag(0.25, 1))."""
+        import radpml.fem as fem_module
+
+        calls = []
+        blocks = fem_module._element_blocks
+
+        def counting(*args):
+            calls.append(args[3].size)
+            return blocks(*args)
+
+        monkeypatch.setattr(fem_module, "_element_blocks", counting)
+        space = FunctionSpace(generate(DISK, hmax=0.5, q=2), p)
+        nt = space.mesh.num_triangles
+        assert nt > CHUNK
+        pencil = assemble(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
+        assert len(calls) == -(-nt // CHUNK) and sum(calls) == nt
+        del calls[:]
+        rng = np.random.default_rng(13)
+        b = rng.normal(size=pencil.size) + 1j * rng.normal(size=pencil.size)
+        stiffness, mass = full_csr(pencil.stiffness), full_csr(pencil.mass)
+        for shift_sq in (SHIFT_SQ, (2.5 - 0.8j) ** 2):
+            solver = CondensedShiftSolver(pencil, shift_sq).factor()
+            expected = scipy.sparse.linalg.spsolve(
+                (stiffness - shift_sq * mass).tocsc(), b)
+            assert (np.linalg.norm(solver.solve(b) - expected)
+                    <= 1e-12 * np.linalg.norm(expected))
+        assert calls == []
 
 
 def sorted_key_pattern(dofs, n):
@@ -579,9 +610,11 @@ class TestPattern:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_sort_per_pass(self, monkeypatch, p):
-        """The keys are sorted once, for the skeleton's upper triangle,
-        and that one pattern object holds K, M and the Schur complement
-        that the factor mirrors."""
+        """The keys are sorted once per element pass, for the skeleton's
+        upper triangle, and that one pattern object holds K and M.  A
+        solver with bubbles to eliminate sorts its element-pair slots once
+        more; its Schur triangle, which the factor mirrors, takes K's
+        pattern."""
         sorts, built = [], []
         of_blocks, matrix = _Pattern.of_blocks.__func__, _Pattern.matrix
 
@@ -596,11 +629,13 @@ class TestPattern:
         monkeypatch.setattr(_Pattern, "of_blocks", classmethod(counting_sort))
         monkeypatch.setattr(_Pattern, "matrix", recording_matrix)
         space = FunctionSpace(generate(DISK, hmax=0.8, q=2), p)
-        solver = CondensedShiftSolver(space, AffineProfile(r1=1.5, gamma=GAMMA),
-                                      ISO, SHIFT_SQ).factor()
-        assert sorts == [solver.skeleton_size]
-        assert len(built) == 3
-        assert built[0] is built[1] is built[2]
+        pencil = assemble(space, AffineProfile(r1=1.5, gamma=GAMMA), ISO)
+        solver = CondensedShiftSolver(pencil, SHIFT_SQ)
+        assert solver._schur.shape == (pencil.stiffness.upper.nnz,)
+        solver.factor()
+        assert sorts == [solver.skeleton_size] * (2 if p >= 3 else 1)
+        assert len(built) == 2
+        assert built[0] is built[1]
 
 
 class TestStoredTriangle:
@@ -616,7 +651,7 @@ class TestStoredTriangle:
         geometry, p, medium = request.param
         space = FunctionSpace(generate(geometry, hmax=0.8, q=2), p)
         profile = AffineProfile(r1=1.5, gamma=GAMMA)
-        return space, profile, medium, assembled(space, profile, medium)
+        return space, profile, medium, assemble(space, profile, medium)
 
     def test_stores_one_triangle(self, case):
         space, _, _, pencil = case
@@ -675,7 +710,7 @@ class TestRayleighResidual:
     def test_exact_eigenpair_of_diagonal_pencil(self):
         pencil = AssembledPencil(
             stiffness=stored(np.diag([4.0, 9.0]).astype(complex)),
-            mass=stored(np.eye(2).astype(complex)))
+            mass=stored(np.eye(2).astype(complex)), d0=1.0)
         assert rayleigh_residual(pencil, 2.0, np.array([1.0, 0.0])) == 0.0
         assert rayleigh_residual(pencil, 3.0, np.array([0.0, 1.0])) == 0.0
 
@@ -684,12 +719,12 @@ class TestRayleighResidual:
         mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         pencil = AssembledPencil(
             stiffness=stored(mat + mat.T),
-            mass=stored(np.eye(4).astype(complex)))
+            mass=stored(np.eye(4).astype(complex)), d0=1.0)
         assert rayleigh_residual(pencil, 1.3 - 0.2j, rng.normal(size=4)) > 0.0
 
     def test_cached_scale_matches_formula(self):
         mesh = generate(DISK, hmax=1.2, q=2)
-        pencil = assembled(FunctionSpace(mesh, 3),
+        pencil = assemble(FunctionSpace(mesh, 3),
                            AffineProfile(r1=1.5, gamma=GAMMA), ISO)
         rng = np.random.default_rng(5)
         for omega in (1.5 - 1.0j, 0.4 - 0.1j, 3.0 - 2.5j):
@@ -704,6 +739,7 @@ class TestRayleighResidual:
 
     def test_zero_vector_rejected(self):
         pencil = AssembledPencil(stiffness=stored(np.eye(2).astype(complex)),
-                                 mass=stored(np.eye(2).astype(complex)))
+                                 mass=stored(np.eye(2).astype(complex)),
+                                 d0=1.0)
         with pytest.raises(ValidationError):
             rayleigh_residual(pencil, 1.0, np.zeros(2))
